@@ -11,6 +11,7 @@ import argparse
 import glob
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 from statistics import fmean
@@ -43,7 +44,7 @@ from .reports import MetricReport, ReportRow, write_report
 from .rouge import rouge_l, rouge_n
 from .sections import SectionName, load_rules, rule_based_extract_from_priors
 from .synthetic import write_corpus
-from .textproc import split_sentences, tokenize
+from .textproc import Sentence, split_sentences, tokenize
 
 logger = logging.getLogger("encsum")
 
@@ -205,11 +206,19 @@ def _iter_instances(args, sections):
             yield encounter, section, instance
 
 
-def _cmd_oracle(args) -> int:
-    rows = []
+def _aligned_instances(args):
+    """Yield (instance, section, reference sentences, source pool) for alignment.
+
+    Each encounter's source pool is segmented once per command and shared by
+    all of its sections.
+    """
+    pools: dict[str, list[Sentence]] = {}
     for encounter, section, instance in _iter_instances(args, args.section):
         refs = split_sentences(instance.reference_text, mask_deid=args.mask_deid)
-        pool = source_sentences(encounter, mask_deid=args.mask_deid)
+        pool = pools.get(encounter.encounter_id)
+        if pool is None:
+            pool = source_sentences(encounter, mask_deid=args.mask_deid)
+            pools[encounter.encounter_id] = pool
         if not refs or not pool:
             logger.warning(
                 "skipping %s/%s: empty %s",
@@ -217,25 +226,26 @@ def _cmd_oracle(args) -> int:
                 "reference" if not refs else "source pool",
             )
             continue
-        extraction = oracle_extract(refs, pool)
-        rows.append(
-            ds.summary_record(instance.encounter_id, section, ORACLE_SYSTEM, extraction.summary_text)
+        yield instance, section, refs, pool
+
+
+def _cmd_oracle(args) -> int:
+    rows = [
+        ds.summary_record(
+            instance.encounter_id, section, ORACLE_SYSTEM, oracle_extract(refs, pool).summary_text
         )
+        for instance, section, refs, pool in _aligned_instances(args)
+    ]
     write_jsonl(args.out, rows)
     logger.info("wrote %d oracle summaries to %s", len(rows), args.out)
     return 0
 
 
 def _cmd_pseudo_labels(args) -> int:
-    rows = []
-    for encounter, section, instance in _iter_instances(args, args.section):
-        refs = split_sentences(instance.reference_text, mask_deid=args.mask_deid)
-        pool = source_sentences(encounter, mask_deid=args.mask_deid)
-        if not refs or not pool:
-            logger.warning("skipping %s/%s: nothing to align", instance.encounter_id, section.value)
-            continue
-        pairs = build_pseudo_pairs(refs, pool)
-        rows.append(pairs.to_record(instance.encounter_id, section.value))
+    rows = [
+        build_pseudo_pairs(refs, pool).to_record(instance.encounter_id, section.value)
+        for instance, section, refs, pool in _aligned_instances(args)
+    ]
     write_jsonl(args.out, rows)
     logger.info("wrote %d label records to %s", len(rows), args.out)
     return 0
@@ -276,10 +286,7 @@ def _read_segments(path: str | Path) -> list[Segment]:
     for row in read_jsonl(path):
         sentences = tuple((s["doc"], s["sent"]) for s in row["sentences"])
         texts = tuple(s["text"] for s in row["sentences"])
-        token_count = sum(len(tokenize(t)) for t in texts)
-        segments.append(
-            Segment(row["segment_id"], row["encounter_id"], sentences, token_count, texts)
-        )
+        segments.append(Segment(row["segment_id"], row["encounter_id"], sentences, texts))
     return segments
 
 
@@ -288,7 +295,12 @@ def _cmd_merge_scores(args) -> int:
     score_rows = read_jsonl(args.scores)
     per_segment = {
         row["segment_id"]: [
-            ScoredSentence((s["doc"], s["sent"]), s["score"], "") for s in row["scores"]
+            ScoredSentence(
+                (s["doc"], s["sent"]),
+                _finite_score(s, args.scores, f"segment {row['segment_id']}"),
+                "",
+            )
+            for s in row["scores"]
         ]
         for row in score_rows
     }
@@ -316,10 +328,25 @@ def _read_merged(path: str | Path) -> dict[str, list[ScoredSentence]]:
     out = {}
     for row in read_jsonl(path):
         out[row["encounter_id"]] = [
-            ScoredSentence((s["doc"], s["sent"]), s["score"], s["text"])
+            ScoredSentence(
+                (s["doc"], s["sent"]),
+                _finite_score(s, path, f"encounter {row['encounter_id']}"),
+                s["text"],
+            )
             for s in row["sentences"]
         ]
     return out
+
+
+def _finite_score(sentence: dict, path: str | Path, owner: str) -> float:
+    """The sentence record's score; a bool, non-number, NaN or infinity is fatal."""
+    score = sentence["score"]
+    if isinstance(score, bool) or not isinstance(score, (int, float)) or not math.isfinite(score):
+        raise ValueError(
+            f"{path}: {owner}, sentence ({sentence['doc']}, {sentence['sent']}): "
+            f"score must be a finite number, got {score!r}"
+        )
+    return score
 
 
 def _cmd_sweep(args) -> int:

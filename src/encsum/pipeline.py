@@ -17,6 +17,7 @@ deterministic glue around them:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from statistics import fmean
 from typing import Mapping, Sequence
 
@@ -40,8 +41,9 @@ class Segment:
     segment_id: str
     encounter_id: str
     sentences: tuple[tuple[int, int], ...]
-    token_count: int
     texts: tuple[str, ...]
+    # Known only for segments built by chunk_encounter; segment files omit it.
+    token_count: int | None = None
 
     def to_record(self) -> dict:
         return {
@@ -206,6 +208,24 @@ def _quantile_grid(scores: Sequence[float], n: int = MAX_THRESHOLD_CANDIDATES) -
     return sorted(set(grid))
 
 
+def _surfaces_by_text(
+    scored: Sequence[ScoredSentence], mask_deid: bool
+) -> dict[str, list[str]] | None:
+    """Token surfaces of each distinct sentence text, tokenised once.
+
+    A candidate summary's tokens are then its kept sentences' surfaces
+    concatenated, which equals tokenising their ``"\\n"`` join unless a
+    de-identification placeholder spans a join. That needs a text whose last
+    bracket is an unclosed ``[``, as when "Seen by [ Dr. Smith ] today." is
+    segmented after "Dr."; for such an instance (masking only) this returns
+    None and the joined text is tokenised instead.
+    """
+    texts = dict.fromkeys(s.text for s in scored)
+    if mask_deid and any(t.rfind("[") > t.rfind("]") for t in texts):
+        return None
+    return {t: [tok.surface for tok in tokenize(t, mask_deid=mask_deid)] for t in texts}
+
+
 def sweep_threshold(
     validation: Sequence[tuple[Sequence[ScoredSentence], Sequence[Sentence]]],
     mask_deid: bool = False,
@@ -224,13 +244,19 @@ def sweep_threshold(
         [surface for sent in refs for surface in sent.surfaces]
         for _, refs in validation
     ]
+    surfaces = [_surfaces_by_text(scored, mask_deid) for scored, _ in validation]
     thresholds = _quantile_grid(pooled)
     means = []
     for threshold in thresholds:
         per_instance = []
-        for (scored, _), ref in zip(validation, ref_tokens):
+        for (scored, _), ref, by_text in zip(validation, ref_tokens, surfaces):
             kept = apply_cutoff(scored, threshold)
-            candidate = [t.surface for t in tokenize(summary_text(kept), mask_deid=mask_deid)]
+            if by_text is None:
+                candidate = [
+                    t.surface for t in tokenize(summary_text(kept), mask_deid=mask_deid)
+                ]
+            else:
+                candidate = list(chain.from_iterable(by_text[s.text] for s in kept))
             per_instance.append(rouge_l(candidate, ref).f1)
         means.append(fmean(per_instance))
     best = 0

@@ -1,16 +1,22 @@
 import csv
 import filecmp
 import json
+import logging
 import subprocess
 import sys
 
 import pytest
 
+from encsum import cli
 from encsum.cli import main
 from encsum.jsonl import read_jsonl, write_jsonl
 from encsum.rouge import rouge_l
 from encsum.sections import SectionName
 from encsum.textproc import tokenize
+
+
+# Scores that merge-scores, sweep and cutoff must reject.
+BAD_SCORES = ["high", True, None, float("nan"), float("inf"), float("-inf")]
 
 
 def run(*argv):
@@ -149,6 +155,22 @@ class TestBaselineCommands:
             for pair in row["pairs"]:
                 assert 0.0 <= pair["score"] <= 1.0
 
+    @pytest.mark.parametrize("command", ["oracle", "pseudo-labels"])
+    def test_source_pool_segmented_once_per_encounter(
+        self, workspace, tmp_path, monkeypatch, command
+    ):
+        calls = []
+        segment = cli.source_sentences
+
+        def counting(encounter, **kwargs):
+            calls.append(encounter.encounter_id)
+            return segment(encounter, **kwargs)
+
+        monkeypatch.setattr(cli, "source_sentences", counting)
+        assert run("--quiet", command, "--dataset", workspace / "data",
+                   "--split", "train", "--out", tmp_path / "out.jsonl") == 0
+        assert calls and len(calls) == len(set(calls))
+
 
 def _references(dataset, split):
     out = {}
@@ -222,6 +244,39 @@ class TestPipelineCommands:
                    "--section", "chief_complaint", "--threshold", "2.0",
                    "--out", out) == 0
         assert all(r["text"] == "" for r in read_jsonl(out))
+
+    @pytest.mark.parametrize("bad", BAD_SCORES)
+    def test_merge_rejects_bad_score(self, scored_pipeline, tmp_path, caplog, bad):
+        rows = read_jsonl(scored_pipeline["scores"])
+        rows[0]["scores"][0]["score"] = bad
+        scores = tmp_path / "bad_scores.jsonl"
+        write_jsonl(scores, rows)
+        with caplog.at_level(logging.ERROR):
+            assert run("--quiet", "merge-scores", "--segments", scored_pipeline["segments"],
+                       "--scores", scores, "--out", tmp_path / "m.jsonl") == 1
+        assert any(str(scores) in r.message and f"segment {rows[0]['segment_id']}" in r.message
+                   for r in caplog.records)
+
+    # "high" used to crash cutoff with a TypeError traceback, and NaN used to
+    # pass through sweep with exit 0.
+    @pytest.mark.parametrize("command", ["sweep", "cutoff"])
+    @pytest.mark.parametrize("bad", BAD_SCORES)
+    def test_merged_bad_score_fatal(self, workspace, scored_pipeline, tmp_path, caplog,
+                                    command, bad):
+        rows = read_jsonl(scored_pipeline["merged"])
+        rows[0]["sentences"][0]["score"] = bad
+        merged = tmp_path / "bad_merged.jsonl"
+        write_jsonl(merged, rows)
+        if command == "sweep":
+            argv = ["sweep", "--dataset", workspace / "data", "--section", "past_medical_history",
+                    "--merged", merged, "--out", tmp_path / "sweep.json"]
+        else:
+            argv = ["cutoff", "--merged", merged, "--section", "past_medical_history",
+                    "--threshold", "0.5", "--out", tmp_path / "cut.jsonl"]
+        with caplog.at_level(logging.ERROR):
+            assert run("--quiet", *argv) == 1
+        assert any(str(merged) in r.message and f"encounter {rows[0]['encounter_id']}" in r.message
+                   for r in caplog.records)
 
     def test_merge_with_missing_scores_fatal(self, scored_pipeline, tmp_path):
         empty = tmp_path / "none.jsonl"

@@ -1,9 +1,12 @@
+from statistics import fmean
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from encsum.pipeline import (
     ChunkConfig,
     ScoredSentence,
+    ThresholdSweepResult,
     apply_cutoff,
     chunk_encounter,
     merge_scores,
@@ -12,7 +15,7 @@ from encsum.pipeline import (
     sweep_threshold,
 )
 from encsum.rouge import rouge_l
-from encsum.textproc import tokenize
+from encsum.textproc import split_sentences, tokenize
 from tests.conftest import make_sentence
 
 
@@ -176,18 +179,39 @@ def _sweep_instance(sent_scores, reference_text):
     return scored, refs
 
 
-def reevaluate_grid(validation, thresholds):
-    """Independent re-evaluation of every candidate threshold."""
+def reevaluate_grid(validation, thresholds, mask_deid=False):
+    """Independent re-evaluation of every candidate threshold.
+
+    Each candidate summary is joined and tokenised afresh, as the sweep did
+    before it tokenised each sentence once.
+    """
     means = []
     for t in thresholds:
         per = []
         for scored, refs in validation:
             kept = apply_cutoff(scored, t)
-            cand = [tok.surface for tok in tokenize(summary_text(kept))]
+            cand = [tok.surface for tok in tokenize(summary_text(kept), mask_deid=mask_deid)]
             ref = [s for r in refs for s in r.surfaces]
             per.append(rouge_l(cand, ref).f1)
-        means.append(sum(per) / len(per))
+        means.append(fmean(per))
     return means
+
+
+# Words that exercise dedup (case), punctuation peeling and de-identification
+# placeholders, including brackets left dangling by sentence segmentation.
+_SWEEP_WORDS = [
+    "a", "B", "b", "pain", "Dr.", "[", "]", "[ Dr.", "Smith 12 ]", "[ x ]", "x]", "[y", "**",
+]
+_sweep_text = st.lists(st.sampled_from(_SWEEP_WORDS), min_size=1, max_size=6).map(" ".join)
+_sweep_instances = st.lists(
+    st.tuples(
+        st.lists(st.tuples(_sweep_text, st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])),
+                 min_size=1, max_size=8),
+        _sweep_text,
+    ),
+    min_size=1,
+    max_size=4,
+)
 
 
 class TestSweep:
@@ -236,6 +260,26 @@ class TestSweep:
         for t, m in zip(result.thresholds, means):
             if m == chosen_mean:
                 assert result.chosen_threshold <= t
+
+    @given(_sweep_instances, st.booleans())
+    @example(
+        [([("Seen by [ Dr.", 0.5), ("Smith 12 ] today.", 0.5)], "seen by [ Dr. Smith 12 ] today")],
+        True,
+    )
+    def test_equals_join_and_retokenise_reference(self, instances, mask_deid):
+        validation = [
+            (
+                [ScoredSentence((0, i), score, text) for i, (text, score) in enumerate(sents)],
+                split_sentences(ref_text, mask_deid=mask_deid),
+            )
+            for sents, ref_text in instances
+        ]
+        result = sweep_threshold(validation, mask_deid=mask_deid)
+        means = reevaluate_grid(validation, result.thresholds, mask_deid=mask_deid)
+        best = max(range(len(means)), key=lambda i: (means[i], -i))
+        assert result == ThresholdSweepResult(
+            result.thresholds, tuple(means), result.thresholds[best]
+        )
 
     def test_empty_validation_fatal(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from encsum.rouge import lcs_length, rouge_l, rouge_n
 
@@ -16,6 +16,35 @@ def brute_force_lcs(a, b):
             if _is_subsequence(combo, b):
                 return r
     return best
+
+
+def dp_lcs_length(a, b):
+    """Reference LCS length: the O(len(a)*len(b)) dynamic programme."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, start=1):
+            if x == y:
+                cur.append(prev[j - 1] + 1)
+            else:
+                cur.append(max(prev[j], cur[j - 1]))
+        prev = cur
+    return prev[-1]
+
+
+def _sequences(alphabet):
+    # Lengths up to 300 cross the 30-bit digits of CPython ints and 64-bit words.
+    return st.integers(0, 300).flatmap(
+        lambda n: st.lists(st.sampled_from(alphabet), min_size=n, max_size=n)
+    )
+
+
+_BINARY = ["x", "y"]
+_WIDE = [f"w{i}" for i in range(50)]
 
 
 def _is_subsequence(needle, haystack):
@@ -90,6 +119,20 @@ class TestRougeL:
     @given(tokens, tokens)
     def test_lcs_equals_brute_force(self, a, b):
         assert lcs_length(a, b) == brute_force_lcs(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_sequences(_BINARY), _sequences(_BINARY))
+    @example(["x"] * 30, ["x", "y"] * 15)
+    @example(["x", "y"] * 32, ["y"] * 31 + ["x"] * 34)
+    @example(["y"] * 300, ["x"] * 299 + ["y"])
+    def test_lcs_equals_dp_binary(self, a, b):
+        assert lcs_length(a, b) == dp_lcs_length(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_sequences(_WIDE), _sequences(_WIDE))
+    @example(_WIDE * 6, list(reversed(_WIDE)) * 6)
+    def test_lcs_equals_dp_wide_alphabet(self, a, b):
+        assert lcs_length(a, b) == dp_lcs_length(a, b)
 
     @given(tokens, tokens, st.integers(1, 3))
     def test_ngram_overlap_equals_brute_force(self, a, b, n):
