@@ -14,19 +14,15 @@ import logging
 import math
 import sys
 from pathlib import Path
-from statistics import fmean
 
 from . import dataset as ds
-from .corpus import source_sentences
+from .corpus import SPLIT_NAMES, source_sentences
+from .evaluate import AnnotatedEntities, GazetteerEntities, score_section
 from .faithfulness import (
     DEFAULT_BETA,
-    EntitySet,
     Gazetteer,
-    aggregate_scores,
-    extract_entities_gazetteer,
     ingest_entity_annotations,
     load_default_gazetteer,
-    score_sets,
 )
 from .jsonl import read_jsonl, write_jsonl
 from .labeling import build_pseudo_pairs, oracle_extract
@@ -40,11 +36,10 @@ from .pipeline import (
     summary_text,
     sweep_threshold,
 )
-from .reports import MetricReport, ReportRow, write_report
-from .rouge import rouge_l, rouge_n
+from .reports import MetricReport, write_report
 from .sections import SectionName, load_rules, rule_based_extract_from_priors
 from .synthetic import write_corpus
-from .textproc import Sentence, split_sentences, tokenize
+from .textproc import Sentence, split_sentences
 
 logger = logging.getLogger("encsum")
 
@@ -78,6 +73,13 @@ def _ratios_arg(value: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("ratios must be three comma-separated fractions")
     return (parts[0], parts[1], parts[2])
+
+
+def _beta_arg(value: str) -> float:
+    beta = float(value)
+    if not (math.isfinite(beta) and beta > 0):
+        raise argparse.ArgumentTypeError(f"beta must be a finite number above 0, got {value!r}")
+    return beta
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -115,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--section", type=_sections_arg, default="all",
                        help="section name or 'all'")
         p.add_argument("--split", default="train" if name == "pseudo-labels" else "test",
-                       choices=ds.SPLITS)
+                       choices=SPLIT_NAMES)
         p.add_argument("--out", required=True)
         if name == "rule-baseline":
             p.add_argument("--rules", default=None)
@@ -125,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chunk", help="split encounters into token-bounded segments")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--split", default="test", choices=ds.SPLITS)
+    p.add_argument("--split", default="test", choices=SPLIT_NAMES)
     p.add_argument("--max-tokens", type=int, default=1024)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_chunk)
@@ -139,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="sweep the score cutoff on validation ROUGE-L")
     p.add_argument("--dataset", required=True)
     p.add_argument("--section", type=SectionName, required=True)
-    p.add_argument("--split", default="validation", choices=ds.SPLITS)
+    p.add_argument("--split", default="validation", choices=SPLIT_NAMES)
     p.add_argument("--merged", required=True, help="merged scored-sentence JSONL")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
@@ -157,12 +159,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score system summaries with ROUGE and faithfulness")
     p.add_argument("--dataset", required=True)
     p.add_argument("--systems", required=True, help="glob of system summary JSONL files")
-    p.add_argument("--split", default="test", choices=ds.SPLITS)
+    p.add_argument("--split", default="test", choices=SPLIT_NAMES)
     p.add_argument("--section", type=_sections_arg, default="all")
-    p.add_argument("--entity-backend", choices=("gazetteer", "annotations"), default="gazetteer")
-    p.add_argument("--gazetteer", default=None, help="term file (default: packaged gazetteer)")
-    p.add_argument("--annotations", default=None, help="entity annotations JSONL")
-    p.add_argument("--beta", type=float, default=DEFAULT_BETA)
+    entities = p.add_mutually_exclusive_group()
+    entities.add_argument("--gazetteer", default=None,
+                          help="entity term file (default: packaged gazetteer)")
+    entities.add_argument("--annotations", default=None, help="entity annotations JSONL")
+    p.add_argument("--beta", type=_beta_arg, default=DEFAULT_BETA,
+                   help="F_beta recall weight, a finite number above 0")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_evaluate)
 
@@ -396,123 +400,27 @@ def _cmd_evaluate(args) -> int:
     if not summary_files:
         raise ValueError(f"no summary files match {args.systems!r}")
     summaries = ds.read_system_summaries(summary_files)
-    systems = sorted({system for _, _, system in summaries})
-    if not systems:
-        raise ValueError("summary files contain no records")
-
+    if args.annotations is not None:
+        entities = AnnotatedEntities(ingest_entity_annotations(args.annotations))
+    elif args.gazetteer is not None:
+        entities = GazetteerEntities(Gazetteer.from_file(args.gazetteer))
+    else:
+        entities = GazetteerEntities(load_default_gazetteer())
     encounters = ds.load_encounters(args.dataset)
-    backend = _entity_backend(args, systems)
-
     rows = []
     for section in args.section:
         instances = ds.load_section_instances(args.dataset, section, args.split)
-        instances = sorted(instances, key=lambda i: i.encounter_id)
         if not instances:
             logger.warning("no %s instances in split %s", section.value, args.split)
             continue
-        ref_tokens = {
-            i.encounter_id: [t.surface for t in tokenize(i.reference_text, mask_deid=args.mask_deid)]
-            for i in instances
-        }
-        mean_words = fmean(len(v) for v in ref_tokens.values())
-        mean_sents = fmean(
-            len(split_sentences(i.reference_text, mask_deid=args.mask_deid)) for i in instances
+        rows += score_section(
+            instances, encounters, summaries, entities, args.beta, mask_deid=args.mask_deid
         )
-        for system in systems:
-            rows.append(
-                _evaluate_rows(
-                    section, system, instances, ref_tokens, summaries,
-                    encounters, backend, args.beta, mean_words, mean_sents,
-                    mask_deid=args.mask_deid,
-                )
-            )
     if not rows:
         raise ValueError("nothing to evaluate: no instances in the requested sections/split")
-    report = MetricReport(tuple(rows))
-    paths = write_report(report, args.out)
+    paths = write_report(MetricReport(tuple(rows)), args.out)
     logger.info("wrote report to %s", paths["table"].parent)
     return 0
-
-
-def _entity_backend(args, systems):
-    if args.entity_backend == "gazetteer":
-        if args.gazetteer is None:
-            gaz = load_default_gazetteer()
-        else:
-            gaz = Gazetteer.from_file(args.gazetteer)
-        return ("gazetteer", gaz)
-    if args.annotations is None:
-        raise ValueError("--entity-backend annotations requires --annotations")
-    return ("annotations", ingest_entity_annotations(args.annotations))
-
-
-def _entity_sets(backend, encounter, instance, system, system_text):
-    kind, payload = backend
-    encounter_id = instance.encounter_id
-    section = instance.section.value
-    if kind == "gazetteer":
-        source: set[str] = set()
-        for note in encounter.prior_notes:
-            source |= extract_entities_gazetteer(note.text, payload).entities
-        return (
-            EntitySet(frozenset(source), "source"),
-            extract_entities_gazetteer(instance.reference_text, payload, "reference"),
-            extract_entities_gazetteer(system_text, payload, "system"),
-        )
-    empty = lambda origin: EntitySet(frozenset(), origin)
-    return (
-        payload.get(f"enc:{encounter_id}:src", empty("source")),
-        payload.get(f"enc:{encounter_id}:{section}:ref", empty("reference")),
-        payload.get(f"enc:{encounter_id}:{section}:sys:{system}", empty("system")),
-    )
-
-
-def _evaluate_rows(
-    section, system, instances, ref_tokens, summaries, encounters, backend, beta,
-    mean_words, mean_sents, mask_deid=False,
-) -> ReportRow:
-    r1, r2, rl = [], [], []
-    faith = []
-    for instance in instances:
-        system_text = summaries.get((instance.encounter_id, section.value, system), "")
-        cand = [t.surface for t in tokenize(system_text, mask_deid=mask_deid)]
-        ref = ref_tokens[instance.encounter_id]
-        r1.append(rouge_n(cand, ref, 1))
-        r2.append(rouge_n(cand, ref, 2))
-        rl.append(rouge_l(cand, ref))
-        encounter = encounters.get(instance.encounter_id)
-        if encounter is None:
-            raise KeyError(f"dataset has no encounter record for {instance.encounter_id}")
-        source_set, ref_set, sys_set = _entity_sets(
-            backend, encounter, instance, system, system_text
-        )
-        faith.append(score_sets(source_set, ref_set, sys_set, beta))
-    agg = aggregate_scores(faith, beta)
-
-    def prf(scores):
-        return (
-            fmean(s.precision for s in scores),
-            fmean(s.recall for s in scores),
-            fmean(s.f1 for s in scores),
-        )
-
-    return ReportRow(
-        section=section.value,
-        system=system,
-        instances=len(instances),
-        rouge1=prf(r1),
-        rouge2=prf(r2),
-        rouge_l=prf(rl),
-        fa_precision=agg.fa_precision,
-        fa_recall=agg.fa_recall,
-        fa_f_beta=agg.fa_f_beta,
-        beta=beta,
-        incorrect_hallucination_rate=agg.incorrect_hallucination_rate,
-        empty_system=agg.empty_system_count,
-        empty_relevant=agg.empty_relevant_count,
-        mean_output_words=mean_words,
-        mean_output_sentences=mean_sents,
-    )
 
 
 if __name__ == "__main__":

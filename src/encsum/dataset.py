@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .corpus import (
+    SPLIT_NAMES,
     Encounter,
     assemble_encounters,
     corpus_stats,
@@ -31,8 +32,6 @@ from .reports import render_stats_csv
 from .sections import HeaderRuleSet, SectionInstance, SectionName, extract_section
 
 logger = logging.getLogger(__name__)
-
-SPLITS = ("train", "validation", "test")
 
 
 def section_file(dataset_dir: str | Path, section: SectionName, split: str) -> Path:
@@ -63,7 +62,7 @@ def build_dataset(
     section_counts: dict[str, dict[str, int]] = {}
     stats_texts: dict[str, list[tuple[str, str]]] = {s.value: [] for s in SectionName}
     per_section_rows: dict[tuple[SectionName, str], list[dict]] = {
-        (section, split): [] for section in SectionName for split in SPLITS
+        (section, split): [] for section in SectionName for split in SPLIT_NAMES
     }
     excluded: dict[str, int] = {s.value: 0 for s in SectionName}
     for encounter in encounters:
@@ -95,7 +94,7 @@ def build_dataset(
         json.dumps(stats.to_record(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     (out_dir / "stats.csv").write_text(
-        render_stats_csv(stats.to_record()["per_section"], SPLITS), encoding="utf-8"
+        render_stats_csv(stats.to_record()["per_section"], SPLIT_NAMES), encoding="utf-8"
     )
 
     manifest = {
@@ -106,7 +105,7 @@ def build_dataset(
         "notes_skipped": ingest.skipped,
         "encounters": len(encounters),
         "subjects": {
-            split: len(assignment.subjects(split)) for split in SPLITS
+            split: len(assignment.subjects(split)) for split in SPLIT_NAMES
         },
         "assembly_diagnostics": diagnostics.to_record(),
         "section_counts": section_counts,
@@ -158,11 +157,17 @@ def summary_record(encounter_id: str, section: SectionName, system: str, text: s
 
 
 def read_system_summaries(paths: Iterable[str | Path]) -> dict[tuple[str, str, str], str]:
-    """Map (encounter_id, section, system) -> summary text across summary files."""
+    """Map (encounter_id, section, system) -> summary text across summary files.
+
+    A key seen twice, in one file or across files, is fatal.
+    """
     out: dict[tuple[str, str, str], str] = {}
     for path in paths:
         for row in read_jsonl(path):
             if not all(k in row for k in ("encounter_id", "section", "system", "text")):
                 raise ValueError(f"{path}: not a system summary file (bad record keys)")
-            out[(row["encounter_id"], row["section"], row["system"])] = row["text"]
+            key = (row["encounter_id"], row["section"], row["system"])
+            if key in out:
+                raise ValueError(f"{path}: duplicate (encounter, section, system) summary {key}")
+            out[key] = row["text"]
     return out

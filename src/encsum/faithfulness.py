@@ -27,7 +27,7 @@ from statistics import fmean
 from typing import Iterable, Sequence
 
 from .jsonl import iter_jsonl
-from .textproc import tokenize
+from .textproc import normalize, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -35,10 +35,6 @@ DEFAULT_BETA = 3.0
 
 EMPTY_SYSTEM = "empty_system"
 EMPTY_RELEVANT = "empty_relevant"
-
-
-def normalize_entity(text: str) -> str:
-    return " ".join(text.lower().split())
 
 
 @dataclass(frozen=True)
@@ -49,7 +45,7 @@ class EntitySet:
     @staticmethod
     def from_strings(entities: Iterable[str], origin: str) -> "EntitySet":
         return EntitySet(
-            frozenset(normalize_entity(e) for e in entities if e.strip()), origin
+            frozenset(normalize(e) for e in entities if e.strip()), origin
         )
 
 
@@ -291,31 +287,3 @@ def score_sets(
     source: EntitySet, reference: EntitySet, system: EntitySet, beta: float = DEFAULT_BETA
 ) -> FaithfulnessScores:
     return faithfulness_scores(venn_regions(source, reference, system), beta)
-
-
-def evaluate_section(
-    instances: Sequence[tuple[Sequence[str], str, str]],
-    gazetteer: Gazetteer,
-    beta: float = DEFAULT_BETA,
-) -> tuple[list[FaithfulnessScores], AggregateFaithfulness]:
-    """Score (source text pool, reference text, system text) triples with the gazetteer.
-
-    Source entities are the union over the pool's documents. Returns the
-    per-instance scores in input order plus their macro-average.
-    """
-    if not instances:
-        raise ValueError("evaluate_section requires at least one instance")
-    per_instance = []
-    for source_texts, reference_text, system_text in instances:
-        source_entities: set[str] = set()
-        for text in source_texts:
-            source_entities |= extract_entities_gazetteer(text, gaz=gazetteer).entities
-        per_instance.append(
-            score_sets(
-                EntitySet(frozenset(source_entities), "source"),
-                extract_entities_gazetteer(reference_text, gazetteer, "reference"),
-                extract_entities_gazetteer(system_text, gazetteer, "system"),
-                beta,
-            )
-        )
-    return per_instance, aggregate_scores(per_instance, beta)

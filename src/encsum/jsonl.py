@@ -29,9 +29,14 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:
 
 
 def read_jsonl(path: str | Path) -> list[dict]:
-    """Read all well-formed JSONL records, silently dropping blank lines."""
+    """Read every JSONL record, skipping blank lines.
+
+    An undecodable (or ``null``) line is fatal: ``ValueError("<path>:<lineno>: ...")``.
+    Loaders that skip bad lines with a counted warning use ``iter_jsonl``.
+    """
     out = []
-    for _, obj in iter_jsonl(path):
-        if obj is not None:
-            out.append(obj)
+    for lineno, obj in iter_jsonl(path):
+        if obj is None:
+            raise ValueError(f"{path}:{lineno}: not a JSON record")
+        out.append(obj)
     return out

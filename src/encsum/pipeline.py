@@ -22,7 +22,7 @@ from statistics import fmean
 from typing import Mapping, Sequence
 
 from .rouge import rouge_l
-from .textproc import Sentence, tokenize
+from .textproc import Sentence, normalize, tokenize
 
 MAX_THRESHOLD_CANDIDATES = 101
 
@@ -170,16 +170,12 @@ def merge_scores(
     ]
 
 
-def _normalize(text: str) -> str:
-    return " ".join(text.lower().split())
-
-
 def postprocess(extracted: Sequence[ScoredSentence]) -> list[ScoredSentence]:
     """Drop exact duplicates (case/whitespace-insensitive), keeping first occurrence."""
     seen: set[str] = set()
     out: list[ScoredSentence] = []
     for sent in extracted:
-        norm = _normalize(sent.text)
+        norm = normalize(sent.text)
         if norm in seen:
             continue
         seen.add(norm)

@@ -10,17 +10,15 @@ to prior notes instead of the discharge summary.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .corpus import Encounter
 
 _MAX_HEADER_INDENT = 3
-
-DEFAULT_MAX_BODY_CHARS = 6000
 
 
 class SectionName(str, Enum):
@@ -167,56 +165,3 @@ def rule_based_extract_from_priors(
     if not hits:
         return None
     return "\n\n".join(hits)
-
-
-@dataclass(frozen=True)
-class RuleFlag:
-    sample_index: int
-    section: SectionName
-    reason: str
-
-
-@dataclass
-class RuleValidationReport:
-    sample_size: int
-    hits: Mapping[SectionName, int]
-    flags: list[RuleFlag] = field(default_factory=list)
-
-    def hit_rate(self, section: SectionName) -> float | None:
-        if self.sample_size == 0:
-            return None
-        return self.hits.get(section, 0) / self.sample_size
-
-
-def validate_rules(
-    rules: HeaderRuleSet,
-    sample: Sequence[str],
-    max_body_chars: int = DEFAULT_MAX_BODY_CHARS,
-) -> RuleValidationReport:
-    """Per-section hit rates plus flags for extractions that merit manual review.
-
-    A body is flagged when it exceeds ``max_body_chars`` or when it contains
-    another section's header variant anywhere in its text (a sign that the
-    anchored matcher missed a boundary).
-    """
-    hits: dict[SectionName, int] = {s: 0 for s in SectionName}
-    flags: list[RuleFlag] = []
-    for idx, text in enumerate(sample):
-        for section in SectionName:
-            instance = extract_section(text, section, rules)
-            if instance is None:
-                continue
-            hits[section] += 1
-            body = instance.reference_text
-            if len(body) > max_body_chars:
-                flags.append(RuleFlag(idx, section, f"body exceeds {max_body_chars} chars"))
-            lowered = body.lower()
-            for other in SectionName:
-                if other is section:
-                    continue
-                for variant in rules.variants[other]:
-                    if variant.lower() in lowered:
-                        flags.append(
-                            RuleFlag(idx, section, f"body contains header {variant!r}")
-                        )
-    return RuleValidationReport(len(sample), hits, flags)

@@ -64,6 +64,11 @@ class Sentence:
         }
 
 
+def normalize(text: str) -> str:
+    """Lowercase and collapse whitespace runs to single spaces."""
+    return " ".join(text.lower().split())
+
+
 def tokenize(text: str, mask_deid: bool = False) -> list[Token]:
     """Split ``text`` into lowercased tokens with character spans.
 

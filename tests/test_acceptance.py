@@ -15,7 +15,6 @@ from encsum.cli import main
 from encsum.faithfulness import (
     EntitySet,
     Gazetteer,
-    evaluate_section,
     f_beta,
     faithfulness_scores,
     venn_regions,
@@ -25,7 +24,7 @@ from encsum.labeling import build_pseudo_pairs, oracle_extract
 from encsum.pipeline import ChunkConfig, ScoredSentence, chunk_encounter, merge_scores, sweep_threshold
 from encsum.rouge import lcs_length, rouge_n
 from tests.conftest import make_sentence
-from tests.test_faithfulness import oracle_regions
+from tests.test_faithfulness import oracle_regions, score_triples
 from tests.test_labeling import exhaustive_argmax
 from tests.test_pipeline import reevaluate_grid
 from tests.test_rouge import brute_force_lcs, brute_force_ngram_overlap
@@ -131,8 +130,8 @@ def test_criterion_4_extractors_do_not_hallucinate():
             picked = [s for s in sentences if rng.random() < 0.6]
             system_text = "\n".join(picked)
             reference = " ".join(rng.choice(vocab) for _ in range(5)) + "."
-            per_instance, _ = evaluate_section([(docs, reference, system_text)], gaz)
-            assert per_instance[0].incorrect_hallucination_rate == 0.0
+            row = score_triples([(docs, reference, system_text)], gaz)
+            assert row.incorrect_hallucination_rate == 0.0
 
 
 def test_criterion_5_oracle_extraction_optimality():

@@ -2,12 +2,14 @@ import csv
 import filecmp
 import json
 import logging
+import shutil
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-from encsum import cli
+from encsum import cli, evaluate
 from encsum.cli import main
 from encsum.jsonl import read_jsonl, write_jsonl
 from encsum.rouge import rouge_l
@@ -154,6 +156,18 @@ class TestBaselineCommands:
             assert {tuple(p) for p in row["positives"]} == keys
             for pair in row["pairs"]:
                 assert 0.0 <= pair["score"] <= 1.0
+
+    def test_undecodable_dataset_line_fatal(self, workspace, tmp_path, caplog):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        encounters = data / "encounters.jsonl"
+        lines = encounters.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[0] = lines[0][: len(lines[0]) // 2] + "\n"
+        encounters.write_text("".join(lines), encoding="utf-8")
+        with caplog.at_level(logging.ERROR, logger="encsum"):
+            assert run("oracle", "--dataset", data, "--split", "train",
+                       "--out", tmp_path / "o.jsonl") == 1
+        assert "encounters.jsonl:1" in caplog.text
 
     @pytest.mark.parametrize("command", ["oracle", "pseudo-labels"])
     def test_source_pool_segmented_once_per_encounter(
@@ -373,8 +387,7 @@ class TestEvaluate:
         report = tmp_path / "rep_ann"
         assert run("--quiet", "evaluate", "--dataset", dataset,
                    "--systems", str(evaluated["root"] / "sys_oracle.jsonl"),
-                   "--split", "test", "--entity-backend", "annotations",
-                   "--annotations", ann, "--out", report) == 0
+                   "--split", "test", "--annotations", ann, "--out", report) == 0
         with open(report / "report.csv") as fh:
             rows = list(csv.DictReader(fh))
         for row in rows:
@@ -458,6 +471,69 @@ class TestEvaluate:
         with open(report / "report.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert all(row["beta"] == "1.0" for row in rows)
+
+    @pytest.mark.parametrize("beta", ["nan", "inf", "-1", "0", "high"])
+    def test_bad_beta_usage_error(self, workspace, evaluated, tmp_path, capsys, beta):
+        with pytest.raises(SystemExit) as exc:
+            run("--quiet", "evaluate", "--dataset", workspace / "data",
+                "--systems", str(evaluated["root"] / "sys_rule.jsonl"),
+                "--split", "test", "--beta", beta, "--out", tmp_path / "r")
+        assert exc.value.code == 2
+        assert "beta" in capsys.readouterr().err
+
+    def test_gazetteer_and_annotations_usage_error(self, workspace, evaluated, tmp_path, capsys):
+        gaz = tmp_path / "terms.txt"
+        gaz.write_text("htn\n")
+        ann = tmp_path / "annotations.jsonl"
+        write_jsonl(ann, [])
+        with pytest.raises(SystemExit) as exc:
+            run("--quiet", "evaluate", "--dataset", workspace / "data",
+                "--systems", str(evaluated["root"] / "sys_rule.jsonl"), "--split", "test",
+                "--gazetteer", gaz, "--annotations", ann, "--out", tmp_path / "r")
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("where", ["same file", "second file"])
+    def test_duplicate_summary_fatal(self, workspace, evaluated, tmp_path, caplog, where):
+        rows = read_jsonl(evaluated["root"] / "sys_oracle.jsonl")
+        altered = dict(rows[0], text=rows[0]["text"] + " extra words")
+        systems = tmp_path / "systems"
+        if where == "same file":
+            write_jsonl(systems / "sys_a.jsonl", rows + [altered])
+        else:
+            write_jsonl(systems / "sys_a.jsonl", rows)
+            write_jsonl(systems / "sys_b.jsonl", [altered])
+        with caplog.at_level(logging.ERROR, logger="encsum"):
+            assert run("evaluate", "--dataset", workspace / "data",
+                       "--systems", str(systems / "sys_*.jsonl"), "--split", "test",
+                       "--out", tmp_path / "r") == 1
+        message = caplog.text
+        assert "duplicate" in message and rows[0]["encounter_id"] in message
+        assert ("sys_a.jsonl" if where == "same file" else "sys_b.jsonl") in message
+
+    def test_gazetteer_source_matched_once_per_encounter(
+        self, workspace, evaluated, tmp_path, monkeypatch
+    ):
+        calls = []
+        match = evaluate.extract_entities_gazetteer
+
+        def counting(text, gaz, origin="system"):
+            if origin == "source":
+                calls.append(text)
+            return match(text, gaz, origin)
+
+        monkeypatch.setattr(evaluate, "extract_entities_gazetteer", counting)
+        assert run("--quiet", "evaluate", "--dataset", workspace / "data",
+                   "--systems", str(evaluated["root"] / "sys_*.jsonl"), "--split", "test",
+                   "--out", tmp_path / "r") == 0
+        encounters = {
+            row["encounter_id"]: row for row in read_jsonl(workspace / "data" / "encounters.jsonl")
+        }
+        evaluated_ids = {enc for enc, _ in _references(workspace / "data", "test")}
+        expected = Counter(
+            note["text"] for enc in evaluated_ids for note in encounters[enc]["prior_notes"]
+        )
+        assert expected and Counter(calls) == expected
 
 
 class TestEntryPoints:

@@ -4,13 +4,14 @@ import logging
 import pytest
 from hypothesis import given, strategies as st
 
+from encsum.corpus import Encounter
+from encsum.evaluate import GazetteerEntities, score_section
 from encsum.faithfulness import (
     EMPTY_RELEVANT,
     EMPTY_SYSTEM,
     EntitySet,
     Gazetteer,
     aggregate_scores,
-    evaluate_section,
     extract_entities_gazetteer,
     f_beta,
     faithfulness_scores,
@@ -19,6 +20,8 @@ from encsum.faithfulness import (
     score_sets,
     venn_regions,
 )
+from encsum.sections import SectionInstance, SectionName
+from tests.conftest import make_note
 
 entity_sets = st.sets(st.sampled_from("abcdefghijkl"), max_size=12)
 
@@ -230,6 +233,31 @@ class TestAnnotations:
             assert ingest_entity_annotations(path) == {}
 
 
+def score_triples(instances, gazetteer, beta=3.0):
+    """The report row for (source texts, reference text, system text) triples.
+
+    Each triple becomes one encounter whose prior notes are the source texts,
+    scored through ``evaluate.score_section`` with the gazetteer source.
+    """
+    encounters, section_instances, summaries = {}, [], {}
+    for i, (source_texts, reference_text, system_text) in enumerate(instances):
+        eid = f"e{i:04d}"
+        notes = tuple(
+            make_note(note_id=f"{eid}-{d}", encounter_id=eid, text=text)
+            for d, text in enumerate(source_texts)
+        )
+        discharge = make_note(note_id=f"{eid}-ds", encounter_id=eid, category="discharge summary")
+        encounters[eid] = Encounter("s1", eid, notes, discharge)
+        section_instances.append(SectionInstance(
+            eid, SectionName.CHIEF_COMPLAINT, reference_text, (0, len(reference_text))
+        ))
+        summaries[(eid, SectionName.CHIEF_COMPLAINT.value, "sys")] = system_text
+    [row] = score_section(
+        section_instances, encounters, summaries, GazetteerEntities(gazetteer), beta
+    )
+    return row
+
+
 class TestEvaluateSection:
     GAZ = Gazetteer.from_terms(["htn", "cad", "fever", "chest pain"])
 
@@ -238,27 +266,30 @@ class TestEvaluateSection:
             (["htn and cad."], "htn and cad.", "htn and cad."),
             (["fever noted."], "fever noted.", "unrelated text."),
         ]
-        per_instance, agg = evaluate_section(instances, self.GAZ)
-        assert per_instance[0].fa_precision == 1.0
-        assert agg.fa_precision == pytest.approx(0.5)
-        assert agg.count == 2
-        assert agg.empty_system_count == 1
+        assert score_triples(instances[:1], self.GAZ).fa_precision == 1.0
+        row = score_triples(instances, self.GAZ)
+        assert row.fa_precision == pytest.approx(0.5)
+        assert row.instances == 2
+        assert row.empty_system == 1
 
     def test_single_instance_equals_aggregate(self):
-        instances = [(["htn."], "htn.", "htn.")]
-        per_instance, agg = evaluate_section(instances, self.GAZ)
-        assert agg.fa_precision == per_instance[0].fa_precision
-        assert agg.fa_f_beta == per_instance[0].fa_f_beta
+        row = score_triples([(["htn."], "htn.", "htn.")], self.GAZ)
+        direct = score_sets(
+            extract_entities_gazetteer("htn.", self.GAZ, "source"),
+            extract_entities_gazetteer("htn.", self.GAZ, "reference"),
+            extract_entities_gazetteer("htn.", self.GAZ, "system"),
+        )
+        assert row.fa_precision == direct.fa_precision
+        assert row.fa_f_beta == direct.fa_f_beta
 
     def test_empty_system_contributes_zeros(self):
-        instances = [(["htn."], "htn.", "")]
-        per_instance, agg = evaluate_section(instances, self.GAZ)
-        assert per_instance[0].fa_precision == 0.0
-        assert agg.empty_system_count == 1
+        row = score_triples([(["htn."], "htn.", "")], self.GAZ)
+        assert row.fa_precision == 0.0
+        assert row.empty_system == 1
 
     def test_empty_instance_list_fatal(self):
         with pytest.raises(ValueError):
-            evaluate_section([], self.GAZ)
+            score_section([], {}, {}, GazetteerEntities(self.GAZ), 3.0)
 
     def test_extractive_subset_never_hallucinates(self, rng):
         # System summaries built only from source sentences have zero
@@ -275,8 +306,8 @@ class TestEvaluateSection:
             picked = [s for s in source_sents if rng.random() < 0.5]
             system_text = "\n".join(picked)
             reference = " ".join(rng.choice(vocab) for _ in range(4)) + "."
-            per_instance, _ = evaluate_section([(docs, reference, system_text)], gaz)
-            assert per_instance[0].incorrect_hallucination_rate == 0.0
+            row = score_triples([(docs, reference, system_text)], gaz)
+            assert row.incorrect_hallucination_rate == 0.0
 
 
 class TestAggregate:

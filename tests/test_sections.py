@@ -10,7 +10,6 @@ from encsum.sections import (
     find_headers,
     load_rules,
     rule_based_extract_from_priors,
-    validate_rules,
 )
 from tests.conftest import make_note
 
@@ -148,31 +147,3 @@ class TestRuleBaseline:
         encounters, _ = assemble_encounters(notes)
         got = rule_based_extract_from_priors(encounters[0], SectionName.SOCIAL_HISTORY, rules)
         assert got == ""
-
-
-class TestValidateRules:
-    def test_all_sections_present(self, rules):
-        doc = "\n\n".join(f"{s.display}:\ncontent {i}" for i, s in enumerate(SectionName))
-        report = validate_rules(rules, [doc] * 10)
-        assert report.sample_size == 10
-        for section in SectionName:
-            assert report.hit_rate(section) == 1.0
-        assert report.flags == []
-
-    def test_over_extraction_flagged(self, rules):
-        # The inline mention is not anchored, so it survives into the body.
-        doc = "social history:\nlives with sister, family history: unclear\n"
-        report = validate_rules(rules, [doc])
-        reasons = [f.reason for f in report.flags if f.section is SectionName.SOCIAL_HISTORY]
-        assert any("family history:" in r for r in reasons)
-
-    def test_too_long_flagged(self, rules):
-        doc = "social history:\n" + "word " * 50
-        report = validate_rules(rules, [doc], max_body_chars=100)
-        assert any("exceeds" in f.reason for f in report.flags)
-
-    def test_empty_sample(self, rules):
-        report = validate_rules(rules, [])
-        assert report.sample_size == 0
-        assert report.hit_rate(SectionName.CHIEF_COMPLAINT) is None
-        assert report.flags == []
