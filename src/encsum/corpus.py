@@ -16,7 +16,7 @@ from statistics import fmean
 from typing import Mapping, Sequence
 
 from .jsonl import iter_jsonl
-from .textproc import Sentence, split_sentences, tokenize
+from .textproc import Sentence, count_sentences, split_sentences, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -57,13 +57,44 @@ class Encounter:
         }
 
     @staticmethod
-    def from_record(record: Mapping) -> "Encounter":
+    def from_record(record) -> "Encounter":
+        """Inverse of ``to_record``; ValueError when ``record`` is not an encounter record."""
+        check_fields(record, "an encounter", _ENCOUNTER_FIELDS)
+        for i, note in enumerate(record["prior_notes"]):
+            check_fields(note, "an encounter", _NOTE_TYPES, f"prior_notes[{i}]")
+        check_fields(record["discharge_summary"], "an encounter", _NOTE_TYPES, "discharge_summary")
         return Encounter(
             subject_id=record["subject_id"],
             encounter_id=record["encounter_id"],
-            prior_notes=tuple(ClinicalNote(**n) for n in record["prior_notes"]),
-            discharge_summary=ClinicalNote(**record["discharge_summary"]),
+            prior_notes=tuple(_note(n) for n in record["prior_notes"]),
+            discharge_summary=_note(record["discharge_summary"]),
         )
+
+
+def _note(record: dict) -> ClinicalNote:
+    return ClinicalNote(*map(record.__getitem__, NOTE_FIELDS))
+
+
+_NOTE_TYPES = tuple((name, str) for name in NOTE_FIELDS)
+_ENCOUNTER_FIELDS = (
+    ("subject_id", str), ("encounter_id", str), ("prior_notes", list), ("discharge_summary", dict)
+)
+
+
+def check_fields(record, kind: str, fields, where: str = "") -> None:
+    """Raise ``ValueError("not <kind> record: ...")`` unless ``record`` is a dict
+    holding each (name, type) of ``fields`` with exactly that type (so ``true``
+    is no int); ``where`` locates a nested record."""
+    if type(record) is not dict:
+        problem = f"a JSON {type(record).__name__}, not an object"
+    else:
+        for name, expected in fields:
+            if type(record.get(name)) is not expected:
+                problem = f"field {name!r} missing or not of type {expected.__name__}"
+                break
+        else:
+            return
+    raise ValueError(f"not {kind} record: {where + ': ' if where else ''}{problem}")
 
 
 @dataclass(frozen=True)
@@ -140,7 +171,7 @@ def _parse_note(obj, seen_ids: set[str]) -> ClinicalNote | None:
         datetime.fromisoformat(obj["chart_date"])
     except ValueError:
         return None
-    return ClinicalNote(**{k: obj[k] for k in NOTE_FIELDS})
+    return _note(obj)
 
 
 def assemble_encounters(
@@ -289,7 +320,7 @@ def corpus_stats(
         for split, text in items:
             counts[split] = counts.get(split, 0) + 1
             words.append(len(tokenize(text, mask_deid=mask_deid)))
-            sents.append(len(split_sentences(text, mask_deid=mask_deid)))
+            sents.append(count_sentences(text))
         per_section[name] = SectionStats(
             counts=counts,
             mean_words=fmean(words) if words else None,

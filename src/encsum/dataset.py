@@ -23,6 +23,7 @@ from .corpus import (
     SPLIT_NAMES,
     Encounter,
     assemble_encounters,
+    check_fields,
     corpus_stats,
     ingest_notes,
     split_by_subject,
@@ -121,13 +122,18 @@ def load_encounters(dataset_dir: str | Path) -> dict[str, Encounter]:
     path = Path(dataset_dir) / "encounters.jsonl"
     if not path.is_file():
         raise FileNotFoundError(f"not a dataset directory (missing {path})")
-    encounters = [Encounter.from_record(r) for r in read_jsonl(path)]
-    return {e.encounter_id: e for e in encounters}
+    return {e.encounter_id: e for e in read_jsonl(path, Encounter.from_record)}
 
 
 def load_splits(dataset_dir: str | Path) -> dict[str, str]:
-    rows = read_jsonl(Path(dataset_dir) / "splits.jsonl")
-    return {r["subject_id"]: r["split"] for r in rows}
+    return dict(read_jsonl(Path(dataset_dir) / "splits.jsonl", _split_row))
+
+
+def _split_row(record) -> tuple[str, str]:
+    check_fields(record, "a split", (("subject_id", str), ("split", str)))
+    if record["split"] not in SPLIT_NAMES:
+        raise ValueError(f"not a split record: unknown split {record['split']!r}")
+    return record["subject_id"], record["split"]
 
 
 def load_section_instances(
@@ -136,15 +142,7 @@ def load_section_instances(
     path = section_file(dataset_dir, section, split)
     if not path.is_file():
         raise FileNotFoundError(f"missing section file: {path}")
-    return [
-        SectionInstance(
-            encounter_id=r["encounter_id"],
-            section=SectionName(r["section"]),
-            reference_text=r["text"],
-            char_span=(r["start"], r["end"]),
-        )
-        for r in read_jsonl(path)
-    ]
+    return read_jsonl(path, SectionInstance.from_record)
 
 
 def summary_record(encounter_id: str, section: SectionName, system: str, text: str) -> dict:

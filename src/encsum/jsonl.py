@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
@@ -28,15 +28,22 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:
                 yield lineno, None
 
 
-def read_jsonl(path: str | Path) -> list[dict]:
+def read_jsonl(path: str | Path, parse: Callable[[Any], Any] | None = None) -> list:
     """Read every JSONL record, skipping blank lines.
 
     An undecodable (or ``null``) line is fatal: ``ValueError("<path>:<lineno>: ...")``.
+    With ``parse``, each record is replaced by ``parse(record)``; a ValueError it
+    raises is fatal with the same ``<path>:<lineno>:`` prefix.
     Loaders that skip bad lines with a counted warning use ``iter_jsonl``.
     """
     out = []
     for lineno, obj in iter_jsonl(path):
         if obj is None:
             raise ValueError(f"{path}:{lineno}: not a JSON record")
+        if parse is not None:
+            try:
+                obj = parse(obj)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
         out.append(obj)
     return out

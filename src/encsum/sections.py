@@ -10,13 +10,15 @@ to prior notes instead of the discharge summary.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
-from .corpus import Encounter
+from .corpus import Encounter, check_fields
 
 _MAX_HEADER_INDENT = 3
 
@@ -51,9 +53,11 @@ class HeaderRuleSet:
         for section in SectionName:
             patterns = self.variants.get(section, ())
             if not patterns:
-                raise ValueError(f"no header variants for section {section.value}")
+                raise ValueError(f"no header variants for section {section.value!r}")
             if any(not p.strip() for p in patterns):
-                raise ValueError(f"empty header variant for section {section.value}")
+                raise ValueError(f"blank header variant for section {section.value!r}")
+        if any(not p.strip() for p in self.terminators):
+            raise ValueError("blank header pattern in 'terminators'")
 
     def all_patterns(self) -> list[tuple[str, SectionName | None]]:
         out: list[tuple[str, SectionName | None]] = []
@@ -61,6 +65,16 @@ class HeaderRuleSet:
             out.extend((p.lower(), section) for p in self.variants[section])
         out.extend((p.lower(), None) for p in self.terminators)
         return out
+
+    @cached_property
+    def _matcher(self) -> tuple[re.Pattern, dict[str, SectionName | None]]:
+        # Alternatives longest first, so the first that matches is the longest;
+        # a pattern listed twice keeps its first owner in all_patterns() order.
+        owners: dict[str, SectionName | None] = {}
+        for pattern, section in self.all_patterns():
+            owners.setdefault(pattern, section)
+        alternation = "|".join(map(re.escape, sorted(owners, key=len, reverse=True)))
+        return re.compile(alternation), owners
 
 
 @dataclass(frozen=True)
@@ -79,6 +93,24 @@ class SectionInstance:
             "end": self.char_span[1],
         }
 
+    @staticmethod
+    def from_record(record) -> "SectionInstance":
+        """Inverse of ``to_record``; ValueError when ``record`` is not a section record."""
+        check_fields(record, "a section", _INSTANCE_FIELDS)
+        try:
+            section = SectionName(record["section"])
+        except ValueError:
+            message = f"not a section record: unknown section {record['section']!r}"
+            raise ValueError(message) from None
+        return SectionInstance(
+            record["encounter_id"], section, record["text"], (record["start"], record["end"])
+        )
+
+
+_INSTANCE_FIELDS = (
+    ("encounter_id", str), ("section", str), ("text", str), ("start", int), ("end", int)
+)
+
 
 @dataclass(frozen=True)
 class HeaderMatch:
@@ -88,41 +120,59 @@ class HeaderMatch:
 
 
 def load_rules(path: str | Path | None = None) -> HeaderRuleSet:
-    """Load a header rules JSON file; with no path, the packaged defaults."""
+    """Load a header rules JSON file; with no path, the packaged defaults.
+
+    The file holds one JSON object whose keys are section names or
+    ``terminators``, each a list of non-blank strings; every section needs at
+    least one variant and ``terminators`` is optional. Anything else raises a
+    ValueError naming the file and the key.
+    """
     if path is None:
-        data = json.loads(
-            resources.files("encsum").joinpath("data/section_headers.json").read_text("utf-8")
-        )
+        source = "packaged data/section_headers.json"
+        text = resources.files("encsum").joinpath("data/section_headers.json").read_text("utf-8")
     else:
-        data = json.loads(Path(path).read_text("utf-8"))
-    variants = {
-        section: tuple(data.get(section.value, ())) for section in SectionName
-    }
-    terminators = tuple(data.get("terminators", ()))
-    return HeaderRuleSet(variants, terminators)
+        source = str(path)
+        text = Path(path).read_text("utf-8")
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{source}: not a JSON header rules file ({exc})") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{source}: header rules must be a JSON object")
+    known = {s.value for s in SectionName} | {"terminators"}
+    for key, patterns in data.items():
+        if key not in known:
+            raise ValueError(
+                f"{source}: unknown key {key!r} (expected a section name or 'terminators')"
+            )
+        if not isinstance(patterns, list) or not all(isinstance(p, str) for p in patterns):
+            raise ValueError(f"{source}: {key!r} must be a list of strings")
+    variants = {section: tuple(data.get(section.value, ())) for section in SectionName}
+    try:
+        return HeaderRuleSet(variants, tuple(data.get("terminators", ())))
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def find_headers(document_text: str, rules: HeaderRuleSet) -> list[HeaderMatch]:
     """All anchored header matches in the document, in position order.
 
-    When several patterns match at the same position the longest wins.
+    When several patterns match at the same position the longest wins; a
+    pattern listed more than once belongs to its first owner in
+    ``all_patterns()`` order (sections in order, then terminators).
     """
-    patterns = rules.all_patterns()
+    matcher, owners = rules._matcher
     matches: list[HeaderMatch] = []
     offset = 0
     for line in document_text.splitlines(keepends=True):
         stripped = line.lstrip(" \t")
         indent = len(line) - len(stripped)
         if indent <= _MAX_HEADER_INDENT:
-            lowered = stripped.lower()
-            best: tuple[int, SectionName | None] | None = None
-            for pattern, section in patterns:
-                if lowered.startswith(pattern):
-                    if best is None or len(pattern) > best[0]:
-                        best = (len(pattern), section)
-            if best is not None:
+            m = matcher.match(stripped.lower())
+            if m is not None:
                 start = offset + indent
-                matches.append(HeaderMatch(start, start + best[0], best[1]))
+                pattern = m.group()
+                matches.append(HeaderMatch(start, start + len(pattern), owners[pattern]))
         offset += len(line)
     return matches
 

@@ -77,7 +77,7 @@ def tokenize(text: str, mask_deid: bool = False) -> list[Token]:
     placeholder collapses to one ``xxdeid`` token spanning the whole bracket.
     """
     if mask_deid:
-        return _tokenize_masked(text)
+        return _tokenize_masked(text, 0)
     return _tokenize_plain(text, 0)
 
 
@@ -88,18 +88,20 @@ def _tokenize_plain(text: str, offset: int) -> list[Token]:
     return tokens
 
 
-def _tokenize_masked(text: str) -> list[Token]:
+def _tokenize_masked(text: str, offset: int) -> list[Token]:
     tokens: list[Token] = []
     pos = 0
     for m in _DEID_RE.finditer(text):
-        tokens.extend(_tokenize_plain(text[pos:m.start()], pos))
-        tokens.append(Token(DEID_MASK_TOKEN, (m.start(), m.end())))
+        tokens.extend(_tokenize_plain(text[pos:m.start()], offset + pos))
+        tokens.append(Token(DEID_MASK_TOKEN, (offset + m.start(), offset + m.end())))
         pos = m.end()
-    tokens.extend(_tokenize_plain(text[pos:], pos))
+    tokens.extend(_tokenize_plain(text[pos:], offset + pos))
     return tokens
 
 
 def _split_chunk(chunk: str, start: int) -> list[Token]:
+    if chunk[0] not in _PUNCT and chunk[-1] not in _PUNCT:
+        return [Token(chunk.lower(), (start, start + len(chunk)))]
     lo, hi = 0, len(chunk)
     head: list[Token] = []
     tail: list[Token] = []
@@ -117,6 +119,7 @@ def _split_chunk(chunk: str, start: int) -> list[Token]:
 
 def split_sentences(text: str, doc_index: int = 0, mask_deid: bool = False) -> list[Sentence]:
     """Segment ``text`` into sentences; whitespace-only segments are dropped."""
+    tokenize_at = _tokenize_masked if mask_deid else _tokenize_plain
     sentences: list[Sentence] = []
     for span_start, span_end in _sentence_spans(text):
         raw = text[span_start:span_end]
@@ -124,12 +127,14 @@ def split_sentences(text: str, doc_index: int = 0, mask_deid: bool = False) -> l
         if not stripped:
             continue
         trim_start = span_start + (len(raw) - len(raw.lstrip()))
-        tokens = tuple(
-            Token(t.surface, (t.char_span[0] + trim_start, t.char_span[1] + trim_start))
-            for t in tokenize(stripped, mask_deid=mask_deid)
-        )
+        tokens = tuple(tokenize_at(stripped, trim_start))
         sentences.append(Sentence(tokens, doc_index, len(sentences), stripped))
     return sentences
+
+
+def count_sentences(text: str) -> int:
+    """``len(split_sentences(text, mask_deid=...))`` without tokenizing, for any masking."""
+    return sum(1 for lo, hi in _sentence_spans(text) if text[lo:hi].strip())
 
 
 def _sentence_spans(text: str) -> list[tuple[int, int]]:

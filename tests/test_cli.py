@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +106,24 @@ class TestBuildDataset:
         assert run("--quiet", "build-dataset", "--notes", tmp_path / "nope.jsonl",
                    "--out", tmp_path / "d") == 1
 
+    @pytest.mark.parametrize("key, value", [
+        ("chief_complaint", "cc:"),
+        ("family_history", ["family history:", 3]),
+        ("chief_compliant", ["cc:"]),
+    ])
+    def test_malformed_rules_fatal(self, workspace, tmp_path, caplog, key, value):
+        rules = json.loads(
+            (Path(cli.__file__).parent / "data" / "section_headers.json").read_text()
+        )
+        rules[key] = value
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps(rules))
+        with caplog.at_level(logging.ERROR, logger="encsum"):
+            assert run("build-dataset", "--notes", workspace / "notes.jsonl",
+                       "--rules", path, "--out", tmp_path / "d") == 1
+        assert "rules.json: " in caplog.text and repr(key) in caplog.text
+        assert not (tmp_path / "d").exists()
+
 
 class TestBaselineCommands:
     def test_oracle_reproduces_reference(self, workspace, tmp_path):
@@ -169,6 +188,54 @@ class TestBaselineCommands:
                        "--out", tmp_path / "o.jsonl") == 1
         assert "encounters.jsonl:1" in caplog.text
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: [1, 2], "a JSON list"),
+        (lambda r: {k: v for k, v in r.items() if k != "subject_id"}, "field 'subject_id'"),
+        (lambda r: {**r, "encounter_id": 7}, "field 'encounter_id'"),
+        (lambda r: {**r, "prior_notes": [{**r["prior_notes"][0], "text": 7}]},
+         "prior_notes[0]: field 'text'"),
+        (lambda r: {**r, "discharge_summary": [r["discharge_summary"]]},
+         "field 'discharge_summary'"),
+    ], ids=["list", "no subject_id", "int encounter_id", "int note text", "list summary"])
+    def test_malformed_encounter_record_fatal(self, workspace, tmp_path, caplog, edit, message):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        _edit_first_record(data / "encounters.jsonl", edit)
+        with caplog.at_level(logging.ERROR, logger="encsum"):
+            assert run("oracle", "--dataset", data, "--split", "train",
+                       "--out", tmp_path / "o.jsonl") == 1
+        assert f"encounters.jsonl:1: not an encounter record: {message}" in caplog.text
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: [1, 2], "a JSON list"),
+        (lambda r: {**r, "encounter_id": None}, "field 'encounter_id'"),
+        (lambda r: {**r, "start": "3"}, "field 'start'"),
+        (lambda r: {**r, "end": True}, "field 'end'"),
+        (lambda r: {**r, "section": "chief_compliant"}, "unknown section 'chief_compliant'"),
+    ], ids=["list", "null encounter_id", "str start", "bool end", "unknown section"])
+    def test_malformed_section_record_fatal(self, workspace, tmp_path, caplog, edit, message):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        _edit_first_record(data / "sections" / "chief_complaint__train.jsonl", edit)
+        with caplog.at_level(logging.ERROR, logger="encsum"):
+            assert run("oracle", "--dataset", data, "--split", "train",
+                       "--out", tmp_path / "o.jsonl") == 1
+        assert f"chief_complaint__train.jsonl:1: not a section record: {message}" in caplog.text
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: [1], "a JSON list"),
+        (lambda r: {"split": r["split"]}, "field 'subject_id'"),
+        (lambda r: {**r, "split": "tran"}, "unknown split 'tran'"),
+    ], ids=["list", "no subject_id", "unknown split"])
+    def test_malformed_split_record_fatal(self, workspace, tmp_path, caplog, edit, message):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        _edit_first_record(data / "splits.jsonl", edit)
+        with caplog.at_level(logging.ERROR, logger="encsum"):
+            assert run("chunk", "--dataset", data, "--split", "train",
+                       "--out", tmp_path / "s.jsonl") == 1
+        assert f"splits.jsonl:1: not a split record: {message}" in caplog.text
+
     @pytest.mark.parametrize("command", ["oracle", "pseudo-labels"])
     def test_source_pool_segmented_once_per_encounter(
         self, workspace, tmp_path, monkeypatch, command
@@ -184,6 +251,12 @@ class TestBaselineCommands:
         assert run("--quiet", command, "--dataset", workspace / "data",
                    "--split", "train", "--out", tmp_path / "out.jsonl") == 0
         assert calls and len(calls) == len(set(calls))
+
+
+def _edit_first_record(path, edit):
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[0] = json.dumps(edit(json.loads(lines[0]))) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
 
 
 def _references(dataset, split):

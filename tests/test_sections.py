@@ -1,9 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from encsum.corpus import assemble_encounters
 from encsum.sections import (
+    HeaderMatch,
     HeaderRuleSet,
     SectionName,
     extract_section,
@@ -12,6 +14,41 @@ from encsum.sections import (
     rule_based_extract_from_priors,
 )
 from tests.conftest import make_note
+
+
+def reference_find_headers(document_text, rules):
+    """The straightforward scan that ``find_headers`` replaces: every pattern
+    tried on every line with ``startswith``, the longest match kept."""
+    patterns = rules.all_patterns()
+    matches = []
+    offset = 0
+    for line in document_text.splitlines(keepends=True):
+        stripped = line.lstrip(" \t")
+        indent = len(line) - len(stripped)
+        if indent <= 3:
+            lowered = stripped.lower()
+            best = None
+            for pattern, section in patterns:
+                if lowered.startswith(pattern):
+                    if best is None or len(pattern) > best[0]:
+                        best = (len(pattern), section)
+            if best is not None:
+                start = offset + indent
+                matches.append(HeaderMatch(start, start + best[0], best[1]))
+        offset += len(line)
+    return matches
+
+
+def overlapping_rules():
+    """Rules where one variant is a prefix of another and patterns are shared:
+    "hx:" by two sections and the terminators, "plan:" by a section and the
+    terminators."""
+    variants = {s: (f"{s.display}:",) for s in SectionName}
+    variants[SectionName.CHIEF_COMPLAINT] = ("cc:", "CC: Brief:")
+    variants[SectionName.FAMILY_HISTORY] = ("family history:", "hx:")
+    variants[SectionName.SOCIAL_HISTORY] = ("hx:", "social:")
+    variants[SectionName.BRIEF_HOSPITAL_COURSE] = ("cc: brief: course:", "plan:")
+    return HeaderRuleSet(variants, ("plan:", "hx:", "allergies:", "cc"))
 
 DOC = (
     "chief complaint:\nchest pain\n\n"
@@ -97,6 +134,65 @@ class TestExtractSection:
                 assert match.end <= lo or match.start >= hi
 
 
+# Line separators str.splitlines honours, plus a space that is not one.
+SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x85", "\u2028", " "]
+
+
+@st.composite
+def header_documents(draw, rules):
+    patterns = [p for p, _ in rules.all_patterns()]
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.booleans()):
+            pattern = draw(st.sampled_from(patterns))
+            cased = "".join(
+                c.upper() if draw(st.booleans()) else c for c in pattern
+            )
+            indent = draw(st.text(alphabet=" \t", max_size=5))
+            tail = draw(st.sampled_from(["", " fever", ":", " course: x", "x"]))
+            lines.append(indent + cased + tail)
+        else:
+            lines.append(draw(st.text(alphabet="ahc x:\t.", max_size=12)))
+    text = ""
+    for line in lines:
+        text += line + draw(st.sampled_from(SEPARATORS))
+    return text
+
+
+class TestFindHeadersMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_packaged_rules(self, data):
+        rules = load_rules()
+        doc = data.draw(header_documents(rules))
+        assert find_headers(doc, rules) == reference_find_headers(doc, rules)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_overlapping_rules(self, data):
+        rules = overlapping_rules()
+        doc = data.draw(header_documents(rules))
+        assert find_headers(doc, rules) == reference_find_headers(doc, rules)
+
+    def test_longest_variant_wins(self):
+        rules = overlapping_rules()
+        doc = "x\n  cc: brief: course: walked\nCC: BRIEF: fever\ncc: brief\n"
+        assert find_headers(doc, rules) == [
+            HeaderMatch(4, 22, SectionName.BRIEF_HOSPITAL_COURSE),
+            HeaderMatch(30, 40, SectionName.CHIEF_COMPLAINT),
+            HeaderMatch(47, 50, SectionName.CHIEF_COMPLAINT),
+        ]
+
+    def test_shared_pattern_belongs_to_first_owner(self):
+        rules = overlapping_rules()
+        doc = "hx: none\nplan: home\n"
+        assert find_headers(doc, rules) == [
+            HeaderMatch(0, 3, SectionName.FAMILY_HISTORY),
+            HeaderMatch(9, 14, SectionName.BRIEF_HOSPITAL_COURSE),
+        ]
+        assert extract_section(doc, SectionName.SOCIAL_HISTORY, rules) is None
+
+
 class TestRuleSet:
     def test_missing_section_variant_fatal(self):
         with pytest.raises(ValueError):
@@ -110,6 +206,44 @@ class TestRuleSet:
         rules = load_rules(path)
         assert rules.variants[SectionName.CHIEF_COMPLAINT] == ("chief complaint:",)
         assert rules.terminators == ("allergies:",)
+
+    def test_terminators_optional(self, tmp_path):
+        data = {s.value: [f"{s.display}:"] for s in SectionName}
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps(data))
+        assert load_rules(path).terminators == ()
+
+    @pytest.mark.parametrize("key, value", [
+        ("chief_complaint", "cc:"),
+        ("family_history", ["family history:", 3]),
+        ("social_history", ["social history:", "  "]),
+        ("past_medical_history", []),
+        ("terminators", "allergies:"),
+        ("terminators", [None]),
+        ("chief_compliant", ["cc:"]),
+    ])
+    def test_malformed_rules_fatal(self, tmp_path, key, value):
+        data = {s.value: [f"{s.display}:"] for s in SectionName}
+        data[key] = value
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"rules.json: .*'{key}'"):
+            load_rules(path)
+
+    def test_missing_section_key_fatal(self, tmp_path):
+        data = {s.value: [f"{s.display}:"] for s in SectionName}
+        del data["brief_hospital_course"]
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="rules.json: .*'brief_hospital_course'"):
+            load_rules(path)
+
+    @pytest.mark.parametrize("text", ['["cc:"]', "{", "null"])
+    def test_not_a_rules_object_fatal(self, tmp_path, text):
+        path = tmp_path / "rules.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="rules.json: "):
+            load_rules(path)
 
 
 def _two_prior_encounter(first_body="lives alone", second_body="retired"):

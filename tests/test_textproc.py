@@ -1,7 +1,79 @@
-import pytest
-from hypothesis import given, strategies as st
+import re
+import string
 
-from encsum.textproc import DEID_MASK_TOKEN, ngrams, split_sentences, tokenize
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from encsum.textproc import (
+    DEID_MASK_TOKEN,
+    Sentence,
+    Token,
+    _sentence_spans,
+    count_sentences,
+    ngrams,
+    split_sentences,
+    tokenize,
+)
+
+# Reference tokenizer and segmenter: the straightforward versions that build
+# every token relative to its sentence and then rebuild it shifted.
+_PUNCT = set(string.punctuation)
+_DEID_RE = re.compile(r"\[[^\[\]]*\]")
+
+
+def reference_tokenize(text, mask_deid=False):
+    if mask_deid:
+        tokens = []
+        pos = 0
+        for m in _DEID_RE.finditer(text):
+            tokens.extend(_reference_plain(text[pos:m.start()], pos))
+            tokens.append(Token(DEID_MASK_TOKEN, (m.start(), m.end())))
+            pos = m.end()
+        tokens.extend(_reference_plain(text[pos:], pos))
+        return tokens
+    return _reference_plain(text, 0)
+
+
+def _reference_plain(text, offset):
+    tokens = []
+    for m in re.finditer(r"\S+", text):
+        chunk, start = m.group(0), offset + m.start()
+        lo, hi = 0, len(chunk)
+        head, tail = [], []
+        while lo < hi and chunk[lo] in _PUNCT:
+            head.append(Token(chunk[lo], (start + lo, start + lo + 1)))
+            lo += 1
+        while hi > lo and chunk[hi - 1] in _PUNCT:
+            tail.append(Token(chunk[hi - 1], (start + hi - 1, start + hi)))
+            hi -= 1
+        core = [Token(chunk[lo:hi].lower(), (start + lo, start + hi))] if lo < hi else []
+        tokens.extend(head + core + list(reversed(tail)))
+    return tokens
+
+
+def reference_split_sentences(text, doc_index=0, mask_deid=False):
+    sentences = []
+    for span_start, span_end in _sentence_spans(text):
+        raw = text[span_start:span_end]
+        stripped = raw.strip()
+        if not stripped:
+            continue
+        trim_start = span_start + (len(raw) - len(raw.lstrip()))
+        tokens = tuple(
+            Token(t.surface, (t.char_span[0] + trim_start, t.char_span[1] + trim_start))
+            for t in reference_tokenize(stripped, mask_deid=mask_deid)
+        )
+        sentences.append(Sentence(tokens, doc_index, len(sentences), stripped))
+    return sentences
+
+
+# Text dense in what the tokenizer and segmenter react to: punctuation at chunk
+# ends, sentence enders, list markers, placeholders, blank lines and Unicode
+# whitespace.
+clinical_text = st.text(
+    alphabet=st.sampled_from(list("ab Z1.!?#-[](),:\n\t\r\x0b\x85\u2028\u00a0")) | st.characters(),
+    max_size=160,
+)
 
 
 class TestTokenize:
@@ -92,6 +164,32 @@ class TestSplitSentences:
         for s in split_sentences(text):
             assert s.tokens
             assert s.raw_text.strip() == s.raw_text
+
+
+class TestAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(clinical_text, st.booleans())
+    def test_tokenize(self, text, mask_deid):
+        assert tokenize(text, mask_deid=mask_deid) == reference_tokenize(text, mask_deid)
+
+    @settings(max_examples=300, deadline=None)
+    @given(clinical_text, st.integers(0, 3), st.booleans())
+    def test_split_sentences(self, text, doc_index, mask_deid):
+        assert split_sentences(text, doc_index, mask_deid) == reference_split_sentences(
+            text, doc_index, mask_deid
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(clinical_text)
+    def test_count_sentences(self, text):
+        expected = len(reference_split_sentences(text))
+        assert count_sentences(text) == len(split_sentences(text)) == expected
+        assert count_sentences(text) == len(split_sentences(text, mask_deid=True))
+
+    def test_count_sentences_examples(self):
+        assert count_sentences("") == 0
+        assert count_sentences(" \n\n \n") == 0
+        assert count_sentences("no fever. no cough.\n\n# htn # cad") == 4
 
 
 class TestNgrams:
