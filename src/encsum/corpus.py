@@ -8,6 +8,7 @@ subject so that no patient leaks across train/validation/test.
 from __future__ import annotations
 
 import logging
+import math
 import random
 from dataclasses import dataclass
 from datetime import datetime
@@ -24,8 +25,9 @@ SPLIT_NAMES = ("train", "validation", "test")
 
 NOTE_FIELDS = ("note_id", "subject_id", "encounter_id", "chart_date", "category", "text")
 
-DEFAULT_ADMISSION_CATEGORIES = ("admission", "admission note")
-DEFAULT_DISCHARGE_CATEGORIES = ("discharge summary",)
+# Note categories, compared case-insensitively after stripping whitespace.
+ADMISSION_CATEGORIES = frozenset({"admission", "admission note"})
+DISCHARGE_CATEGORIES = frozenset({"discharge summary"})
 
 
 @dataclass(frozen=True)
@@ -95,6 +97,14 @@ def check_fields(record, kind: str, fields, where: str = "") -> None:
         else:
             return
     raise ValueError(f"not {kind} record: {where + ': ' if where else ''}{problem}")
+
+
+def check_finite(value, what: str) -> float:
+    """``value`` if it is an int or float other than NaN or an infinity (a bool
+    is no number); otherwise ``ValueError("<what> must be a finite number, ...")``."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -177,8 +187,6 @@ def _parse_note(obj, seen_ids: set[str]) -> ClinicalNote | None:
 def assemble_encounters(
     notes: Sequence[ClinicalNote],
     require_admission_note: bool = False,
-    admission_categories: Sequence[str] = DEFAULT_ADMISSION_CATEGORIES,
-    discharge_categories: Sequence[str] = DEFAULT_DISCHARGE_CATEGORIES,
 ) -> tuple[list[Encounter], AssemblyDiagnostics]:
     """Group notes into encounters, one per encounter_id with a single discharge summary.
 
@@ -189,8 +197,6 @@ def assemble_encounters(
     """
     if not notes:
         raise ValueError("assemble_encounters requires a nonempty note list")
-    admission = {c.strip().lower() for c in admission_categories}
-    discharge = {c.strip().lower() for c in discharge_categories}
     by_encounter: dict[str, list[ClinicalNote]] = {}
     for note in notes:
         by_encounter.setdefault(note.encounter_id, []).append(note)
@@ -199,7 +205,7 @@ def assemble_encounters(
     encounters: list[Encounter] = []
     for encounter_id in sorted(by_encounter):
         group = by_encounter[encounter_id]
-        summaries = [n for n in group if n.category.strip().lower() in discharge]
+        summaries = [n for n in group if n.category.strip().lower() in DISCHARGE_CATEGORIES]
         if len(summaries) == 0:
             diagnostics.no_discharge += 1
             continue
@@ -214,7 +220,7 @@ def assemble_encounters(
         kept = [n for n in priors if n.chart_date <= summary.chart_date]
         diagnostics.notes_after_discharge += len(priors) - len(kept)
         if require_admission_note and not any(
-            n.category.strip().lower() in admission for n in kept
+            n.category.strip().lower() in ADMISSION_CATEGORIES for n in kept
         ):
             diagnostics.missing_admission += 1
             continue

@@ -14,10 +14,9 @@ an empty body is excluded from that section's files.
 
 from __future__ import annotations
 
-import json
 import logging
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from .corpus import (
     SPLIT_NAMES,
@@ -28,7 +27,7 @@ from .corpus import (
     ingest_notes,
     split_by_subject,
 )
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import read_jsonl, read_jsonl_keyed, write_json, write_jsonl
 from .reports import render_stats_csv
 from .sections import HeaderRuleSet, SectionInstance, SectionName, extract_section
 
@@ -91,9 +90,7 @@ def build_dataset(
         section_counts.setdefault(section.value, {})[split] = len(rows)
 
     stats = corpus_stats(stats_texts, encounters, mask_deid=mask_deid)
-    (out_dir / "stats.json").write_text(
-        json.dumps(stats.to_record(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(out_dir / "stats.json", stats.to_record())
     (out_dir / "stats.csv").write_text(
         render_stats_csv(stats.to_record()["per_section"], SPLIT_NAMES), encoding="utf-8"
     )
@@ -112,17 +109,22 @@ def build_dataset(
         "section_counts": section_counts,
         "sections_excluded_empty": excluded,
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(out_dir / "manifest.json", manifest)
     return manifest
 
 
 def load_encounters(dataset_dir: str | Path) -> dict[str, Encounter]:
+    """Map encounter_id -> encounter; a repeated encounter_id is fatal with
+    ``<file>:<line>``."""
     path = Path(dataset_dir) / "encounters.jsonl"
     if not path.is_file():
         raise FileNotFoundError(f"not a dataset directory (missing {path})")
-    return {e.encounter_id: e for e in read_jsonl(path, Encounter.from_record)}
+    return read_jsonl_keyed(path, _keyed_encounter, "encounter_id")
+
+
+def _keyed_encounter(record) -> tuple[str, Encounter]:
+    encounter = Encounter.from_record(record)
+    return encounter.encounter_id, encounter
 
 
 def load_splits(dataset_dir: str | Path) -> dict[str, str]:
@@ -143,6 +145,26 @@ def load_section_instances(
     if not path.is_file():
         raise FileNotFoundError(f"missing section file: {path}")
     return read_jsonl(path, SectionInstance.from_record)
+
+
+def iter_instances(
+    dataset_dir: str | Path, sections: Sequence[SectionName], split: str
+) -> Iterator[tuple[Encounter, SectionName, SectionInstance]]:
+    """Yield (encounter, section, instance) for each section's instances in one split.
+
+    An instance whose encounter has no record in ``encounters.jsonl`` is
+    fatal, naming the section file and the encounter.
+    """
+    encounters = load_encounters(dataset_dir)
+    for section in sections:
+        for instance in load_section_instances(dataset_dir, section, split):
+            encounter = encounters.get(instance.encounter_id)
+            if encounter is None:
+                raise ValueError(
+                    f"{section_file(dataset_dir, section, split)}: no encounter record "
+                    f"for {instance.encounter_id!r}"
+                )
+            yield encounter, section, instance
 
 
 def summary_record(encounter_id: str, section: SectionName, system: str, text: str) -> dict:

@@ -9,21 +9,30 @@ pass any object with the same methods.
 
 from __future__ import annotations
 
+import glob
+import logging
+from pathlib import Path
 from statistics import fmean
 from typing import Mapping, Sequence
 
 from .corpus import Encounter
+from .dataset import iter_instances, read_system_summaries
 from .faithfulness import (
+    DEFAULT_BETA,
     EntitySet,
     Gazetteer,
     aggregate_scores,
     extract_entities_gazetteer,
+    ingest_entity_annotations,
+    load_default_gazetteer,
     score_sets,
 )
-from .reports import ReportRow
+from .reports import MetricReport, ReportRow, write_report
 from .rouge import rouge_l, rouge_n
-from .sections import SectionInstance
+from .sections import SectionInstance, SectionName
 from .textproc import split_sentences, tokenize
+
+logger = logging.getLogger(__name__)
 
 
 class GazetteerEntities:
@@ -149,3 +158,47 @@ def score_section(
             mean_output_sentences=mean_sents,
         ))
     return rows
+
+
+def write_evaluation(
+    dataset_dir: str | Path,
+    systems: str,
+    split: str,
+    sections: Sequence[SectionName],
+    out: str | Path,
+    annotations: str | Path | None = None,
+    gazetteer: str | Path | None = None,
+    beta: float = DEFAULT_BETA,
+    mask_deid: bool = False,
+) -> Path:
+    """Score the summary files matching the glob ``systems`` on each section's
+    instances in ``split`` and write the report into ``out``; returns its directory.
+
+    Entity sets come from the ``annotations`` file if given, else from the
+    ``gazetteer`` term file, else from the packaged gazetteer. A section with
+    no instances is skipped with a warning.
+    """
+    summary_files = sorted(glob.glob(systems))
+    if not summary_files:
+        raise ValueError(f"no summary files match {systems!r}")
+    summaries = read_system_summaries(summary_files)
+    if annotations is not None:
+        entities = AnnotatedEntities(ingest_entity_annotations(annotations))
+    elif gazetteer is not None:
+        entities = GazetteerEntities(Gazetteer.from_file(gazetteer))
+    else:
+        entities = GazetteerEntities(load_default_gazetteer())
+    instances: dict[SectionName, list[SectionInstance]] = {section: [] for section in sections}
+    encounters: dict[str, Encounter] = {}
+    for encounter, section, instance in iter_instances(dataset_dir, sections, split):
+        instances[section].append(instance)
+        encounters[encounter.encounter_id] = encounter
+    rows = []
+    for section, found in instances.items():
+        if not found:
+            logger.warning("no %s instances in split %s", section.value, split)
+            continue
+        rows += score_section(found, encounters, summaries, entities, beta, mask_deid=mask_deid)
+    if not rows:
+        raise ValueError("nothing to evaluate: no instances in the requested sections/split")
+    return write_report(MetricReport(tuple(rows)), out)["table"].parent

@@ -225,13 +225,11 @@ def _origin_for_key(key: str) -> str | None:
     return None
 
 
-def ingest_entity_annotations(
-    path: str | Path, known_keys: set[str] | None = None
-) -> dict[str, EntitySet]:
+def ingest_entity_annotations(path: str | Path) -> dict[str, EntitySet]:
     """Read externally produced entity annotations keyed per document/summary.
 
-    Records with malformed lines are skipped with their line number; records
-    for keys outside ``known_keys`` (when given) are skipped with a warning.
+    Malformed lines and malformed keys are skipped with a warning that gives
+    the line number.
     """
     out: dict[str, EntitySet] = {}
     for lineno, obj in iter_jsonl(path):
@@ -246,9 +244,6 @@ def ingest_entity_annotations(
         origin = _origin_for_key(key)
         if origin is None:
             logger.warning("%s:%d: skipping annotation with malformed key %r", path, lineno, key)
-            continue
-        if known_keys is not None and key not in known_keys:
-            logger.warning("%s:%d: skipping annotation for unknown key %r", path, lineno, key)
             continue
         out[key] = EntitySet.from_strings(map(str, obj["entities"]), origin)
     return out

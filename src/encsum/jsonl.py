@@ -1,10 +1,17 @@
-"""JSON Lines helpers shared by the corpus and pipeline wire formats."""
+"""JSON and JSON Lines helpers shared by the corpus, dataset and pipeline wire formats."""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Hashable, Iterable, Iterator
+
+
+def write_json(path: str | Path, obj: Any) -> None:
+    """Write one JSON value as an indented, key-sorted UTF-8 file."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
@@ -46,4 +53,25 @@ def read_jsonl(path: str | Path, parse: Callable[[Any], Any] | None = None) -> l
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
         out.append(obj)
+    return out
+
+
+def read_jsonl_keyed(
+    path: str | Path, parse: Callable[[Any], tuple[Hashable, Any]], key_name: str
+) -> dict:
+    """Read a JSONL file whose records each carry a unique key into a dict.
+
+    ``parse(record)`` returns ``(key, value)``. As ``read_jsonl``, and a key
+    seen on an earlier line is fatal too:
+    ``ValueError("<path>:<lineno>: repeated <key_name> ...")``.
+    """
+    out: dict = {}
+
+    def add(record) -> None:
+        key, value = parse(record)
+        if key in out:
+            raise ValueError(f"repeated {key_name} {key!r}")
+        out[key] = value
+
+    read_jsonl(path, add)
     return out

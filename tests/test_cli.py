@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from encsum import cli, evaluate
+from encsum import cli, evaluate, labeling
 from encsum.cli import main
 from encsum.jsonl import read_jsonl, write_jsonl
 from encsum.rouge import rouge_l
@@ -236,18 +236,60 @@ class TestBaselineCommands:
                        "--out", tmp_path / "s.jsonl") == 1
         assert f"splits.jsonl:1: not a split record: {message}" in caplog.text
 
+    def test_repeated_encounter_id_fatal(self, workspace, tmp_path, caplog):
+        # The later record used to replace the earlier one without a word.
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        encounters = data / "encounters.jsonl"
+        lines = encounters.read_text(encoding="utf-8").splitlines(keepends=True)
+        first = json.loads(lines[0])
+        repeat = json.dumps({**first, "prior_notes": []}) + "\n"
+        encounters.write_text("".join(lines) + repeat, encoding="utf-8")
+        with caplog.at_level(logging.ERROR, logger="encsum"):
+            assert run("rule-baseline", "--dataset", data, "--split", "train",
+                       "--out", tmp_path / "r.jsonl") == 1
+        expected = (
+            f"encounters.jsonl:{len(lines) + 1}: repeated encounter_id {first['encounter_id']!r}"
+        )
+        assert expected in caplog.text
+
+    # oracle and rule-baseline used to skip such an instance with a warning,
+    # and evaluate raised a bare KeyError.
+    @pytest.mark.parametrize("command", ["oracle", "rule-baseline", "evaluate"])
+    def test_instance_without_encounter_fatal(self, workspace, tmp_path, caplog, command):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        [instance, *_] = read_jsonl(data / "sections" / "chief_complaint__train.jsonl")
+        encounters = data / "encounters.jsonl"
+        kept = [r for r in read_jsonl(encounters) if r["encounter_id"] != instance["encounter_id"]]
+        write_jsonl(encounters, kept)
+        argv = [command, "--dataset", data, "--split", "train", "--section", "chief_complaint"]
+        if command == "evaluate":
+            systems = tmp_path / "sys_x.jsonl"
+            write_jsonl(systems, [{"encounter_id": instance["encounter_id"],
+                                   "section": "chief_complaint", "system": "x", "text": "x"}])
+            argv += ["--systems", systems, "--out", tmp_path / "report"]
+        else:
+            argv += ["--out", tmp_path / "out.jsonl"]
+        with caplog.at_level(logging.ERROR, logger="encsum"):
+            assert run(*argv) == 1
+        expected = (
+            f"chief_complaint__train.jsonl: no encounter record for {instance['encounter_id']!r}"
+        )
+        assert expected in caplog.text
+
     @pytest.mark.parametrize("command", ["oracle", "pseudo-labels"])
     def test_source_pool_segmented_once_per_encounter(
         self, workspace, tmp_path, monkeypatch, command
     ):
         calls = []
-        segment = cli.source_sentences
+        segment = labeling.source_sentences
 
         def counting(encounter, **kwargs):
             calls.append(encounter.encounter_id)
             return segment(encounter, **kwargs)
 
-        monkeypatch.setattr(cli, "source_sentences", counting)
+        monkeypatch.setattr(labeling, "source_sentences", counting)
         assert run("--quiet", command, "--dataset", workspace / "data",
                    "--split", "train", "--out", tmp_path / "out.jsonl") == 0
         assert calls and len(calls) == len(set(calls))
@@ -364,6 +406,139 @@ class TestPipelineCommands:
             assert run("--quiet", *argv) == 1
         assert any(str(merged) in r.message and f"encounter {rows[0]['encounter_id']}" in r.message
                    for r in caplog.records)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: [1, 2], "not a segment record: a JSON list"),
+        (lambda r: {k: v for k, v in r.items() if k != "sentences"},
+         "not a segment record: field 'sentences'"),
+        (lambda r: {**r, "sentences": [{"doc": 0, "sent": 0}]},
+         "not a segment record: sentences[0]: field 'text'"),
+    ], ids=["list", "no sentences", "no text"])
+    def test_malformed_segment_record_fatal(self, scored_pipeline, tmp_path, caplog,
+                                            edit, message):
+        segments = tmp_path / "segments.jsonl"
+        shutil.copy(scored_pipeline["segments"], segments)
+        _edit_first_record(segments, edit)
+        with caplog.at_level(logging.ERROR, logger="encsum"):
+            assert run("merge-scores", "--segments", segments,
+                       "--scores", scored_pipeline["scores"], "--out", tmp_path / "m.jsonl") == 1
+        assert f"segments.jsonl:1: {message}" in caplog.text
+
+    def test_repeated_segment_id_fatal(self, scored_pipeline, tmp_path, caplog):
+        rows = read_jsonl(scored_pipeline["segments"])
+        segments = tmp_path / "segments.jsonl"
+        write_jsonl(segments, rows + [rows[0]])
+        with caplog.at_level(logging.ERROR, logger="encsum"):
+            assert run("merge-scores", "--segments", segments,
+                       "--scores", scored_pipeline["scores"], "--out", tmp_path / "m.jsonl") == 1
+        expected = f"segments.jsonl:{len(rows) + 1}: repeated segment_id {rows[0]['segment_id']!r}"
+        assert expected in caplog.text
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: [1, 2], "not a scores record: a JSON list"),
+        (lambda r: {"segment_id": r["segment_id"]}, "not a scores record: field 'scores'"),
+        (lambda r: {**r, "scores": [{**r["scores"][0], "doc": "0"}]},
+         "not a scores record: segment {id}, scores[0]: field 'doc'"),
+        (lambda r: {**r, "scores": r["scores"] + [dict(r["scores"][0], score=0.5)]},
+         "not a scores record: segment {id}: sentence ({doc}, {sent}) repeated"),
+    ], ids=["list", "no scores", "str doc", "repeated sentence"])
+    def test_malformed_scores_record_fatal(self, scored_pipeline, tmp_path, caplog,
+                                           edit, message):
+        scores = tmp_path / "scores.jsonl"
+        shutil.copy(scored_pipeline["scores"], scores)
+        first = read_jsonl(scores)[0]
+        _edit_first_record(scores, edit)
+        with caplog.at_level(logging.ERROR, logger="encsum"):
+            assert run("merge-scores", "--segments", scored_pipeline["segments"],
+                       "--scores", scores, "--out", tmp_path / "m.jsonl") == 1
+        first_sentence = first["scores"][0]
+        expected = message.format(
+            id=first["segment_id"], doc=first_sentence["doc"], sent=first_sentence["sent"]
+        )
+        assert f"scores.jsonl:1: {expected}" in caplog.text
+
+    # A repeated row used to win silently, and an orphan row was dropped.
+    @pytest.mark.parametrize("where", ["repeated", "orphan"])
+    def test_scores_row_repeated_or_orphan_fatal(self, scored_pipeline, tmp_path, caplog, where):
+        rows = read_jsonl(scored_pipeline["scores"])
+        if where == "repeated":
+            extra = {**rows[0], "scores": [dict(s, score=0.5) for s in rows[0]["scores"]]}
+            expected = (
+                f"scores.jsonl:{len(rows) + 1}: repeated segment_id {rows[0]['segment_id']!r}"
+            )
+        else:
+            extra = {**rows[0], "segment_id": "no-such-encounter/0"}
+            expected = "scores.jsonl: score row for segment 'no-such-encounter/0', which "
+        scores = tmp_path / "scores.jsonl"
+        write_jsonl(scores, rows + [extra])
+        with caplog.at_level(logging.ERROR, logger="encsum"):
+            assert run("merge-scores", "--segments", scored_pipeline["segments"],
+                       "--scores", scores, "--out", tmp_path / "m.jsonl") == 1
+        assert expected in caplog.text
+
+    @pytest.mark.parametrize("command", ["sweep", "cutoff"])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: rows + [dict(rows[0], sentences=rows[0]["sentences"][:1])],
+         "merged.jsonl:{n}: repeated encounter_id {id!r}"),
+        (lambda rows: [dict(rows[0], sentences=rows[0]["sentences"] * 2), *rows[1:]],
+         "merged.jsonl:1: not a merged-scores record: "
+         "encounter {id}: sentence ({doc}, {sent}) repeated"),
+        (lambda rows: [[1, 2], *rows[1:]],
+         "merged.jsonl:1: not a merged-scores record: a JSON list"),
+        (lambda rows: [dict(rows[0], sentences=[{k: v for k, v in rows[0]["sentences"][0].items()
+                                                 if k != "text"}]), *rows[1:]],
+         "merged.jsonl:1: not a merged-scores record: encounter {id}, sentences[0]: field 'text'"),
+    ], ids=["repeated encounter", "repeated sentence", "list", "no text"])
+    def test_malformed_merged_fatal(self, workspace, scored_pipeline, tmp_path, caplog,
+                                    command, edit, message):
+        # cutoff used to keep the last of two records for one encounter.
+        rows = read_jsonl(scored_pipeline["merged"])
+        merged = tmp_path / "merged.jsonl"
+        write_jsonl(merged, edit(rows))
+        if command == "sweep":
+            argv = ["sweep", "--dataset", workspace / "data", "--section", "past_medical_history",
+                    "--merged", merged, "--out", tmp_path / "sweep.json"]
+        else:
+            argv = ["cutoff", "--merged", merged, "--section", "past_medical_history",
+                    "--threshold", "0.5", "--out", tmp_path / "cut.jsonl"]
+        with caplog.at_level(logging.ERROR, logger="encsum"):
+            assert run(*argv) == 1
+        first = rows[0]["sentences"][0]
+        expected = message.format(
+            n=len(rows) + 1, id=rows[0]["encounter_id"], doc=first["doc"], sent=first["sent"]
+        )
+        assert expected in caplog.text
+
+    # [1] and "high" used to end in a TypeError traceback, a missing threshold
+    # logged only 'chosen_threshold', and NaN gave all-empty summaries.
+    @pytest.mark.parametrize("content, message", [
+        ("[1]\n", "not a sweep-result record: a JSON list"),
+        ('{"chosen_threshold": "high"}\n',
+         "'chosen_threshold' must be a finite number, got 'high'"),
+        ('{"chosen_threshold": NaN}\n', "'chosen_threshold' must be a finite number, got nan"),
+        ('{"thresholds": [0.5]}\n', "'chosen_threshold' must be a finite number, got None"),
+        ("{\n", "Expecting"),
+    ], ids=["list", "string", "nan", "missing", "not json"])
+    def test_bad_sweep_file_fatal(self, scored_pipeline, tmp_path, caplog, content, message):
+        sweep_file = tmp_path / "sweep.json"
+        sweep_file.write_text(content, encoding="utf-8")
+        out = tmp_path / "cut.jsonl"
+        with caplog.at_level(logging.ERROR, logger="encsum"):
+            assert run("cutoff", "--merged", scored_pipeline["merged"], "--section",
+                       "past_medical_history", "--sweep", sweep_file, "--out", out) == 1
+        assert f"sweep.json: {message}" in caplog.text
+        assert not out.exists()
+
+    # nan used to exit 0 and write all-empty summaries.
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "high"])
+    def test_bad_threshold_usage_error(self, scored_pipeline, tmp_path, capsys, threshold):
+        out = tmp_path / "cut.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            run("--quiet", "cutoff", "--merged", scored_pipeline["merged"], "--section",
+                "past_medical_history", "--threshold", threshold, "--out", out)
+        assert exc.value.code == 2
+        assert "--threshold" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_merge_with_missing_scores_fatal(self, scored_pipeline, tmp_path):
         empty = tmp_path / "none.jsonl"

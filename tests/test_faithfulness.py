@@ -207,17 +207,6 @@ class TestAnnotations:
         path.write_text("")
         assert ingest_entity_annotations(path) == {}
 
-    def test_unknown_key_warns_not_fatal(self, tmp_path, caplog):
-        path = tmp_path / "ann.jsonl"
-        self._write(path, [
-            {"key": "enc:e1:src", "entities": ["a"]},
-            {"key": "enc:e9:src", "entities": ["b"]},
-        ])
-        with caplog.at_level(logging.WARNING):
-            got = ingest_entity_annotations(path, known_keys={"enc:e1:src"})
-        assert set(got) == {"enc:e1:src"}
-        assert any("unknown key" in r.message for r in caplog.records)
-
     def test_malformed_line_skipped(self, tmp_path, caplog):
         path = tmp_path / "ann.jsonl"
         path.write_text('{"key": "enc:e1:src", "entities": ["a"]}\n{broken\n')
