@@ -167,6 +167,9 @@ def iter_instances(
             yield encounter, section, instance
 
 
+_SUMMARY_FIELDS = tuple((name, str) for name in ("encounter_id", "section", "system", "text"))
+
+
 def summary_record(encounter_id: str, section: SectionName, system: str, text: str) -> dict:
     return {
         "encounter_id": encounter_id,
@@ -179,15 +182,18 @@ def summary_record(encounter_id: str, section: SectionName, system: str, text: s
 def read_system_summaries(paths: Iterable[str | Path]) -> dict[tuple[str, str, str], str]:
     """Map (encounter_id, section, system) -> summary text across summary files.
 
-    A key seen twice, in one file or across files, is fatal.
+    A record without the four string fields, or a key seen twice, in one file
+    or across files, is fatal with ``<file>:<line>``.
     """
     out: dict[tuple[str, str, str], str] = {}
+
+    def add(record) -> None:
+        check_fields(record, "a system summary", _SUMMARY_FIELDS)
+        key = (record["encounter_id"], record["section"], record["system"])
+        if key in out:
+            raise ValueError(f"duplicate (encounter, section, system) summary {key}")
+        out[key] = record["text"]
+
     for path in paths:
-        for row in read_jsonl(path):
-            if not all(k in row for k in ("encounter_id", "section", "system", "text")):
-                raise ValueError(f"{path}: not a system summary file (bad record keys)")
-            key = (row["encounter_id"], row["section"], row["system"])
-            if key in out:
-                raise ValueError(f"{path}: duplicate (encounter, section, system) summary {key}")
-            out[key] = row["text"]
+        read_jsonl(path, add)
     return out

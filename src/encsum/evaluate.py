@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import glob
 import logging
+from collections import Counter
 from pathlib import Path
 from statistics import fmean
 from typing import Mapping, Sequence
@@ -30,7 +31,7 @@ from .faithfulness import (
 from .reports import MetricReport, ReportRow, write_report
 from .rouge import rouge_l, rouge_n
 from .sections import SectionInstance, SectionName
-from .textproc import split_sentences, tokenize
+from .textproc import count_sentences, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -113,14 +114,14 @@ def score_section(
         encounter = encounters.get(instance.encounter_id)
         if encounter is None:
             raise KeyError(f"dataset has no encounter record for {instance.encounter_id}")
-        ref = [t.surface for t in tokenize(instance.reference_text, mask_deid=mask_deid)]
+        ref = tokenize(instance.reference_text, mask_deid=mask_deid)
         words.append(len(ref))
-        sents.append(len(split_sentences(instance.reference_text, mask_deid=mask_deid)))
+        sents.append(count_sentences(instance.reference_text))
         source_set = entities.source(encounter)
         ref_set = entities.reference(instance)
         for system in systems:
             text = summaries.get((instance.encounter_id, section.value, system), "")
-            cand = [t.surface for t in tokenize(text, mask_deid=mask_deid)]
+            cand = tokenize(text, mask_deid=mask_deid)
             r1, r2, rl = rouge[system]
             r1.append(rouge_n(cand, ref, 1))
             r2.append(rouge_n(cand, ref, 2))
@@ -176,7 +177,9 @@ def write_evaluation(
 
     Entity sets come from the ``annotations`` file if given, else from the
     ``gazetteer`` term file, else from the packaged gazetteer. A section with
-    no instances is skipped with a warning.
+    no instances is skipped with a warning. Summaries that match no scored
+    (encounter, section) are ignored with one warning per system counting
+    them; a system none of whose summaries match is fatal.
     """
     summary_files = sorted(glob.glob(systems))
     if not summary_files:
@@ -193,12 +196,35 @@ def write_evaluation(
     for encounter, section, instance in iter_instances(dataset_dir, sections, split):
         instances[section].append(instance)
         encounters[encounter.encounter_id] = encounter
-    rows = []
-    for section, found in instances.items():
-        if not found:
+    for section in list(instances):
+        if not instances[section]:
             logger.warning("no %s instances in split %s", section.value, split)
-            continue
-        rows += score_section(found, encounters, summaries, entities, beta, mask_deid=mask_deid)
-    if not rows:
+            del instances[section]
+    if not instances:
         raise ValueError("nothing to evaluate: no instances in the requested sections/split")
+    _check_matched(summaries, instances, split)
+    rows = []
+    for found in instances.values():
+        rows += score_section(found, encounters, summaries, entities, beta, mask_deid=mask_deid)
     return write_report(MetricReport(tuple(rows)), out)["table"].parent
+
+
+def _check_matched(
+    summaries: Mapping[tuple[str, str, str], str],
+    instances: Mapping[SectionName, Sequence[SectionInstance]],
+    split: str,
+) -> None:
+    """Warn, per system, how many summaries match none of ``instances``; a
+    system with no match at all is fatal."""
+    scored = {(i.encounter_id, i.section.value) for found in instances.values() for i in found}
+    total = Counter(system for _, _, system in summaries)
+    unmatched = Counter(system for enc, sec, system in summaries if (enc, sec) not in scored)
+    where = f"{split} instance of the evaluated sections"
+    dead = [system for system in sorted(total) if unmatched[system] == total[system]]
+    if dead:
+        raise ValueError(f"no summary matches a {where}, for system {', '.join(map(repr, dead))}")
+    for system in sorted(unmatched):
+        logger.warning(
+            "system %s: %d of %d summaries match no %s; ignored",
+            system, unmatched[system], total[system], where,
+        )

@@ -172,11 +172,7 @@ class Gazetteer:
 
     @staticmethod
     def from_terms(terms: Iterable[str]) -> "Gazetteer":
-        tokenized = set()
-        for term in terms:
-            surfaces = tuple(t.surface for t in tokenize(term))
-            if surfaces:
-                tokenized.add(surfaces)
+        tokenized = {tuple(tokenize(term)) for term in terms} - {()}
         if not tokenized:
             raise ValueError("gazetteer has no usable terms")
         return Gazetteer(frozenset(tokenized), max(len(t) for t in tokenized))
@@ -195,14 +191,14 @@ def load_default_gazetteer() -> Gazetteer:
 
 def extract_entities_gazetteer(text: str, gaz: Gazetteer, origin: str = "system") -> EntitySet:
     """Greedy longest-match scan of the token stream against the gazetteer."""
-    surfaces = [t.surface for t in tokenize(text)]
+    tokens = tokenize(text)
     found: set[str] = set()
     i = 0
-    n = len(surfaces)
+    n = len(tokens)
     while i < n:
         matched = 0
         for length in range(min(gaz.max_term_tokens, n - i), 0, -1):
-            candidate = tuple(surfaces[i:i + length])
+            candidate = tuple(tokens[i:i + length])
             if candidate in gaz.terms:
                 found.add(" ".join(candidate))
                 matched = length

@@ -68,7 +68,7 @@ class PseudoPairSet:
 def _argmax_per_reference(
     reference_sents: Sequence[Sentence],
     source_sents: Sequence[Sentence],
-    score_fn: Callable[[list[str], list[str]], float],
+    score_fn: Callable[[Sequence[str], Sequence[str]], float],
 ) -> list[tuple[int, Sentence, float]]:
     if not reference_sents:
         raise ValueError("reference sentence list is empty")
@@ -76,11 +76,10 @@ def _argmax_per_reference(
         raise ValueError("source sentence pool is empty, nothing to extract")
     picks = []
     for ref_index, ref in enumerate(reference_sents):
-        ref_surfaces = ref.surfaces
         best_sent = None
         best_score = -1.0
         for src in source_sents:
-            score = score_fn(src.surfaces, ref_surfaces)
+            score = score_fn(src.tokens, ref.tokens)
             if score > best_score or (score == best_score and src.key < best_sent.key):
                 best_sent = src
                 best_score = score

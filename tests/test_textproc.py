@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from encsum.textproc import (
     DEID_MASK_TOKEN,
     Sentence,
-    Token,
     _sentence_spans,
     count_sentences,
     ngrams,
@@ -15,8 +14,9 @@ from encsum.textproc import (
     tokenize,
 )
 
-# Reference tokenizer and segmenter: the straightforward versions that build
-# every token relative to its sentence and then rebuild it shifted.
+# Reference tokenizer and segmenter: the straightforward peel loop. Each
+# whitespace-separated chunk loses its leading and trailing punctuation one
+# character at a time, and only the core left over is lowercased.
 _PUNCT = set(string.punctuation)
 _DEID_RE = re.compile(r"\[[^\[\]]*\]")
 
@@ -26,27 +26,26 @@ def reference_tokenize(text, mask_deid=False):
         tokens = []
         pos = 0
         for m in _DEID_RE.finditer(text):
-            tokens.extend(_reference_plain(text[pos:m.start()], pos))
-            tokens.append(Token(DEID_MASK_TOKEN, (m.start(), m.end())))
+            tokens.extend(_reference_plain(text[pos:m.start()]))
+            tokens.append(DEID_MASK_TOKEN)
             pos = m.end()
-        tokens.extend(_reference_plain(text[pos:], pos))
+        tokens.extend(_reference_plain(text[pos:]))
         return tokens
-    return _reference_plain(text, 0)
+    return _reference_plain(text)
 
 
-def _reference_plain(text, offset):
+def _reference_plain(text):
     tokens = []
-    for m in re.finditer(r"\S+", text):
-        chunk, start = m.group(0), offset + m.start()
+    for chunk in re.findall(r"\S+", text):
         lo, hi = 0, len(chunk)
         head, tail = [], []
         while lo < hi and chunk[lo] in _PUNCT:
-            head.append(Token(chunk[lo], (start + lo, start + lo + 1)))
+            head.append(chunk[lo])
             lo += 1
         while hi > lo and chunk[hi - 1] in _PUNCT:
-            tail.append(Token(chunk[hi - 1], (start + hi - 1, start + hi)))
+            tail.append(chunk[hi - 1])
             hi -= 1
-        core = [Token(chunk[lo:hi].lower(), (start + lo, start + hi))] if lo < hi else []
+        core = [chunk[lo:hi].lower()] if lo < hi else []
         tokens.extend(head + core + list(reversed(tail)))
     return tokens
 
@@ -54,15 +53,10 @@ def _reference_plain(text, offset):
 def reference_split_sentences(text, doc_index=0, mask_deid=False):
     sentences = []
     for span_start, span_end in _sentence_spans(text):
-        raw = text[span_start:span_end]
-        stripped = raw.strip()
+        stripped = text[span_start:span_end].strip()
         if not stripped:
             continue
-        trim_start = span_start + (len(raw) - len(raw.lstrip()))
-        tokens = tuple(
-            Token(t.surface, (t.char_span[0] + trim_start, t.char_span[1] + trim_start))
-            for t in reference_tokenize(stripped, mask_deid=mask_deid)
-        )
+        tokens = tuple(reference_tokenize(stripped, mask_deid=mask_deid))
         sentences.append(Sentence(tokens, doc_index, len(sentences), stripped))
     return sentences
 
@@ -75,43 +69,49 @@ clinical_text = st.text(
     max_size=160,
 )
 
+# Text where lowercasing the whole text could differ from lowercasing each
+# chunk's core: final sigma is context-sensitive, "İ" lowers to two code
+# points, "ß" and "ﬁ" stay as they are under lower() but expand under
+# casefold(), U+0307 and the soft hyphen are case-ignorable, and NBSP and the
+# ideographic space are whitespace.
+unicode_text = st.text(
+    alphabet=st.sampled_from(
+        ["Σ", "ς", "σ", "İ", "ß", "ﬁ", "\u0307", "\u00ad", "\u00a0", "\u3000", "A", "b",
+         " ", "\n", *string.punctuation]
+    ),
+    max_size=80,
+)
+
 
 class TestTokenize:
     def test_lowercase_and_trailing_punct(self):
-        assert [t.surface for t in tokenize("Chest pain.")] == ["chest", "pain", "."]
+        assert tokenize("Chest pain.") == ["chest", "pain", "."]
 
     def test_empty(self):
         assert tokenize("") == []
 
     def test_whitespace_collapse(self):
-        assert [t.surface for t in tokenize("a  b")] == ["a", "b"]
+        assert tokenize("a  b") == ["a", "b"]
 
     def test_leading_punct_split(self):
-        assert [t.surface for t in tokenize("(see note)")] == ["(", "see", "note", ")"]
+        assert tokenize("(see note)") == ["(", "see", "note", ")"]
 
     def test_internal_punct_kept(self):
-        assert [t.surface for t in tokenize("cr 1.3 nc")] == ["cr", "1.3", "nc"]
-        assert [t.surface for t in tokenize("45-year-old")] == ["45-year-old"]
-
-    def test_char_spans_match_text(self):
-        text = "Chest pain, (mild)."
-        for tok in tokenize(text):
-            lo, hi = tok.char_span
-            assert text[lo:hi].lower() == tok.surface
+        assert tokenize("cr 1.3 nc") == ["cr", "1.3", "nc"]
+        assert tokenize("45-year-old") == ["45-year-old"]
 
     def test_deid_placeholder_kept_literal(self):
-        surfaces = [t.surface for t in tokenize("from [ country 4952 ] today")]
+        surfaces = tokenize("from [ country 4952 ] today")
         assert surfaces == ["from", "[", "country", "4952", "]", "today"]
 
     def test_deid_masking(self):
         toks = tokenize("from [ country 4952 ] today", mask_deid=True)
-        assert [t.surface for t in toks] == ["from", DEID_MASK_TOKEN, "today"]
-        assert toks[1].char_span == (5, 21)
+        assert toks == ["from", DEID_MASK_TOKEN, "today"]
 
     @given(st.text(max_size=120))
     def test_surface_roundtrip(self, text):
-        surfaces = [t.surface for t in tokenize(text)]
-        again = [t.surface for t in tokenize(" ".join(surfaces))]
+        surfaces = tokenize(text)
+        again = tokenize(" ".join(surfaces))
         assert again == surfaces
 
 
@@ -178,6 +178,26 @@ class TestAgainstReference:
         assert split_sentences(text, doc_index, mask_deid) == reference_split_sentences(
             text, doc_index, mask_deid
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(unicode_text, st.booleans())
+    def test_tokenize_unicode(self, text, mask_deid):
+        assert tokenize(text, mask_deid=mask_deid) == reference_tokenize(text, mask_deid)
+
+    @settings(max_examples=300, deadline=None)
+    @given(unicode_text, st.booleans())
+    def test_split_sentences_unicode(self, text, mask_deid):
+        assert split_sentences(text, 0, mask_deid) == reference_split_sentences(
+            text, 0, mask_deid
+        )
+
+    @pytest.mark.parametrize("text", [
+        "ΑΣ.", "ΑΣ. Β", ".Σ", "aΣ\u00ad", "aΣ\u00adb", "Σ'b", "a'Σ", "İ.", "(İΣ)", "ß-ﬁ.",
+        "aΣ[x]", "[ aΣ ]b", "Σ\u00a0Σa",
+    ])
+    def test_unicode_examples(self, text):
+        for mask_deid in (False, True):
+            assert tokenize(text, mask_deid=mask_deid) == reference_tokenize(text, mask_deid)
 
     @settings(max_examples=300, deadline=None)
     @given(clinical_text)
