@@ -11,7 +11,7 @@ import argparse
 import logging
 import sys
 
-from .corpus import SPLIT_NAMES, check_finite
+from .corpus import SPLIT_NAMES, check_finite, check_split_ratios
 from .dataset import build_dataset
 from .evaluate import write_evaluation
 from .faithfulness import DEFAULT_BETA
@@ -51,10 +51,22 @@ def _sections_arg(value: str) -> list[SectionName]:
 
 
 def _ratios_arg(value: str) -> tuple[float, float, float]:
-    parts = [float(p) for p in value.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("ratios must be three comma-separated fractions")
-    return (parts[0], parts[1], parts[2])
+    try:
+        return check_split_ratios([float(p) for p in value.split(",")])
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"{exc}; give three comma-separated fractions such as 0.8,0.1,0.1"
+        ) from None
+
+
+def _positive_int(value: str) -> int:
+    try:
+        number = int(value)
+    except ValueError:
+        number = None
+    if number is None or number < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number of at least 1, got {value!r}")
+    return number
 
 
 def _finite_arg(value: str) -> float:
@@ -83,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth-corpus", help="write a deterministic synthetic notes file")
     p.add_argument("--out", required=True)
-    p.add_argument("--encounters", type=int, default=50)
+    p.add_argument("--encounters", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=_cmd_synth_corpus)
 
@@ -117,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chunk", help="split encounters into token-bounded segments")
     p.add_argument("--dataset", required=True)
     p.add_argument("--split", default="test", choices=SPLIT_NAMES)
-    p.add_argument("--max-tokens", type=int, default=1024)
+    p.add_argument("--max-tokens", type=_positive_int, default=1024)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_chunk)
 

@@ -230,6 +230,19 @@ def assemble_encounters(
     return encounters, diagnostics
 
 
+def check_split_ratios(ratios: Sequence) -> tuple[float, float, float]:
+    """``ratios`` as a tuple if it holds one finite fraction in [0, 1] per
+    split, summing to 1; otherwise ``ValueError("split ratios ...")``."""
+    if len(ratios) != len(SPLIT_NAMES):
+        raise ValueError(f"split ratios must be {len(SPLIT_NAMES)} fractions, got {ratios}")
+    for ratio in ratios:
+        if type(ratio) not in (int, float) or not 0 <= ratio <= 1:
+            raise ValueError(f"split ratios must each lie in [0, 1], got {ratios}")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise ValueError(f"split ratios must sum to 1, got {ratios}")
+    return tuple(ratios)
+
+
 def split_by_subject(
     encounters: Sequence[Encounter],
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
@@ -241,8 +254,7 @@ def split_by_subject(
     ratio boundaries (rounded down), so a fixed seed always reproduces the
     same assignment and all encounters of one subject share a split.
     """
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"split ratios must sum to 1, got {ratios}")
+    check_split_ratios(ratios)
     subjects = sorted({e.subject_id for e in encounters})
     if len(subjects) < len(SPLIT_NAMES):
         raise ValueError(

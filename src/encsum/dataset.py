@@ -27,7 +27,7 @@ from .corpus import (
     ingest_notes,
     split_by_subject,
 )
-from .jsonl import read_jsonl, read_jsonl_keyed, write_json, write_jsonl
+from .jsonl import read_jsonl, read_jsonl_keyed, write_json, write_jsonl, write_text
 from .reports import render_stats_csv
 from .sections import HeaderRuleSet, SectionInstance, SectionName, extract_section
 
@@ -91,8 +91,8 @@ def build_dataset(
 
     stats = corpus_stats(stats_texts, encounters, mask_deid=mask_deid)
     write_json(out_dir / "stats.json", stats.to_record())
-    (out_dir / "stats.csv").write_text(
-        render_stats_csv(stats.to_record()["per_section"], SPLIT_NAMES), encoding="utf-8"
+    write_text(
+        out_dir / "stats.csv", render_stats_csv(stats.to_record()["per_section"], SPLIT_NAMES)
     )
 
     manifest = {

@@ -1,23 +1,50 @@
-"""JSON and JSON Lines helpers shared by the corpus, dataset and pipeline wire formats."""
+"""JSON and JSON Lines helpers shared by the corpus, dataset and pipeline wire
+formats, and the atomic writer behind every output file."""
 
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Hashable, Iterable, Iterator
+from typing import Any, Callable, Hashable, Iterable, Iterator, TextIO
+
+
+@contextmanager
+def _atomic_open(path: str | Path) -> Iterator[TextIO]:
+    """Open a new UTF-8 text file next to ``path`` for writing; it replaces
+    ``path`` when the block ends, and is removed if the block raises.
+
+    A reader of ``path`` sees the old file or the whole new one, never a part.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    fh = tmp.open("x", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, atomically."""
+    with _atomic_open(path) as fh:
+        fh.write(text)
 
 
 def write_json(path: str | Path, obj: Any) -> None:
-    """Write one JSON value as an indented, key-sorted UTF-8 file."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """Write one JSON value as an indented, key-sorted UTF-8 file, atomically."""
+    write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
+    """Write one JSON line per record, atomically: if ``records`` raises, the
+    file at ``path`` is left as it was."""
+    with _atomic_open(path) as fh:
         for record in records:
             fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True))
             fh.write("\n")

@@ -13,12 +13,12 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .corpus import source_sentences
 from .dataset import iter_instances, summary_record
 from .jsonl import write_jsonl
-from .rouge import rouge_l
+from .rouge import LcsPool, prf
 from .sections import HeaderRuleSet, SectionInstance, SectionName, rule_based_extract_from_priors
 from .textproc import Sentence, split_sentences
 
@@ -65,21 +65,31 @@ class PseudoPairSet:
         }
 
 
+# Indices into ``rouge.prf``'s (precision, recall, F1).
+_RECALL, _F1 = 1, 2
+
+
 def _argmax_per_reference(
     reference_sents: Sequence[Sentence],
     source_sents: Sequence[Sentence],
-    score_fn: Callable[[Sequence[str], Sequence[str]], float],
+    lcs_pool: LcsPool | None,
+    metric: int,
 ) -> list[tuple[int, Sentence, float]]:
     if not reference_sents:
         raise ValueError("reference sentence list is empty")
     if not source_sents:
         raise ValueError("source sentence pool is empty, nothing to extract")
+    if lcs_pool is None:
+        lcs_pool = LcsPool([s.tokens for s in source_sents])
+    lengths = [len(s.tokens) for s in source_sents]
     picks = []
     for ref_index, ref in enumerate(reference_sents):
+        ref_len = len(ref.tokens)
         best_sent = None
         best_score = -1.0
-        for src in source_sents:
-            score = score_fn(src.tokens, ref.tokens)
+        lcs = lcs_pool.lcs(lcs_pool.masks_of(ref.tokens))
+        for src, n, overlap in zip(source_sents, lengths, lcs):
+            score = prf(overlap, n, ref_len)[metric]
             if score > best_score or (score == best_score and src.key < best_sent.key):
                 best_sent = src
                 best_score = score
@@ -88,16 +98,18 @@ def _argmax_per_reference(
 
 
 def oracle_extract(
-    reference_sents: Sequence[Sentence], source_sents: Sequence[Sentence]
+    reference_sents: Sequence[Sentence],
+    source_sents: Sequence[Sentence],
+    lcs_pool: LcsPool | None = None,
 ) -> OracleExtraction:
     """For each reference sentence pick the source sentence maximizing ROUGE-L F1.
 
     Ties break toward the lowest (doc_index, sent_index). Picks keep reference
     order and the oracle summary joins the picked sentences in that order.
+    ``lcs_pool``, when given, must pool the tokens of ``source_sents`` in
+    their order; it is built here otherwise.
     """
-    picks = _argmax_per_reference(
-        reference_sents, source_sents, lambda c, r: rouge_l(c, r).f1
-    )
+    picks = _argmax_per_reference(reference_sents, source_sents, lcs_pool, _F1)
     return OracleExtraction(
         picks=tuple(OraclePick(i, s.key, score) for i, s, score in picks),
         summary_text="\n".join(s.raw_text for _, s, _ in picks),
@@ -105,15 +117,16 @@ def oracle_extract(
 
 
 def build_pseudo_pairs(
-    reference_sents: Sequence[Sentence], source_sents: Sequence[Sentence]
+    reference_sents: Sequence[Sentence],
+    source_sents: Sequence[Sentence],
+    lcs_pool: LcsPool | None = None,
 ) -> PseudoPairSet:
     """Greedy one-best source sentence per reference sentence by ROUGE-L recall.
 
     Duplicate source picks collapse into a single positive label.
+    ``lcs_pool`` is as for ``oracle_extract``.
     """
-    picks = _argmax_per_reference(
-        reference_sents, source_sents, lambda c, r: rouge_l(c, r).recall
-    )
+    picks = _argmax_per_reference(reference_sents, source_sents, lcs_pool, _RECALL)
     return PseudoPairSet(
         pairs=tuple(PseudoPair(s.key, i, score) for i, s, score in picks),
         positives=tuple(sorted({s.key for _, s, _ in picks})),
@@ -122,20 +135,22 @@ def build_pseudo_pairs(
 
 def aligned_instances(
     dataset_dir: str | Path, sections: Sequence[SectionName], split: str, mask_deid: bool = False
-) -> Iterator[tuple[SectionInstance, SectionName, list[Sentence], list[Sentence]]]:
-    """Yield (instance, section, reference sentences, source pool) for alignment.
+) -> Iterator[tuple[SectionInstance, SectionName, list[Sentence], list[Sentence], LcsPool]]:
+    """Yield (instance, section, reference sentences, source pool, its LcsPool)
+    for alignment.
 
-    Each encounter's source pool is segmented once and shared by all of its
-    sections. An instance with an empty reference or source pool is skipped
-    with a warning.
+    Each encounter's source pool is segmented, and its tokens pooled for the
+    LCS kernel, once and shared by all of its sections. An instance with an
+    empty reference or source pool is skipped with a warning.
     """
-    pools: dict[str, list[Sentence]] = {}
+    pools: dict[str, tuple[list[Sentence], LcsPool]] = {}
     for encounter, section, instance in iter_instances(dataset_dir, sections, split):
         refs = split_sentences(instance.reference_text, mask_deid=mask_deid)
-        pool = pools.get(encounter.encounter_id)
-        if pool is None:
+        cached = pools.get(encounter.encounter_id)
+        if cached is None:
             pool = source_sentences(encounter, mask_deid=mask_deid)
-            pools[encounter.encounter_id] = pool
+            cached = pools[encounter.encounter_id] = (pool, LcsPool([s.tokens for s in pool]))
+        pool, lcs_pool = cached
         if not refs or not pool:
             logger.warning(
                 "skipping %s/%s: empty %s",
@@ -143,7 +158,7 @@ def aligned_instances(
                 "reference" if not refs else "source pool",
             )
             continue
-        yield instance, section, refs, pool
+        yield instance, section, refs, pool, lcs_pool
 
 
 def write_oracle_summaries(
@@ -154,9 +169,10 @@ def write_oracle_summaries(
     aligned = aligned_instances(dataset_dir, sections, split, mask_deid)
     rows = [
         summary_record(
-            instance.encounter_id, section, ORACLE_SYSTEM, oracle_extract(refs, pool).summary_text
+            instance.encounter_id, section, ORACLE_SYSTEM,
+            oracle_extract(refs, pool, lcs_pool).summary_text,
         )
-        for instance, section, refs, pool in aligned
+        for instance, section, refs, pool, lcs_pool in aligned
     ]
     write_jsonl(out, rows)
     return len(rows)
@@ -169,8 +185,8 @@ def write_pseudo_labels(
     """Write one pseudo-label record per aligned instance; returns their number."""
     aligned = aligned_instances(dataset_dir, sections, split, mask_deid)
     rows = [
-        build_pseudo_pairs(refs, pool).to_record(instance.encounter_id, section.value)
-        for instance, section, refs, pool in aligned
+        build_pseudo_pairs(refs, pool, lcs_pool).to_record(instance.encounter_id, section.value)
+        for instance, section, refs, pool, lcs_pool in aligned
     ]
     write_jsonl(out, rows)
     return len(rows)

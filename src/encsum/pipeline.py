@@ -26,12 +26,12 @@ from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from statistics import fmean
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 from .corpus import check_fields, check_finite, source_sentences
 from .dataset import load_encounters, load_section_instances, load_splits, summary_record
 from .jsonl import read_jsonl_keyed, write_json, write_jsonl
-from .rouge import rouge_l
+from .rouge import LcsPool, prf
 from .sections import SectionName
 from .textproc import Sentence, normalize, split_sentences, tokenize
 
@@ -92,6 +92,11 @@ class ScoredSentence:
     key: tuple[int, int]
     score: float
     text: str
+
+    @property
+    def dedup_key(self) -> str:
+        """What ``postprocess`` compares: the text, lowercased, whitespace collapsed."""
+        return normalize(self.text)
 
     def to_record(self) -> dict:
         """The sentence record of a merged-scores file."""
@@ -220,17 +225,28 @@ def merge_scores(
     ]
 
 
+# Anything with a ``score`` and a ``dedup_key``.
+_Kept = TypeVar("_Kept")
+
+
+def _cutoff(sentences: Iterable[_Kept], threshold: float | None) -> list[_Kept]:
+    """The one cutoff-and-dedup rule: in order, the sentences scoring at or
+    above ``threshold`` (all of them when it is None), less each whose
+    ``dedup_key`` an earlier kept sentence has."""
+    seen: set[str] = set()
+    out = []
+    for sent in sentences:
+        if threshold is None or sent.score >= threshold:
+            key = sent.dedup_key
+            if key not in seen:
+                seen.add(key)
+                out.append(sent)
+    return out
+
+
 def postprocess(extracted: Sequence[ScoredSentence]) -> list[ScoredSentence]:
     """Drop exact duplicates (case/whitespace-insensitive), keeping first occurrence."""
-    seen: set[str] = set()
-    out: list[ScoredSentence] = []
-    for sent in extracted:
-        norm = normalize(sent.text)
-        if norm in seen:
-            continue
-        seen.add(norm)
-        out.append(sent)
-    return out
+    return _cutoff(extracted, None)
 
 
 def summary_text(sentences: Sequence[ScoredSentence]) -> str:
@@ -239,7 +255,7 @@ def summary_text(sentences: Sequence[ScoredSentence]) -> str:
 
 def apply_cutoff(scored: Sequence[ScoredSentence], threshold: float) -> list[ScoredSentence]:
     """Keep sentences scoring at or above ``threshold``, in order, deduplicated."""
-    return postprocess([s for s in scored if s.score >= threshold])
+    return _cutoff(scored, threshold)
 
 
 def _quantile_grid(scores: Sequence[float], n: int = MAX_THRESHOLD_CANDIDATES) -> list[float]:
@@ -254,22 +270,57 @@ def _quantile_grid(scores: Sequence[float], n: int = MAX_THRESHOLD_CANDIDATES) -
     return sorted(set(grid))
 
 
-def _tokens_by_text(
-    scored: Sequence[ScoredSentence], mask_deid: bool
-) -> dict[str, list[str]] | None:
-    """The tokens of each distinct sentence text, tokenised once.
+class _SweepSentence:
+    """A scored sentence as the sweep sees it: its dedup key, and its tokens
+    as match masks of the reference's ``LcsPool`` plus their count."""
 
-    A candidate summary's tokens are then its kept sentences' tokens
+    __slots__ = ("score", "text", "dedup_key", "masks", "length")
+
+    def __init__(self, score: float, text: str, dedup_key: str, masks: list[int], length: int):
+        self.score = score
+        self.text = text
+        self.dedup_key = dedup_key
+        self.masks = masks
+        self.length = length
+
+
+class _SweepInstance:
+    """One validation instance, encoded once for every threshold.
+
+    A candidate summary's tokens are its kept sentences' tokens
     concatenated, which equals tokenising their ``"\\n"`` join unless a
     de-identification placeholder spans a join. That needs a text whose last
     bracket is an unclosed ``[``, as when "Seen by [ Dr. Smith ] today." is
-    segmented after "Dr."; for such an instance (masking only) this returns
-    None and the joined text is tokenised instead.
+    segmented after "Dr."; for such an instance (masking only) the joined
+    text is tokenised instead.
     """
-    texts = dict.fromkeys(s.text for s in scored)
-    if mask_deid and any(t.rfind("[") > t.rfind("]") for t in texts):
-        return None
-    return {t: tokenize(t, mask_deid=mask_deid) for t in texts}
+
+    def __init__(
+        self, scored: Sequence[ScoredSentence], refs: Sequence[Sentence], mask_deid: bool
+    ):
+        reference = list(chain.from_iterable(sent.tokens for sent in refs))
+        self.pool = LcsPool((reference,))
+        self.reference_length = len(reference)
+        self.mask_deid = mask_deid
+        texts = dict.fromkeys(s.text for s in scored)
+        self.join_first = mask_deid and any(t.rfind("[") > t.rfind("]") for t in texts)
+        encoded = {text: self._encode(text) for text in texts}
+        self.sentences = [_SweepSentence(s.score, s.text, *encoded[s.text]) for s in scored]
+
+    def _encode(self, text: str) -> tuple[str, list[int], int]:
+        tokens = [] if self.join_first else tokenize(text, mask_deid=self.mask_deid)
+        return normalize(text), self.pool.masks_of(tokens), len(tokens)
+
+    def rouge_l_f1(self, threshold: float) -> float:
+        """ROUGE-L F1 of the summary that cuts off at ``threshold``."""
+        kept = _cutoff(self.sentences, threshold)
+        if self.join_first:
+            tokens = tokenize(summary_text(kept), mask_deid=self.mask_deid)
+            masks, length = self.pool.masks_of(tokens), len(tokens)
+        else:
+            masks = chain.from_iterable(s.masks for s in kept)
+            length = sum(s.length for s in kept)
+        return prf(self.pool.lcs(masks)[0], length, self.reference_length)[2]
 
 
 def sweep_threshold(
@@ -286,22 +337,9 @@ def sweep_threshold(
     pooled = [s.score for scored, _ in validation for s in scored]
     if not pooled:
         raise ValueError("no sentence scores in the validation set")
-    ref_tokens = [
-        list(chain.from_iterable(sent.tokens for sent in refs)) for _, refs in validation
-    ]
-    tokens_by_text = [_tokens_by_text(scored, mask_deid) for scored, _ in validation]
+    instances = [_SweepInstance(scored, refs, mask_deid) for scored, refs in validation]
     thresholds = _quantile_grid(pooled)
-    means = []
-    for threshold in thresholds:
-        per_instance = []
-        for (scored, _), ref, by_text in zip(validation, ref_tokens, tokens_by_text):
-            kept = apply_cutoff(scored, threshold)
-            if by_text is None:
-                candidate = tokenize(summary_text(kept), mask_deid=mask_deid)
-            else:
-                candidate = list(chain.from_iterable(by_text[s.text] for s in kept))
-            per_instance.append(rouge_l(candidate, ref).f1)
-        means.append(fmean(per_instance))
+    means = [fmean([inst.rouge_l_f1(t) for inst in instances]) for t in thresholds]
     best = 0
     for i in range(1, len(thresholds)):
         if means[i] > means[best]:

@@ -13,6 +13,7 @@ from io import StringIO
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .jsonl import write_text
 from .sections import SECTION_ORDER
 
 PLOT_METRICS = ("rouge_l_f1", "incorrect_hallucination_rate")
@@ -182,13 +183,12 @@ def render_stats_csv(per_section: Mapping[str, Mapping], splits: Sequence[str]) 
 
 def write_report(report: MetricReport, out_dir: str | Path) -> dict[str, Path]:
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     paths = {
         "table": out_dir / "report.txt",
         "csv": out_dir / "report.csv",
         "plot": out_dir / "plot_data.csv",
     }
-    paths["table"].write_text(render_table(report), encoding="utf-8")
-    paths["csv"].write_text(render_csv(report), encoding="utf-8")
-    paths["plot"].write_text(render_plot_data(report), encoding="utf-8")
+    write_text(paths["table"], render_table(report))
+    write_text(paths["csv"], render_csv(report))
+    write_text(paths["plot"], render_plot_data(report))
     return paths

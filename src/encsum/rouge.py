@@ -8,7 +8,7 @@ removal is applied, and ROUGE-L runs on flat token sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .textproc import ngrams
 
@@ -20,16 +20,20 @@ class RougeScore:
     f1: float
 
 
-_ZERO = RougeScore(0.0, 0.0, 0.0)
+def prf(overlap: int, candidate_total: int, reference_total: int) -> tuple[float, float, float]:
+    """Precision, recall and F1 of an overlap count: the one ROUGE formula.
+
+    Either side empty scores all zeros.
+    """
+    if candidate_total == 0 or reference_total == 0:
+        return (0.0, 0.0, 0.0)
+    p = overlap / candidate_total
+    r = overlap / reference_total
+    return (p, r, 2 * p * r / (p + r) if p + r > 0 else 0.0)
 
 
 def _score(overlap: int, candidate_total: int, reference_total: int) -> RougeScore:
-    if candidate_total == 0 or reference_total == 0:
-        return _ZERO
-    p = overlap / candidate_total
-    r = overlap / reference_total
-    f1 = 2 * p * r / (p + r) if p + r > 0 else 0.0
-    return RougeScore(p, r, f1)
+    return RougeScore(*prf(overlap, candidate_total, reference_total))
 
 
 def rouge_n(candidate: Sequence[str], reference: Sequence[str], n: int) -> RougeScore:
@@ -46,27 +50,57 @@ def rouge_l(candidate: Sequence[str], reference: Sequence[str]) -> RougeScore:
 
 
 def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    """Exact LCS length by the bit-parallel recurrence.
-
-    Allison & Dix, "A bit-string longest-common-subsequence algorithm" (IPL
-    1986), in the form of Hyyrö, "Bit-parallel LCS-length computation
-    revisited" (AWOCA 2004). Bit i of a Python int stands for position i of
-    the shorter side; each token of the longer side updates the whole row in
-    a few big-int operations. The LCS is the number of zero bits left in the
-    row vector.
-    """
+    """Exact LCS length of two token sequences, the shorter one pooled."""
     if len(a) < len(b):
         a, b = b, a
-    if not b:
-        return 0
-    masks: dict[str, int] = {}
-    for i, token in enumerate(b):
-        masks[token] = masks.get(token, 0) | (1 << i)
-    full = (1 << len(b)) - 1
-    v = full
-    for token in a:
-        match = masks.get(token)
-        if match:
+    pool = LcsPool((b,))
+    return pool.lcs(pool.masks_of(a))[0]
+
+
+class LcsPool:
+    """Exact LCS lengths of one query against every sequence of a pool at once.
+
+    The bit-parallel recurrence of Allison & Dix, "A bit-string
+    longest-common-subsequence algorithm" (IPL 1986), in the form of Hyyrö,
+    "Bit-parallel LCS-length computation revisited" (AWOCA 2004). The pool's
+    sequences lie side by side in one Python int, each followed by a zero
+    guard bit: bit ``offset + i`` stands for token i of the sequence at
+    ``offset``. Each query token updates every sequence's row in a few
+    big-int operations. The carry of ``v + u`` out of a sequence's top bit
+    lands in its guard bit, and ``& full`` clears it again, so no sequence
+    sees its neighbour's carry. A sequence's LCS is the number of zero bits
+    left in its part of the row vector.
+    """
+
+    __slots__ = ("_masks", "_full", "_spans")
+
+    def __init__(self, sequences: Iterable[Sequence[str]]):
+        masks: dict[str, int] = {}
+        spans: list[tuple[int, int, int]] = []
+        full = 0
+        offset = 0
+        for seq in sequences:
+            n = len(seq)
+            for i, token in enumerate(seq, offset):
+                masks[token] = masks.get(token, 0) | (1 << i)
+            ones = (1 << n) - 1
+            spans.append((offset, n, ones))
+            full |= ones << offset
+            offset += n + 1
+        self._masks = masks
+        self._full = full
+        self._spans = spans
+
+    def masks_of(self, tokens: Iterable[str]) -> list[int]:
+        """The query's match masks; tokens the pool lacks are dropped, as
+        they never change the row vector."""
+        return [m for m in map(self._masks.get, tokens) if m]
+
+    def lcs(self, masks: Iterable[int]) -> list[int]:
+        """The LCS length of the query ``masks`` with each pooled sequence, in pool order."""
+        full = self._full
+        v = full
+        for match in masks:
             u = v & match
             v = ((v + u) | (v - u)) & full
-    return len(b) - v.bit_count()
+        return [n - ((v >> offset) & ones).bit_count() for offset, n, ones in self._spans]

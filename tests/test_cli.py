@@ -851,6 +851,43 @@ class TestEntryPoints:
             main(["definitely-not-a-command"])
         assert exc.value.code == 2
 
+    # "1.5,-0.5,0" used to exit 0 with every subject in train.
+    @pytest.mark.parametrize("ratios", [
+        "1.5,-0.5,0", "-0.1,0.6,0.5", "0.5,0.2,0.2", "0.5,0.5", "nan,0.5,0.5", "inf,0,0", "a,b,c",
+    ])
+    def test_bad_ratios_usage_error(self, workspace, tmp_path, capsys, ratios):
+        out = tmp_path / "data"
+        with pytest.raises(SystemExit) as exc:
+            run("--quiet", "build-dataset", "--notes", workspace / "notes.jsonl",
+                "--out", out, "--ratios", ratios)
+        assert exc.value.code == 2
+        assert "--ratios" in capsys.readouterr().err
+        assert not out.exists()
+
+    # --encounters -3 used to exit 0 with an empty notes file, and
+    # --max-tokens 0 to exit 1 after the whole dataset had loaded.
+    @pytest.mark.parametrize("option, argv", [
+        ("--encounters", ["synth-corpus", "--out", "{out}"]),
+        ("--max-tokens", ["chunk", "--dataset", "{data}", "--out", "{out}"]),
+    ])
+    @pytest.mark.parametrize("value", ["0", "-3", "1.5", "many"])
+    def test_non_positive_count_usage_error(
+        self, workspace, tmp_path, capsys, option, argv, value
+    ):
+        out = tmp_path / "out.jsonl"
+        argv = [a.format(out=out, data=workspace / "data") for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            run("--quiet", *argv, option, value)
+        assert exc.value.code == 2
+        assert option in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_is_a_valid_count(self, workspace, tmp_path):
+        out = tmp_path / "seg.jsonl"
+        assert run("--quiet", "chunk", "--dataset", workspace / "data", "--split", "train",
+                   "--max-tokens", "1", "--out", out) == 0
+        assert out.stat().st_size > 0
+
     def test_console_invocation(self, tmp_path):
         out = tmp_path / "n.jsonl"
         proc = subprocess.run(

@@ -208,6 +208,19 @@ class TestSplit:
         with pytest.raises(ValueError):
             split_by_subject(_encounters_for_subjects(10), (0.5, 0.2, 0.2), seed=0)
 
+    # (1.5, -0.5, 0) sums to 1 and used to put every subject in train.
+    @pytest.mark.parametrize("ratios", [
+        (1.5, -0.5, 0.0), (-0.1, 0.6, 0.5), (0.5, 0.5), (0.4, 0.3, 0.2, 0.1),
+        (float("nan"), 0.5, 0.5), (float("inf"), 0.0, 0.0),
+    ])
+    def test_ratio_out_of_range_fatal(self, ratios):
+        with pytest.raises(ValueError, match="ratios"):
+            split_by_subject(_encounters_for_subjects(10), ratios, seed=0)
+
+    def test_edge_ratios_accepted(self):
+        assignment = split_by_subject(_encounters_for_subjects(10), (0.0, 1.0, 0.0), seed=0)
+        assert len(assignment.subjects("validation")) == 10
+
 
 class TestStats:
     def test_mean_words(self):

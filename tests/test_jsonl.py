@@ -1,0 +1,55 @@
+import os
+
+import pytest
+
+from encsum.jsonl import read_jsonl, write_json, write_jsonl, write_text
+
+
+def _failing_records():
+    yield {"n": 1}
+    yield {"n": 2}
+    raise RuntimeError("record source failed")
+
+
+class TestAtomicWrites:
+    # A failing record source used to leave a truncated file with the
+    # records written so far.
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        write_jsonl(path, [{"old": True}])
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError):
+            write_jsonl(path, _failing_records())
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["out.jsonl"]
+
+    def test_failed_write_creates_nothing(self, tmp_path):
+        path = tmp_path / "sub" / "out.jsonl"
+        with pytest.raises(RuntimeError):
+            write_jsonl(path, _failing_records())
+        assert not path.exists()
+        assert os.listdir(tmp_path / "sub") == []
+
+    def test_unserialisable_record_keeps_old_file(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        write_jsonl(path, [{"old": True}])
+        with pytest.raises(TypeError):
+            write_jsonl(path, [{"new": True}, {"bad": object()}])
+        assert read_jsonl(path) == [{"old": True}]
+        assert os.listdir(tmp_path) == ["out.jsonl"]
+
+    def test_successful_writes_replace_and_leave_one_file(self, tmp_path):
+        write_jsonl(tmp_path / "a.jsonl", [{"n": 1}])
+        write_jsonl(tmp_path / "a.jsonl", [{"n": 2}, {"n": 3}])
+        write_json(tmp_path / "b.json", {"k": [1]})
+        write_text(tmp_path / "c.csv", "x,y\n")
+        assert read_jsonl(tmp_path / "a.jsonl") == [{"n": 2}, {"n": 3}]
+        assert (tmp_path / "b.json").read_text(encoding="utf-8") == '{\n  "k": [\n    1\n  ]\n}\n'
+        assert sorted(os.listdir(tmp_path)) == ["a.jsonl", "b.json", "c.csv"]
+
+    def test_file_mode_follows_umask(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("x", encoding="utf-8")
+        written = tmp_path / "written.txt"
+        write_text(written, "x")
+        assert written.stat().st_mode == plain.stat().st_mode

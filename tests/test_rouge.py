@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from encsum.rouge import lcs_length, rouge_l, rouge_n
+from encsum.rouge import LcsPool, lcs_length, rouge_l, rouge_n
 
 tokens = st.lists(st.sampled_from("abcd"), max_size=8)
 
@@ -45,6 +45,16 @@ def _sequences(alphabet):
 
 _BINARY = ["x", "y"]
 _WIDE = [f"w{i}" for i in range(50)]
+
+
+def _pools(alphabet):
+    """Up to 12 sequences, empty and 1-token ones included, 300 tokens in all."""
+    seq = st.one_of(
+        st.just([]),
+        st.lists(st.sampled_from(alphabet), min_size=1, max_size=1),
+        st.lists(st.sampled_from(alphabet), max_size=60),
+    )
+    return st.lists(seq, max_size=12).filter(lambda seqs: sum(map(len, seqs)) <= 300)
 
 
 def _is_subsequence(needle, haystack):
@@ -145,3 +155,28 @@ class TestRougeL:
             assert score.recall * cb == pytest.approx(overlap)
         else:
             assert score.f1 == 0.0
+
+
+class TestLcsPool:
+    """One pass of a query over a packed pool equals the DP against each sequence."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_pools(_BINARY), _sequences(_BINARY))
+    # A run of matches carries out of a 30-token sequence into its guard bit.
+    @example([["x"] * 30, ["x", "y"] * 15, [], ["y"]], ["x"] * 40 + ["y"] * 40)
+    @example([[], [], ["x"]], ["x"])
+    @example([], ["x", "y"])
+    def test_binary_alphabet_equals_dp(self, seqs, query):
+        pool = LcsPool(seqs)
+        assert pool.lcs(pool.masks_of(query)) == [dp_lcs_length(query, s) for s in seqs]
+
+    @settings(max_examples=80, deadline=None)
+    @given(_pools(_WIDE), st.lists(st.sampled_from(_WIDE + ["absent"]), max_size=80))
+    def test_wide_alphabet_equals_dp(self, seqs, query):
+        pool = LcsPool(seqs)
+        assert pool.lcs(pool.masks_of(query)) == [dp_lcs_length(query, s) for s in seqs]
+
+    def test_masks_drop_tokens_the_pool_lacks(self):
+        pool = LcsPool([["a", "b"], ["b"]])
+        assert pool.masks_of(["z", "b", "y", "a"]) == [0b1010, 0b0001]
+        assert pool.lcs([]) == [0, 0]
