@@ -141,16 +141,30 @@ def _split_row(record) -> tuple[str, str]:
 def load_section_instances(
     dataset_dir: str | Path, section: SectionName, split: str
 ) -> list[SectionInstance]:
+    """The section's instances in ``split``, in file order.
+
+    A record naming another section, or an ``encounter_id`` seen twice, is
+    fatal with ``<file>:<line>``.
+    """
     path = section_file(dataset_dir, section, split)
     if not path.is_file():
         raise FileNotFoundError(f"missing section file: {path}")
-    return read_jsonl(path, SectionInstance.from_record)
+
+    def keyed(record) -> tuple[str, SectionInstance]:
+        instance = SectionInstance.from_record(record)
+        if instance.section is not section:
+            raise ValueError(
+                f"section {instance.section.value!r} in a {section.value!r} section file"
+            )
+        return instance.encounter_id, instance
+
+    return list(read_jsonl_keyed(path, keyed, "encounter_id").values())
 
 
 def iter_instances(
     dataset_dir: str | Path, sections: Sequence[SectionName], split: str
-) -> Iterator[tuple[Encounter, SectionName, SectionInstance]]:
-    """Yield (encounter, section, instance) for each section's instances in one split.
+) -> Iterator[tuple[Encounter, SectionInstance]]:
+    """Yield (encounter, instance) for each section's instances in one split.
 
     An instance whose encounter has no record in ``encounters.jsonl`` is
     fatal, naming the section file and the encounter.
@@ -164,7 +178,7 @@ def iter_instances(
                     f"{section_file(dataset_dir, section, split)}: no encounter record "
                     f"for {instance.encounter_id!r}"
                 )
-            yield encounter, section, instance
+            yield encounter, instance
 
 
 _SUMMARY_FIELDS = tuple((name, str) for name in ("encounter_id", "section", "system", "text"))

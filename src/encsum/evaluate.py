@@ -1,10 +1,11 @@
 """Scoring of system summaries: ROUGE-1/2/L and entity faithfulness per section.
 
-This is the only code that scores summaries. Entity sets come from an entity
-source with three methods, ``source(encounter)``, ``reference(instance)`` and
-``system(instance, system, text)``: :class:`GazetteerEntities` matches a term
-list, :class:`AnnotatedEntities` looks up ingested annotations, and tests may
-pass any object with the same methods.
+This is the only code that scores summaries. Entity sets come from one
+function, ``entities(key, texts) -> frozenset[str]``, called once per set with
+the set's annotation key (``enc:<id>:src``, ``enc:<id>:<section>:ref`` or
+``enc:<id>:<section>:sys:<system>``) and the texts it is drawn from.
+:func:`gazetteer_entities` matches a term list in the texts and
+:func:`annotated_entities` looks the key up in ingested annotations.
 """
 
 from __future__ import annotations
@@ -14,13 +15,11 @@ import logging
 from collections import Counter
 from pathlib import Path
 from statistics import fmean
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .corpus import Encounter
 from .dataset import iter_instances, read_system_summaries
 from .faithfulness import (
     DEFAULT_BETA,
-    EntitySet,
     Gazetteer,
     aggregate_scores,
     extract_entities_gazetteer,
@@ -35,70 +34,42 @@ from .textproc import count_sentences, tokenize
 
 logger = logging.getLogger(__name__)
 
-
-class GazetteerEntities:
-    """Gazetteer matches; an encounter's source set is the union over its prior notes.
-
-    Each note is matched on its own, so no term spans two notes. The source set
-    is computed once per encounter and reused by every section and system.
-    """
-
-    def __init__(self, gazetteer: Gazetteer):
-        self.gazetteer = gazetteer
-        self._sources: dict[str, EntitySet] = {}
-
-    def source(self, encounter: Encounter) -> EntitySet:
-        key = encounter.encounter_id
-        if key not in self._sources:
-            self._sources[key] = EntitySet(frozenset().union(*(
-                extract_entities_gazetteer(note.text, self.gazetteer, "source").entities
-                for note in encounter.prior_notes
-            )), "source")
-        return self._sources[key]
-
-    def reference(self, instance: SectionInstance) -> EntitySet:
-        return extract_entities_gazetteer(instance.reference_text, self.gazetteer, "reference")
-
-    def system(self, instance: SectionInstance, system: str, text: str) -> EntitySet:
-        return extract_entities_gazetteer(text, self.gazetteer, "system")
+EntitySource = Callable[[str, Sequence[str]], frozenset[str]]
 
 
-class AnnotatedEntities:
-    """Ingested annotations keyed ``enc:<id>:src``, ``enc:<id>:<section>:ref`` and
-    ``enc:<id>:<section>:sys:<system>``; a missing key is an empty set."""
+def gazetteer_entities(gazetteer: Gazetteer) -> EntitySource:
+    """The union of the gazetteer's matches in each text; no term spans two texts."""
 
-    def __init__(self, annotations: Mapping[str, EntitySet]):
-        self.annotations = annotations
+    def entities(key: str, texts: Sequence[str]) -> frozenset[str]:
+        return frozenset().union(*(extract_entities_gazetteer(t, gazetteer) for t in texts))
 
-    def _get(self, key: str, origin: str) -> EntitySet:
-        return self.annotations.get(key, EntitySet(frozenset(), origin))
+    return entities
 
-    def source(self, encounter: Encounter) -> EntitySet:
-        return self._get(f"enc:{encounter.encounter_id}:src", "source")
 
-    def reference(self, instance: SectionInstance) -> EntitySet:
-        return self._get(f"enc:{instance.encounter_id}:{instance.section.value}:ref", "reference")
+def annotated_entities(annotations: Mapping[str, frozenset[str]]) -> EntitySource:
+    """The ingested annotation for the key; a missing key is an empty set."""
 
-    def system(self, instance: SectionInstance, system: str, text: str) -> EntitySet:
-        return self._get(
-            f"enc:{instance.encounter_id}:{instance.section.value}:sys:{system}", "system"
-        )
+    def entities(key: str, texts: Sequence[str]) -> frozenset[str]:
+        return annotations.get(key, frozenset())
+
+    return entities
 
 
 def score_section(
     instances: Sequence[SectionInstance],
-    encounters: Mapping[str, Encounter],
+    sources: Mapping[str, frozenset[str]],
     summaries: Mapping[tuple[str, str, str], str],
-    entities,
+    entities: EntitySource,
     beta: float,
     mask_deid: bool = False,
 ) -> list[ReportRow]:
     """One report row per system, macro-averaged over one section's instances.
 
+    ``sources`` maps encounter_id to the entity set of its prior notes, and
     ``summaries`` maps (encounter_id, section, system) to the summary text.
-    Every system found in it gets a row, in name order; a system with no
-    summary for an instance is scored on the empty text. Instances are scored
-    in encounter-id order.
+    Every system found in ``summaries`` gets a row, in name order; a system
+    with no summary for an instance is scored on the empty text. Instances are
+    scored in encounter-id order.
     """
     if not instances:
         raise ValueError("score_section requires at least one instance")
@@ -111,14 +82,12 @@ def score_section(
     faith = {system: [] for system in systems}
     words, sents = [], []
     for instance in instances:
-        encounter = encounters.get(instance.encounter_id)
-        if encounter is None:
-            raise KeyError(f"dataset has no encounter record for {instance.encounter_id}")
         ref = tokenize(instance.reference_text, mask_deid=mask_deid)
         words.append(len(ref))
         sents.append(count_sentences(instance.reference_text))
-        source_set = entities.source(encounter)
-        ref_set = entities.reference(instance)
+        source_set = sources[instance.encounter_id]
+        prefix = f"enc:{instance.encounter_id}:{section.value}"
+        ref_set = entities(f"{prefix}:ref", (instance.reference_text,))
         for system in systems:
             text = summaries.get((instance.encounter_id, section.value, system), "")
             cand = tokenize(text, mask_deid=mask_deid)
@@ -126,7 +95,7 @@ def score_section(
             r1.append(rouge_n(cand, ref, 1))
             r2.append(rouge_n(cand, ref, 2))
             rl.append(rouge_l(cand, ref))
-            sys_set = entities.system(instance, system, text)
+            sys_set = entities(f"{prefix}:sys:{system}", (text,))
             faith[system].append(score_sets(source_set, ref_set, sys_set, beta))
 
     def prf(scores):
@@ -140,7 +109,7 @@ def score_section(
     rows = []
     for system in systems:
         r1, r2, rl = rouge[system]
-        agg = aggregate_scores(faith[system], beta)
+        agg = aggregate_scores(faith[system])
         rows.append(ReportRow(
             section=section.value,
             system=system,
@@ -186,15 +155,15 @@ def write_evaluation(
         raise ValueError(f"no summary files match {systems!r}")
     summaries = read_system_summaries(summary_files)
     if annotations is not None:
-        entities = AnnotatedEntities(ingest_entity_annotations(annotations))
+        entities = annotated_entities(ingest_entity_annotations(annotations))
     elif gazetteer is not None:
-        entities = GazetteerEntities(Gazetteer.from_file(gazetteer))
+        entities = gazetteer_entities(Gazetteer.from_file(gazetteer))
     else:
-        entities = GazetteerEntities(load_default_gazetteer())
+        entities = gazetteer_entities(load_default_gazetteer())
     instances: dict[SectionName, list[SectionInstance]] = {section: [] for section in sections}
-    encounters: dict[str, Encounter] = {}
-    for encounter, section, instance in iter_instances(dataset_dir, sections, split):
-        instances[section].append(instance)
+    encounters = {}
+    for encounter, instance in iter_instances(dataset_dir, sections, split):
+        instances[instance.section].append(instance)
         encounters[encounter.encounter_id] = encounter
     for section in list(instances):
         if not instances[section]:
@@ -203,9 +172,16 @@ def write_evaluation(
     if not instances:
         raise ValueError("nothing to evaluate: no instances in the requested sections/split")
     _check_matched(summaries, instances, split)
+    # An encounter's source set is drawn once and shared by its sections and systems.
+    sources = {
+        encounter_id: entities(
+            f"enc:{encounter_id}:src", [note.text for note in encounter.prior_notes]
+        )
+        for encounter_id, encounter in encounters.items()
+    }
     rows = []
     for found in instances.values():
-        rows += score_section(found, encounters, summaries, entities, beta, mask_deid=mask_deid)
+        rows += score_section(found, sources, summaries, entities, beta, mask_deid=mask_deid)
     return write_report(MetricReport(tuple(rows)), out)["table"].parent
 
 

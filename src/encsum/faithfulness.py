@@ -12,9 +12,10 @@ system entities found in neither source nor reference,
   by default (recall weighted three times precision)
 * incorrect hallucination rate      = G / |System|
 
-Entity identity is normalized-string equality; the backend that produces the
-sets is pluggable (built-in gazetteer matcher, or externally produced
-annotations ingested from file).
+An entity set is a ``frozenset`` of normalized strings, and two entities are
+the same when their strings are equal. The sets come from the gazetteer matcher
+(``extract_entities_gazetteer``) or from an annotations file
+(``ingest_entity_annotations``).
 """
 
 from __future__ import annotations
@@ -32,21 +33,6 @@ from .textproc import normalize, tokenize
 logger = logging.getLogger(__name__)
 
 DEFAULT_BETA = 3.0
-
-EMPTY_SYSTEM = "empty_system"
-EMPTY_RELEVANT = "empty_relevant"
-
-
-@dataclass(frozen=True)
-class EntitySet:
-    entities: frozenset[str]
-    origin: str  # one of: source, reference, system
-
-    @staticmethod
-    def from_strings(entities: Iterable[str], origin: str) -> "EntitySet":
-        return EntitySet(
-            frozenset(normalize(e) for e in entities if e.strip()), origin
-        )
 
 
 @dataclass(frozen=True)
@@ -94,9 +80,10 @@ class EntityVennRegions:
         return self.system_only + self.source_system + self.reference_system + self.all_three
 
 
-def venn_regions(source: EntitySet, reference: EntitySet, system: EntitySet) -> EntityVennRegions:
+def venn_regions(
+    src: frozenset[str], ref: frozenset[str], sys_: frozenset[str]
+) -> EntityVennRegions:
     """Exact set-algebra cardinalities for all seven Venn regions."""
-    src, ref, sys_ = source.entities, reference.entities, system.entities
     return EntityVennRegions(
         source_only=len(src - ref - sys_),
         reference_only=len(ref - src - sys_),
@@ -113,9 +100,9 @@ class FaithfulnessScores:
     fa_precision: float
     fa_recall: float
     fa_f_beta: float
-    beta: float
     incorrect_hallucination_rate: float
-    degenerate_flags: frozenset[str]
+    empty_system: bool
+    empty_relevant: bool
 
 
 def f_beta(precision: float, recall: float, beta: float) -> float:
@@ -134,32 +121,22 @@ def faithfulness_scores(regions: EntityVennRegions, beta: float = DEFAULT_BETA) 
     """Faithfulness-adjusted P/R/F_beta and incorrect hallucination rate.
 
     Degenerate denominators (empty system output, or no relevant-and-faithful
-    entities to recall) score zero and raise the matching flag.
+    entities to recall) score zero and set the matching flag.
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    flags = set()
     system_size = regions.system_size
     relevant = regions.b + regions.c
-    if system_size == 0:
-        flags.add(EMPTY_SYSTEM)
-        precision = 0.0
-        hallucination = 0.0
-    else:
-        precision = regions.c / system_size
-        hallucination = regions.g / system_size
-    if relevant == 0:
-        flags.add(EMPTY_RELEVANT)
-        recall = 0.0
-    else:
-        recall = regions.c / relevant
+    precision = regions.c / system_size if system_size else 0.0
+    hallucination = regions.g / system_size if system_size else 0.0
+    recall = regions.c / relevant if relevant else 0.0
     return FaithfulnessScores(
         fa_precision=precision,
         fa_recall=recall,
         fa_f_beta=f_beta(precision, recall, beta),
-        beta=beta,
         incorrect_hallucination_rate=hallucination,
-        degenerate_flags=frozenset(flags),
+        empty_system=system_size == 0,
+        empty_relevant=relevant == 0,
     )
 
 
@@ -189,7 +166,7 @@ def load_default_gazetteer() -> Gazetteer:
     return Gazetteer.from_terms(line for line in text.splitlines() if line.strip())
 
 
-def extract_entities_gazetteer(text: str, gaz: Gazetteer, origin: str = "system") -> EntitySet:
+def extract_entities_gazetteer(text: str, gaz: Gazetteer) -> frozenset[str]:
     """Greedy longest-match scan of the token stream against the gazetteer."""
     tokens = tokenize(text)
     found: set[str] = set()
@@ -204,30 +181,27 @@ def extract_entities_gazetteer(text: str, gaz: Gazetteer, origin: str = "system"
                 matched = length
                 break
         i += matched if matched else 1
-    return EntitySet(frozenset(found), origin)
+    return frozenset(found)
 
 
-def _origin_for_key(key: str) -> str | None:
+def _is_annotation_key(key: str) -> bool:
     # enc:<id>:src | enc:<id>:<section>:ref | enc:<id>:<section>:sys:<system>
     parts = key.split(":")
-    if parts[0] != "enc":
-        return None
-    if len(parts) == 3 and parts[-1] == "src":
-        return "source"
-    if len(parts) == 4 and parts[-1] == "ref":
-        return "reference"
-    if len(parts) >= 5 and parts[3] == "sys":
-        return "system"
-    return None
+    return parts[0] == "enc" and (
+        (len(parts) == 3 and parts[2] == "src")
+        or (len(parts) == 4 and parts[3] == "ref")
+        or (len(parts) >= 5 and parts[3] == "sys")
+    )
 
 
-def ingest_entity_annotations(path: str | Path) -> dict[str, EntitySet]:
+def ingest_entity_annotations(path: str | Path) -> dict[str, frozenset[str]]:
     """Read externally produced entity annotations keyed per document/summary.
 
     Malformed lines and malformed keys are skipped with a warning that gives
-    the line number.
+    the line number. A key seen on an earlier line is fatal:
+    ``ValueError("<path>:<lineno>: repeated key ...")``.
     """
-    out: dict[str, EntitySet] = {}
+    out: dict[str, frozenset[str]] = {}
     for lineno, obj in iter_jsonl(path):
         if (
             not isinstance(obj, dict)
@@ -237,11 +211,12 @@ def ingest_entity_annotations(path: str | Path) -> dict[str, EntitySet]:
             logger.warning("%s:%d: skipping malformed annotation line", path, lineno)
             continue
         key = obj["key"]
-        origin = _origin_for_key(key)
-        if origin is None:
+        if not _is_annotation_key(key):
             logger.warning("%s:%d: skipping annotation with malformed key %r", path, lineno, key)
             continue
-        out[key] = EntitySet.from_strings(map(str, obj["entities"]), origin)
+        if key in out:
+            raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
+        out[key] = frozenset(normalize(e) for e in map(str, obj["entities"]) if e.strip())
     return out
 
 
@@ -249,32 +224,29 @@ def ingest_entity_annotations(path: str | Path) -> dict[str, EntitySet]:
 class AggregateFaithfulness:
     """Macro-average over instances, with degenerate-instance counts."""
 
-    count: int
     fa_precision: float
     fa_recall: float
     fa_f_beta: float
-    beta: float
     incorrect_hallucination_rate: float
     empty_system_count: int
     empty_relevant_count: int
 
 
-def aggregate_scores(scores: Sequence[FaithfulnessScores], beta: float) -> AggregateFaithfulness:
+def aggregate_scores(scores: Sequence[FaithfulnessScores]) -> AggregateFaithfulness:
     if not scores:
         raise ValueError("cannot aggregate an empty score list")
     return AggregateFaithfulness(
-        count=len(scores),
         fa_precision=fmean(s.fa_precision for s in scores),
         fa_recall=fmean(s.fa_recall for s in scores),
         fa_f_beta=fmean(s.fa_f_beta for s in scores),
-        beta=beta,
         incorrect_hallucination_rate=fmean(s.incorrect_hallucination_rate for s in scores),
-        empty_system_count=sum(EMPTY_SYSTEM in s.degenerate_flags for s in scores),
-        empty_relevant_count=sum(EMPTY_RELEVANT in s.degenerate_flags for s in scores),
+        empty_system_count=sum(s.empty_system for s in scores),
+        empty_relevant_count=sum(s.empty_relevant for s in scores),
     )
 
 
 def score_sets(
-    source: EntitySet, reference: EntitySet, system: EntitySet, beta: float = DEFAULT_BETA
+    source: frozenset[str], reference: frozenset[str], system: frozenset[str],
+    beta: float = DEFAULT_BETA,
 ) -> FaithfulnessScores:
     return faithfulness_scores(venn_regions(source, reference, system), beta)

@@ -135,16 +135,16 @@ def build_pseudo_pairs(
 
 def aligned_instances(
     dataset_dir: str | Path, sections: Sequence[SectionName], split: str, mask_deid: bool = False
-) -> Iterator[tuple[SectionInstance, SectionName, list[Sentence], list[Sentence], LcsPool]]:
-    """Yield (instance, section, reference sentences, source pool, its LcsPool)
-    for alignment.
+) -> Iterator[tuple[SectionInstance, list[Sentence], list[Sentence], LcsPool]]:
+    """Yield (instance, reference sentences, source pool, its LcsPool) for
+    alignment.
 
     Each encounter's source pool is segmented, and its tokens pooled for the
     LCS kernel, once and shared by all of its sections. An instance with an
     empty reference or source pool is skipped with a warning.
     """
     pools: dict[str, tuple[list[Sentence], LcsPool]] = {}
-    for encounter, section, instance in iter_instances(dataset_dir, sections, split):
+    for encounter, instance in iter_instances(dataset_dir, sections, split):
         refs = split_sentences(instance.reference_text, mask_deid=mask_deid)
         cached = pools.get(encounter.encounter_id)
         if cached is None:
@@ -154,11 +154,11 @@ def aligned_instances(
         if not refs or not pool:
             logger.warning(
                 "skipping %s/%s: empty %s",
-                instance.encounter_id, section.value,
+                instance.encounter_id, instance.section.value,
                 "reference" if not refs else "source pool",
             )
             continue
-        yield instance, section, refs, pool, lcs_pool
+        yield instance, refs, pool, lcs_pool
 
 
 def write_oracle_summaries(
@@ -169,10 +169,10 @@ def write_oracle_summaries(
     aligned = aligned_instances(dataset_dir, sections, split, mask_deid)
     rows = [
         summary_record(
-            instance.encounter_id, section, ORACLE_SYSTEM,
+            instance.encounter_id, instance.section, ORACLE_SYSTEM,
             oracle_extract(refs, pool, lcs_pool).summary_text,
         )
-        for instance, section, refs, pool, lcs_pool in aligned
+        for instance, refs, pool, lcs_pool in aligned
     ]
     write_jsonl(out, rows)
     return len(rows)
@@ -185,8 +185,10 @@ def write_pseudo_labels(
     """Write one pseudo-label record per aligned instance; returns their number."""
     aligned = aligned_instances(dataset_dir, sections, split, mask_deid)
     rows = [
-        build_pseudo_pairs(refs, pool, lcs_pool).to_record(instance.encounter_id, section.value)
-        for instance, section, refs, pool, lcs_pool in aligned
+        build_pseudo_pairs(refs, pool, lcs_pool).to_record(
+            instance.encounter_id, instance.section.value
+        )
+        for instance, refs, pool, lcs_pool in aligned
     ]
     write_jsonl(out, rows)
     return len(rows)
@@ -199,9 +201,9 @@ def write_rule_summaries(
     """Write the rule-based summaries (system ``rule_based_ext``) of the instances
     whose prior notes hold the section; returns their number."""
     rows = []
-    for encounter, section, instance in iter_instances(dataset_dir, sections, split):
-        text = rule_based_extract_from_priors(encounter, section, rules)
+    for encounter, instance in iter_instances(dataset_dir, sections, split):
+        text = rule_based_extract_from_priors(encounter, instance.section, rules)
         if text is not None:
-            rows.append(summary_record(instance.encounter_id, section, RULE_SYSTEM, text))
+            rows.append(summary_record(instance.encounter_id, instance.section, RULE_SYSTEM, text))
     write_jsonl(out, rows)
     return len(rows)

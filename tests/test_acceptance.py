@@ -13,7 +13,6 @@ import pytest
 
 from encsum.cli import main
 from encsum.faithfulness import (
-    EntitySet,
     Gazetteer,
     f_beta,
     faithfulness_scores,
@@ -68,11 +67,7 @@ def test_criterion_2_faithfulness_formulas():
             src = {c for c in universe if rng.random() < 0.4}
             ref = {c for c in universe if rng.random() < 0.4}
             sys_ = {c for c in universe if rng.random() < 0.4}
-            regions = venn_regions(
-                EntitySet(frozenset(src), "source"),
-                EntitySet(frozenset(ref), "reference"),
-                EntitySet(frozenset(sys_), "system"),
-            )
+            regions = venn_regions(frozenset(src), frozenset(ref), frozenset(sys_))
             expected = oracle_regions(src, ref, sys_)
             for name, value in expected.items():
                 assert getattr(regions, name) == value
@@ -85,9 +80,7 @@ def test_criterion_2_faithfulness_formulas():
             assert regions.f + regions.g == len(sys_ - src)
 
         worked = venn_regions(
-            EntitySet(frozenset({"x", "y", "z"}), "source"),
-            EntitySet(frozenset({"y", "z", "w"}), "reference"),
-            EntitySet(frozenset({"z", "w", "v"}), "system"),
+            frozenset({"x", "y", "z"}), frozenset({"y", "z", "w"}), frozenset({"z", "w", "v"})
         )
         assert (worked.c, worked.b, worked.g, worked.system_size) == (1, 1, 1, 3)
         scores = faithfulness_scores(worked, beta=3.0)

@@ -2,16 +2,19 @@ import csv
 import filecmp
 import json
 import logging
+import random
 import shutil
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from statistics import fmean
 
 import pytest
 
 from encsum import cli, evaluate, labeling
 from encsum.cli import main
+from encsum.faithfulness import score_sets
 from encsum.jsonl import read_jsonl, write_jsonl
 from encsum.rouge import rouge_l
 from encsum.sections import SectionName
@@ -279,18 +282,44 @@ class TestBaselineCommands:
         encounters = data / "encounters.jsonl"
         kept = [r for r in read_jsonl(encounters) if r["encounter_id"] != instance["encounter_id"]]
         write_jsonl(encounters, kept)
-        argv = [command, "--dataset", data, "--split", "train", "--section", "chief_complaint"]
-        if command == "evaluate":
-            systems = tmp_path / "sys_x.jsonl"
-            write_jsonl(systems, [{"encounter_id": instance["encounter_id"],
-                                   "section": "chief_complaint", "system": "x", "text": "x"}])
-            argv += ["--systems", systems, "--out", tmp_path / "report"]
-        else:
-            argv += ["--out", tmp_path / "out.jsonl"]
         with caplog.at_level(logging.ERROR, logger="encsum"):
-            assert run(*argv) == 1
+            assert run(*_train_argv(command, data, tmp_path, instance["encounter_id"])) == 1
         expected = (
             f"chief_complaint__train.jsonl: no encounter record for {instance['encounter_id']!r}"
+        )
+        assert expected in caplog.text
+
+    # oracle used to write two summaries for the encounter, and evaluate to
+    # score it twice.
+    @pytest.mark.parametrize("command", ["oracle", "rule-baseline", "evaluate"])
+    def test_repeated_section_encounter_fatal(self, workspace, tmp_path, caplog, command):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        path = data / "sections" / "chief_complaint__train.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines + lines[:1]), encoding="utf-8")
+        encounter = json.loads(lines[0])["encounter_id"]
+        with caplog.at_level(logging.ERROR, logger="encsum"):
+            assert run(*_train_argv(command, data, tmp_path, encounter)) == 1
+        expected = (
+            f"chief_complaint__train.jsonl:{len(lines) + 1}: repeated encounter_id {encounter!r}"
+        )
+        assert expected in caplog.text
+
+    # evaluate used to score the chief-complaint reference against the
+    # family-history summaries, under a family_history row.
+    @pytest.mark.parametrize("command", ["oracle", "rule-baseline", "evaluate"])
+    def test_section_record_of_other_section_fatal(self, workspace, tmp_path, caplog, command):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        path = data / "sections" / "chief_complaint__train.jsonl"
+        _edit_first_record(path, lambda r: {**r, "section": "family_history"})
+        encounter = read_jsonl(path)[0]["encounter_id"]
+        with caplog.at_level(logging.ERROR, logger="encsum"):
+            assert run(*_train_argv(command, data, tmp_path, encounter)) == 1
+        expected = (
+            "chief_complaint__train.jsonl:1: "
+            "section 'family_history' in a 'chief_complaint' section file"
         )
         assert expected in caplog.text
 
@@ -309,6 +338,18 @@ class TestBaselineCommands:
         assert run("--quiet", command, "--dataset", workspace / "data",
                    "--split", "train", "--out", tmp_path / "out.jsonl") == 0
         assert calls and len(calls) == len(set(calls))
+
+
+def _train_argv(command, data, tmp_path, encounter_id):
+    """Arguments running ``command`` on the chief-complaint train instances of
+    ``data``; evaluate scores one summary, for ``encounter_id``."""
+    argv = [command, "--dataset", data, "--split", "train", "--section", "chief_complaint"]
+    if command == "evaluate":
+        systems = tmp_path / "sys_x.jsonl"
+        write_jsonl(systems, [{"encounter_id": encounter_id,
+                               "section": "chief_complaint", "system": "x", "text": "x"}])
+        return argv + ["--systems", systems, "--out", tmp_path / "report"]
+    return argv + ["--out", tmp_path / "out.jsonl"]
 
 
 def _edit_first_record(path, edit):
@@ -634,32 +675,62 @@ class TestEvaluate:
                    "--out", tmp_path / "r") == 1
 
     def test_annotations_backend(self, workspace, evaluated, tmp_path):
+        # Every (encounter, section, role, system) key gets its own set, so a
+        # key built with a wrong section, role or system changes some cell.
         dataset = workspace / "data"
-        references = _references(dataset, "test")
-        ann_rows = []
-        seen = set()
-        for (enc, section), _ in references.items():
-            if enc not in seen:
-                seen.add(enc)
-                ann_rows.append({"key": f"enc:{enc}:src", "entities": ["htn", "fever"]})
-            ann_rows.append({"key": f"enc:{enc}:{section}:ref", "entities": ["htn"]})
-            ann_rows.append(
-                {"key": f"enc:{enc}:{section}:sys:oracle_ext", "entities": ["htn", "fever"]}
-            )
+        systems = ("oracle_ext", "rule_based_ext")
+        rng = random.Random(8)
+        vocab = ["htn", "cad", "fever", "copd", "afib", "chest pain"]
+
+        def draw():
+            return frozenset(rng.sample(vocab, rng.randint(0, 4)))
+
+        instances = sorted(_references(dataset, "test"))
+        sources = {enc: draw() for enc, _ in instances}
+        roles = ("ref",) + tuple(f"sys:{system}" for system in systems)
+        sets = {(enc, section, role): draw() for enc, section in instances for role in roles}
+        ann_rows = [{"key": f"enc:{enc}:src", "entities": sorted(found)}
+                    for enc, found in sources.items()]
+        ann_rows += [{"key": f"enc:{enc}:{section}:{role}", "entities": sorted(found)}
+                     for (enc, section, role), found in sets.items()]
         ann = tmp_path / "annotations.jsonl"
         write_jsonl(ann, ann_rows)
         report = tmp_path / "rep_ann"
         assert run("--quiet", "evaluate", "--dataset", dataset,
-                   "--systems", str(evaluated["root"] / "sys_oracle.jsonl"),
+                   "--systems", str(evaluated["root"] / "sys_*.jsonl"),
                    "--split", "test", "--annotations", ann, "--out", report) == 0
         with open(report / "report.csv") as fh:
-            rows = list(csv.DictReader(fh))
-        for row in rows:
-            # C=1 (htn), |System|=2, B=0 -> P=0.5, R=1
-            assert float(row["fa_precision"]) == 0.5
-            assert float(row["fa_recall"]) == 1.0
-            # fever is in source, so nothing is an incorrect hallucination
-            assert float(row["incorrect_hallucination_rate"]) == 0.0
+            rows = {(r["section"], r["system"]): r for r in csv.DictReader(fh)}
+        assert len(rows) == 2 * len({section for _, section in instances})
+        for (section, system), row in rows.items():
+            scores = [
+                score_sets(
+                    sources[enc], sets[(enc, section, "ref")], sets[(enc, section, f"sys:{system}")]
+                )
+                for enc, sec in instances if sec == section
+            ]
+            for field in ("fa_precision", "fa_recall", "fa_f_beta",
+                          "incorrect_hallucination_rate"):
+                expected = fmean(getattr(s, field) for s in scores)
+                assert float(row[field]) == pytest.approx(expected, abs=1e-12), (section, system)
+            assert int(row["empty_system"]) == sum(s.empty_system for s in scores)
+            assert int(row["empty_relevant"]) == sum(s.empty_relevant for s in scores)
+
+    # A second line for a key used to replace the first without a word.
+    def test_repeated_annotation_key_fatal(self, workspace, evaluated, tmp_path, caplog):
+        [(enc, section), *_] = sorted(_references(workspace / "data", "test"))
+        ann = tmp_path / "annotations.jsonl"
+        write_jsonl(ann, [
+            {"key": f"enc:{enc}:src", "entities": ["htn"]},
+            {"key": f"enc:{enc}:{section}:ref", "entities": ["htn"]},
+            {"key": f"enc:{enc}:src", "entities": ["fever"]},
+        ])
+        with caplog.at_level(logging.ERROR, logger="encsum"):
+            assert run("evaluate", "--dataset", workspace / "data",
+                       "--systems", str(evaluated["root"] / "sys_*.jsonl"), "--split", "test",
+                       "--annotations", ann, "--out", tmp_path / "r") == 1
+        assert f"annotations.jsonl:3: repeated key 'enc:{enc}:src'" in caplog.text
+        assert not (tmp_path / "r").exists()
 
     def test_report_rouge_matches_direct_library_calls(self, workspace, evaluated):
         from statistics import fmean
@@ -826,10 +897,9 @@ class TestEvaluate:
         calls = []
         match = evaluate.extract_entities_gazetteer
 
-        def counting(text, gaz, origin="system"):
-            if origin == "source":
-                calls.append(text)
-            return match(text, gaz, origin)
+        def counting(text, gaz):
+            calls.append(text)
+            return match(text, gaz)
 
         monkeypatch.setattr(evaluate, "extract_entities_gazetteer", counting)
         assert run("--quiet", "evaluate", "--dataset", workspace / "data",
@@ -838,11 +908,14 @@ class TestEvaluate:
         encounters = {
             row["encounter_id"]: row for row in read_jsonl(workspace / "data" / "encounters.jsonl")
         }
+        prior_texts = {
+            note["text"] for row in encounters.values() for note in row["prior_notes"]
+        }
         evaluated_ids = {enc for enc, _ in _references(workspace / "data", "test")}
         expected = Counter(
             note["text"] for enc in evaluated_ids for note in encounters[enc]["prior_notes"]
         )
-        assert expected and Counter(calls) == expected
+        assert expected and Counter(t for t in calls if t in prior_texts) == expected
 
 
 class TestEntryPoints:

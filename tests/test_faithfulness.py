@@ -4,12 +4,8 @@ import logging
 import pytest
 from hypothesis import given, strategies as st
 
-from encsum.corpus import Encounter
-from encsum.evaluate import GazetteerEntities, score_section
+from encsum.evaluate import gazetteer_entities, score_section
 from encsum.faithfulness import (
-    EMPTY_RELEVANT,
-    EMPTY_SYSTEM,
-    EntitySet,
     Gazetteer,
     aggregate_scores,
     extract_entities_gazetteer,
@@ -21,17 +17,12 @@ from encsum.faithfulness import (
     venn_regions,
 )
 from encsum.sections import SectionInstance, SectionName
-from tests.conftest import make_note
 
 entity_sets = st.sets(st.sampled_from("abcdefghijkl"), max_size=12)
 
 
 def _sets(src, ref, sys_):
-    return (
-        EntitySet(frozenset(src), "source"),
-        EntitySet(frozenset(ref), "reference"),
-        EntitySet(frozenset(sys_), "system"),
-    )
+    return frozenset(src), frozenset(ref), frozenset(sys_)
 
 
 def oracle_regions(src, ref, sys_):
@@ -94,7 +85,7 @@ class TestFaithfulnessScores:
         assert scores.fa_recall == pytest.approx(1 / 2)
         assert scores.fa_f_beta == pytest.approx(0.476190476, abs=1e-6)
         assert scores.incorrect_hallucination_rate == 1 / 3
-        assert scores.degenerate_flags == frozenset()
+        assert not scores.empty_system and not scores.empty_relevant
 
     def test_fixed_point_when_p_equals_r(self):
         assert f_beta(0.6, 0.6, 3.0) == 0.6
@@ -108,12 +99,12 @@ class TestFaithfulnessScores:
         scores = score_sets(*_sets({"a"}, {"a"}, set()))
         assert scores.fa_precision == 0.0
         assert scores.incorrect_hallucination_rate == 0.0
-        assert EMPTY_SYSTEM in scores.degenerate_flags
+        assert scores.empty_system and not scores.empty_relevant
 
     def test_empty_relevant_flag(self):
         scores = score_sets(*_sets({"a"}, {"b"}, {"a"}))
         assert scores.fa_recall == 0.0
-        assert EMPTY_RELEVANT in scores.degenerate_flags
+        assert scores.empty_relevant and not scores.empty_system
 
     def test_bad_beta(self):
         regions = venn_regions(*_sets({"a"}, {"a"}, {"a"}))
@@ -153,23 +144,23 @@ class TestGazetteer:
 
     def test_longest_match_wins(self):
         got = extract_entities_gazetteer("pt has chest pain and htn", self.GAZ)
-        assert got.entities == {"chest pain", "htn"}
+        assert got == {"chest pain", "htn"}
 
     def test_no_terms_found(self):
         got = extract_entities_gazetteer("completely unrelated words", self.GAZ)
-        assert got.entities == frozenset()
+        assert got == frozenset()
 
     def test_set_semantics(self):
         got = extract_entities_gazetteer("htn noted. htn again.", self.GAZ)
-        assert got.entities == {"htn"}
+        assert got == {"htn"}
 
     def test_shorter_term_still_found_alone(self):
         got = extract_entities_gazetteer("pain in left arm", self.GAZ)
-        assert got.entities == {"pain"}
+        assert got == {"pain"}
 
     def test_match_is_case_and_punct_insensitive(self):
         got = extract_entities_gazetteer("Chest PAIN, htn.", self.GAZ)
-        assert got.entities == {"chest pain", "htn"}
+        assert got == {"chest pain", "htn"}
 
     def test_empty_gazetteer_fatal(self):
         with pytest.raises(ValueError):
@@ -192,15 +183,27 @@ class TestAnnotations:
             {"key": "enc:e1:chief_complaint:ref", "entities": ["Chest Pain"]},
         ])
         got = ingest_entity_annotations(path)
-        assert got["enc:e1:src"].entities == {"htn", "chest pain"}
-        assert got["enc:e1:src"].origin == "source"
-        assert got["enc:e1:chief_complaint:ref"].origin == "reference"
+        assert got == {
+            "enc:e1:src": {"htn", "chest pain"},
+            "enc:e1:chief_complaint:ref": {"chest pain"},
+        }
 
-    def test_system_key_origin(self, tmp_path):
+    def test_system_key_accepted(self, tmp_path):
         path = tmp_path / "ann.jsonl"
         self._write(path, [{"key": "enc:e1:social_history:sys:bart", "entities": ["x"]}])
         got = ingest_entity_annotations(path)
-        assert got["enc:e1:social_history:sys:bart"].origin == "system"
+        assert got == {"enc:e1:social_history:sys:bart": {"x"}}
+
+    # The later line used to replace the earlier one without a word.
+    def test_repeated_key_fatal(self, tmp_path):
+        path = tmp_path / "ann.jsonl"
+        self._write(path, [
+            {"key": "enc:e1:src", "entities": ["htn"]},
+            {"key": "enc:e1:chief_complaint:ref", "entities": ["htn"]},
+            {"key": "enc:e1:src", "entities": ["fever"]},
+        ])
+        with pytest.raises(ValueError, match=r"ann\.jsonl:3: repeated key 'enc:e1:src'"):
+            ingest_entity_annotations(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "ann.jsonl"
@@ -225,25 +228,19 @@ class TestAnnotations:
 def score_triples(instances, gazetteer, beta=3.0):
     """The report row for (source texts, reference text, system text) triples.
 
-    Each triple becomes one encounter whose prior notes are the source texts,
-    scored through ``evaluate.score_section`` with the gazetteer source.
+    Each triple becomes one encounter whose source set is the gazetteer's
+    matches in the source texts, scored through ``evaluate.score_section``.
     """
-    encounters, section_instances, summaries = {}, [], {}
+    sources, section_instances, summaries = {}, [], {}
+    entities = gazetteer_entities(gazetteer)
     for i, (source_texts, reference_text, system_text) in enumerate(instances):
         eid = f"e{i:04d}"
-        notes = tuple(
-            make_note(note_id=f"{eid}-{d}", encounter_id=eid, text=text)
-            for d, text in enumerate(source_texts)
-        )
-        discharge = make_note(note_id=f"{eid}-ds", encounter_id=eid, category="discharge summary")
-        encounters[eid] = Encounter("s1", eid, notes, discharge)
+        sources[eid] = entities(f"enc:{eid}:src", source_texts)
         section_instances.append(SectionInstance(
             eid, SectionName.CHIEF_COMPLAINT, reference_text, (0, len(reference_text))
         ))
         summaries[(eid, SectionName.CHIEF_COMPLAINT.value, "sys")] = system_text
-    [row] = score_section(
-        section_instances, encounters, summaries, GazetteerEntities(gazetteer), beta
-    )
+    [row] = score_section(section_instances, sources, summaries, entities, beta)
     return row
 
 
@@ -264,9 +261,9 @@ class TestEvaluateSection:
     def test_single_instance_equals_aggregate(self):
         row = score_triples([(["htn."], "htn.", "htn.")], self.GAZ)
         direct = score_sets(
-            extract_entities_gazetteer("htn.", self.GAZ, "source"),
-            extract_entities_gazetteer("htn.", self.GAZ, "reference"),
-            extract_entities_gazetteer("htn.", self.GAZ, "system"),
+            extract_entities_gazetteer("htn.", self.GAZ),
+            extract_entities_gazetteer("htn.", self.GAZ),
+            extract_entities_gazetteer("htn.", self.GAZ),
         )
         assert row.fa_precision == direct.fa_precision
         assert row.fa_f_beta == direct.fa_f_beta
@@ -278,7 +275,7 @@ class TestEvaluateSection:
 
     def test_empty_instance_list_fatal(self):
         with pytest.raises(ValueError):
-            score_section([], {}, {}, GazetteerEntities(self.GAZ), 3.0)
+            score_section([], {}, {}, gazetteer_entities(self.GAZ), 3.0)
 
     def test_extractive_subset_never_hallucinates(self, rng):
         # System summaries built only from source sentences have zero
@@ -302,4 +299,4 @@ class TestEvaluateSection:
 class TestAggregate:
     def test_empty_fatal(self):
         with pytest.raises(ValueError):
-            aggregate_scores([], beta=3.0)
+            aggregate_scores([])
