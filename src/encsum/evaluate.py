@@ -46,10 +46,16 @@ def gazetteer_entities(gazetteer: Gazetteer) -> EntitySource:
     return entities
 
 
-def annotated_entities(annotations: Mapping[str, frozenset[str]]) -> EntitySource:
-    """The ingested annotation for the key; a missing key is an empty set."""
+def annotated_entities(
+    annotations: Mapping[str, frozenset[str]], looked_up: set[str]
+) -> EntitySource:
+    """The ingested annotation for the key; a missing key is an empty set.
+
+    Each key asked for is added to ``looked_up``.
+    """
 
     def entities(key: str, texts: Sequence[str]) -> frozenset[str]:
+        looked_up.add(key)
         return annotations.get(key, frozenset())
 
     return entities
@@ -148,14 +154,18 @@ def write_evaluation(
     ``gazetteer`` term file, else from the packaged gazetteer. A section with
     no instances is skipped with a warning. Summaries that match no scored
     (encounter, section) are ignored with one warning per system counting
-    them; a system none of whose summaries match is fatal.
+    them; a system none of whose summaries match is fatal. Annotation keys
+    that no scored set looks up are ignored with one warning counting them.
     """
     summary_files = sorted(glob.glob(systems))
     if not summary_files:
         raise ValueError(f"no summary files match {systems!r}")
     summaries = read_system_summaries(summary_files)
+    annotated: dict[str, frozenset[str]] = {}
+    looked_up: set[str] = set()
     if annotations is not None:
-        entities = annotated_entities(ingest_entity_annotations(annotations))
+        annotated = ingest_entity_annotations(annotations)
+        entities = annotated_entities(annotated, looked_up)
     elif gazetteer is not None:
         entities = gazetteer_entities(Gazetteer.from_file(gazetteer))
     else:
@@ -182,6 +192,7 @@ def write_evaluation(
     rows = []
     for found in instances.values():
         rows += score_section(found, sources, summaries, entities, beta, mask_deid=mask_deid)
+    _check_looked_up(annotated, looked_up, split)
     return write_report(MetricReport(tuple(rows)), out)["table"].parent
 
 
@@ -203,4 +214,18 @@ def _check_matched(
         logger.warning(
             "system %s: %d of %d summaries match no %s; ignored",
             system, unmatched[system], total[system], where,
+        )
+
+
+def _check_looked_up(
+    annotated: Mapping[str, frozenset[str]], looked_up: set[str], split: str
+) -> None:
+    """Warn how many annotation keys no scored set looked up, naming the first few."""
+    unused = sorted(annotated.keys() - looked_up)
+    if unused:
+        named = ", ".join(map(repr, unused[:3])) + (", ..." if len(unused) > 3 else "")
+        logger.warning(
+            "%d of %d annotation keys match no entity set of a %s instance of the evaluated"
+            " sections; ignored: %s",
+            len(unused), len(annotated), split, named,
         )

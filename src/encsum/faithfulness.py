@@ -197,8 +197,9 @@ def _is_annotation_key(key: str) -> bool:
 def ingest_entity_annotations(path: str | Path) -> dict[str, frozenset[str]]:
     """Read externally produced entity annotations keyed per document/summary.
 
-    Malformed lines and malformed keys are skipped with a warning that gives
-    the line number. A key seen on an earlier line is fatal:
+    Malformed lines, one with an entity that is not a string among them, and
+    malformed keys are skipped with a warning that gives the line number. A
+    key seen on an earlier line is fatal:
     ``ValueError("<path>:<lineno>: repeated key ...")``.
     """
     out: dict[str, frozenset[str]] = {}
@@ -207,6 +208,7 @@ def ingest_entity_annotations(path: str | Path) -> dict[str, frozenset[str]]:
             not isinstance(obj, dict)
             or not isinstance(obj.get("key"), str)
             or not isinstance(obj.get("entities"), list)
+            or not all(isinstance(e, str) for e in obj["entities"])
         ):
             logger.warning("%s:%d: skipping malformed annotation line", path, lineno)
             continue
@@ -216,7 +218,7 @@ def ingest_entity_annotations(path: str | Path) -> dict[str, frozenset[str]]:
             continue
         if key in out:
             raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
-        out[key] = frozenset(normalize(e) for e in map(str, obj["entities"]) if e.strip())
+        out[key] = frozenset(normalize(e) for e in obj["entities"] if e.strip())
     return out
 
 

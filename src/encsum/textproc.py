@@ -7,9 +7,13 @@ reproducible within the toolkit:
   by one regex over the lowercased text: a non-whitespace run that starts
   and ends outside ASCII punctuation, or one punctuation character, so
   punctuation at the head or tail of a chunk becomes a token of its own;
-* sentence boundaries fall after ``.``/``!``/``?`` followed by whitespace,
-  at blank lines, and before list-item markers (``#`` or ``-`` after
-  whitespace, or a line-initial ``1.``-style number);
+* sentence boundaries fall after ``.``/``!``/``?`` followed by whitespace or
+  the end of the text, at blank lines, and before list-item markers: ``#`` or
+  ``-`` after whitespace, or a numbered marker (``str.isdigit`` digits, ``.``,
+  then whitespace) at the start of a line indented by at most three spaces or
+  tabs. The period of a number such as ``1.`` at the head of a sentence does
+  not end it. One compiled regex finds the candidate boundaries, and a loop
+  over its matches applies these rules;
 * bracketed de-identification placeholders such as ``[ country 4952 ]``
   are kept verbatim unless masking is requested.
 
@@ -26,12 +30,15 @@ from dataclasses import dataclass
 
 _PUNCT = re.escape(string.punctuation)
 _TOKEN_RE = re.compile(rf"[^\s{_PUNCT}](?:\S*[^\s{_PUNCT}])?|[{_PUNCT}]")
-_SENT_END = ".!?"
 _DEID_RE = re.compile(r"\[[^\[\]]*\]")
 DEID_MASK_TOKEN = "xxdeid"
 
-# A header-style marker may be indented by at most this many spaces/tabs.
-_MAX_MARKER_INDENT = 3
+# Sentence-boundary events, in text order: ``.``/``!``/``?`` before
+# whitespace or the end; a blank line; a line start after at most three spaces
+# or tabs, where a numbered marker may begin; ``#`` or ``-`` after whitespace.
+# The leading lookahead lets the scan reject most characters at once.
+_EVENT_RE = re.compile(r"(?=[.!?\n#-])(?:[.!?](?!\S)|\n[ \t\r]*\n|\n[ \t]{0,3}|(?<=\s)[#-])")
+_NUMBERED_RE = re.compile(r"(\w+)\.(?!\S)")
 
 
 @dataclass(frozen=True)
@@ -94,65 +101,39 @@ def count_sentences(text: str) -> int:
 
 
 def _sentence_spans(text: str) -> list[tuple[int, int]]:
+    # One pass over the boundary events; the loop keeps only the running
+    # sentence start. Spans may be whitespace-only; callers drop those. A
+    # numbered marker indented at the start of the text or after a blank line
+    # is not an event: only whitespace would precede it in its sentence.
     spans: list[tuple[int, int]] = []
-    n = len(text)
     start = 0
-    i = 0
-    while i < n:
+    for m in _EVENT_RE.finditer(text):
+        i, end = m.span()
         c = text[i]
-        if c in _SENT_END:
-            at_end = i + 1 >= n or text[i + 1].isspace()
-            if at_end and not (c == "." and _is_list_number_period(text, start, i)):
-                spans.append((start, i + 1))
-                start = i + 1
-                i += 1
-                continue
-        elif c == "\n":
-            j = i + 1
-            while j < n and text[j] in " \t\r":
-                j += 1
-            if j < n and text[j] == "\n":
+        if c == "\n":
+            if end - i > 1 and text[end - 1] == "\n":
                 spans.append((start, i))
-                start = j + 1
-                i = j + 1
-                continue
-        if i > start and _marker_starts_at(text, i):
-            spans.append((start, i))
-            start = i
-        i += 1
-    if start < n:
-        spans.append((start, n))
+                start = end
+            # A numbered marker: str.isdigit digits, "." and whitespace. The
+            # regex takes the whole word, as ``\d`` misses digits such as "²".
+            elif (
+                end > start
+                and (number := _NUMBERED_RE.match(text, end))
+                and number[1].isdigit()
+            ):
+                spans.append((start, end))
+                start = end
+        elif c in "#-":
+            if i > start:
+                spans.append((start, i))
+                start = i
+        # "1." at the head of a sentence is a list marker, not a boundary.
+        elif c != "." or not text[start:i].strip().isdigit():
+            spans.append((start, end))
+            start = end
+    if start < len(text):
+        spans.append((start, len(text)))
     return spans
-
-
-def _is_list_number_period(text: str, sent_start: int, dot: int) -> bool:
-    # "1." at the head of a sentence is a list marker, not a boundary.
-    head = text[sent_start:dot].strip()
-    return head.isdigit() and head != ""
-
-
-def _marker_starts_at(text: str, i: int) -> bool:
-    c = text[i]
-    if c in "#-":
-        return text[i - 1].isspace()
-    if c.isdigit():
-        return _numbered_marker_at_line_start(text, i)
-    return False
-
-
-def _numbered_marker_at_line_start(text: str, i: int) -> bool:
-    # Numbered markers ("1." + whitespace) only count at the start of a line.
-    j = i - 1
-    indent = 0
-    while j >= 0 and text[j] in " \t":
-        indent += 1
-        j -= 1
-    if indent > _MAX_MARKER_INDENT or (j >= 0 and text[j] != "\n"):
-        return False
-    k = i
-    while k < len(text) and text[k].isdigit():
-        k += 1
-    return k < len(text) and text[k] == "." and (k + 1 >= len(text) or text[k + 1].isspace())
 
 
 def ngrams(surfaces: list[str], n: int) -> Counter:

@@ -732,6 +732,33 @@ class TestEvaluate:
         assert f"annotations.jsonl:3: repeated key 'enc:{enc}:src'" in caplog.text
         assert not (tmp_path / "r").exists()
 
+    # Keys that no evaluated set looks up used to be ignored without a word.
+    def test_unused_annotation_keys_warned(self, workspace, evaluated, tmp_path, caplog):
+        [(enc, section), *_] = sorted(_references(workspace / "data", "test"))
+        used = [{"key": f"enc:{enc}:src", "entities": ["htn"]},
+                {"key": f"enc:{enc}:{section}:ref", "entities": ["htn"]}]
+        unused = [f"enc:{enc}:{section}:sys:misspelled", "enc:x:src", "enc:y:src", "enc:z:src"]
+        reports = {}
+        for name, rows in [("used", used), ("all", used + [
+            {"key": key, "entities": ["fever"]} for key in unused
+        ])]:
+            ann = tmp_path / f"{name}.jsonl"
+            write_jsonl(ann, rows)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="encsum"):
+                assert run("evaluate", "--dataset", workspace / "data",
+                           "--systems", str(evaluated["root"] / "sys_*.jsonl"), "--split", "test",
+                           "--annotations", ann, "--out", tmp_path / name) == 0
+            reports[name] = (tmp_path / name / "report.csv").read_bytes()
+            warnings = [r.getMessage() for r in caplog.records if "annotation keys" in r.getMessage()]
+            if name == "used":
+                assert warnings == []
+        assert warnings == [
+            "4 of 6 annotation keys match no entity set of a test instance of the evaluated"
+            f" sections; ignored: 'enc:{enc}:{section}:sys:misspelled', 'enc:x:src', 'enc:y:src', ..."
+        ]
+        assert reports["all"] == reports["used"]
+
     def test_report_rouge_matches_direct_library_calls(self, workspace, evaluated):
         from statistics import fmean
 

@@ -218,6 +218,21 @@ class TestAnnotations:
         assert set(got) == {"enc:e1:src"}
         assert any(":2:" in r.message for r in caplog.records)
 
+    # str() used to turn each of these into a made-up entity such as "none".
+    @pytest.mark.parametrize("entity", [None, 3, {"a": 1}, ["htn"], True])
+    def test_non_string_entity_skips_line(self, tmp_path, caplog, entity):
+        path = tmp_path / "ann.jsonl"
+        self._write(path, [
+            {"key": "enc:e1:src", "entities": ["a"]},
+            {"key": "enc:e2:src", "entities": [entity, "HTN"]},
+        ])
+        with caplog.at_level(logging.WARNING):
+            got = ingest_entity_annotations(path)
+        assert got == {"enc:e1:src": {"a"}}
+        assert [r.message for r in caplog.records] == [
+            f"{path}:2: skipping malformed annotation line"
+        ]
+
     def test_bad_key_shape_skipped(self, tmp_path, caplog):
         path = tmp_path / "ann.jsonl"
         self._write(path, [{"key": "doc7", "entities": ["a"]}])

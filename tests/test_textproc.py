@@ -14,9 +14,9 @@ from encsum.textproc import (
     tokenize,
 )
 
-# Reference tokenizer and segmenter: the straightforward peel loop. Each
-# whitespace-separated chunk loses its leading and trailing punctuation one
-# character at a time, and only the core left over is lowercased.
+# Reference tokenizer: the straightforward peel loop. Each whitespace-separated
+# chunk loses its leading and trailing punctuation one character at a time, and
+# only the core left over is lowercased.
 _PUNCT = set(string.punctuation)
 _DEID_RE = re.compile(r"\[[^\[\]]*\]")
 
@@ -50,9 +50,92 @@ def _reference_plain(text):
     return tokens
 
 
+# Reference segmenter: the character walk that the boundary-event regex
+# replaced. It visits every character and asks whether a boundary falls there.
+_SENT_END = ".!?"
+_MAX_MARKER_INDENT = 3
+
+
+def reference_sentence_spans(text: str) -> list[tuple[int, int]]:
+    spans: list[tuple[int, int]] = []
+    n = len(text)
+    start = 0
+    i = 0
+    while i < n:
+        c = text[i]
+        if c in _SENT_END:
+            at_end = i + 1 >= n or text[i + 1].isspace()
+            if at_end and not (c == "." and _is_list_number_period(text, start, i)):
+                spans.append((start, i + 1))
+                start = i + 1
+                i += 1
+                continue
+        elif c == "\n":
+            j = i + 1
+            while j < n and text[j] in " \t\r":
+                j += 1
+            if j < n and text[j] == "\n":
+                spans.append((start, i))
+                start = j + 1
+                i = j + 1
+                continue
+        if i > start and _marker_starts_at(text, i):
+            spans.append((start, i))
+            start = i
+        i += 1
+    if start < n:
+        spans.append((start, n))
+    return spans
+
+
+def _is_list_number_period(text: str, sent_start: int, dot: int) -> bool:
+    # "1." at the head of a sentence is a list marker, not a boundary.
+    head = text[sent_start:dot].strip()
+    return head.isdigit() and head != ""
+
+
+def _marker_starts_at(text: str, i: int) -> bool:
+    c = text[i]
+    if c in "#-":
+        return text[i - 1].isspace()
+    if c.isdigit():
+        return _numbered_marker_at_line_start(text, i)
+    return False
+
+
+def _numbered_marker_at_line_start(text: str, i: int) -> bool:
+    # Numbered markers ("1." + whitespace) only count at the start of a line.
+    j = i - 1
+    indent = 0
+    while j >= 0 and text[j] in " \t":
+        indent += 1
+        j -= 1
+    if indent > _MAX_MARKER_INDENT or (j >= 0 and text[j] != "\n"):
+        return False
+    k = i
+    while k < len(text) and text[k].isdigit():
+        k += 1
+    return k < len(text) and text[k] == "." and (k + 1 >= len(text) or text[k + 1].isspace())
+
+
+def trimmed(text, spans):
+    """Each span that holds more than whitespace, less its edge whitespace.
+
+    Before a number indented at offset 0 or after a blank line, the character
+    walk splits off a whitespace-only span where the event loop does not, so
+    spans are equal only once trimmed; every caller strips them.
+    """
+    out = []
+    for lo, hi in spans:
+        span = text[lo:hi]
+        if span.strip():
+            out.append((lo + len(span) - len(span.lstrip()), hi - len(span) + len(span.rstrip())))
+    return out
+
+
 def reference_split_sentences(text, doc_index=0, mask_deid=False):
     sentences = []
-    for span_start, span_end in _sentence_spans(text):
+    for span_start, span_end in reference_sentence_spans(text):
         stripped = text[span_start:span_end].strip()
         if not stripped:
             continue
@@ -68,6 +151,22 @@ clinical_text = st.text(
     alphabet=st.sampled_from(list("ab Z1.!?#-[](),:\n\t\r\x0b\x85\u2028\u00a0")) | st.characters(),
     max_size=160,
 )
+
+# Text dense in what the segmenter reacts to, up to 2,000 characters: the
+# characters where ``str.isdigit`` and ``\d`` disagree ("²", "①"), non-ASCII
+# digits, Unicode whitespace, CRLF, blank lines holding spaces, tabs and CRs,
+# and "1." after a newline and 0-5 spaces or tabs, around the 3-character
+# indent limit.
+segmenter_text = st.lists(
+    st.sampled_from(
+        ["a", "b", " ", ".", "!", "?", "#", "-", "\n", "\t", "\r", "\r\n", "1", "12", "1.",
+         "²", "①", "٣", "\x1c", "\x85", "\u2028", "\u00a0", "\u3000"]
+    )
+    | st.text(alphabet=" \t", max_size=5).map(lambda indent: f"\n{indent}1.")
+    | st.text(alphabet=" \t\r", max_size=5).map(lambda blank: f"\n{blank}\n")
+    | st.characters(),
+    max_size=600,
+).map(lambda parts: "".join(parts)[:2000])
 
 # Text where lowercasing the whole text could differ from lowercasing each
 # chunk's core: final sigma is context-sensitive, "İ" lowers to two code
@@ -173,7 +272,14 @@ class TestAgainstReference:
         assert tokenize(text, mask_deid=mask_deid) == reference_tokenize(text, mask_deid)
 
     @settings(max_examples=300, deadline=None)
-    @given(clinical_text, st.integers(0, 3), st.booleans())
+    @given(segmenter_text)
+    def test_sentence_spans(self, text):
+        assert trimmed(text, _sentence_spans(text)) == trimmed(
+            text, reference_sentence_spans(text)
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(clinical_text | segmenter_text, st.integers(0, 3), st.booleans())
     def test_split_sentences(self, text, doc_index, mask_deid):
         assert split_sentences(text, doc_index, mask_deid) == reference_split_sentences(
             text, doc_index, mask_deid
@@ -200,11 +306,22 @@ class TestAgainstReference:
             assert tokenize(text, mask_deid=mask_deid) == reference_tokenize(text, mask_deid)
 
     @settings(max_examples=300, deadline=None)
-    @given(clinical_text)
+    @given(clinical_text | segmenter_text)
     def test_count_sentences(self, text):
         expected = len(reference_split_sentences(text))
         assert count_sentences(text) == len(split_sentences(text)) == expected
         assert count_sentences(text) == len(split_sentences(text, mask_deid=True))
+
+    @pytest.mark.parametrize("text", [
+        "\n. ", "a. 2. b", "  1. x", "\n    1. x", "1 . x", "a\n\n 1. x", "a\n² . x\n²1. y",
+        "a\r\n \r\n\t\r\nb", "1! x 2? y", "² . x\u3000y.\x85z",
+    ])
+    def test_segmenter_examples(self, text):
+        assert trimmed(text, _sentence_spans(text)) == trimmed(
+            text, reference_sentence_spans(text)
+        )
+        assert split_sentences(text) == reference_split_sentences(text)
+        assert count_sentences(text) == len(reference_split_sentences(text))
 
     def test_count_sentences_examples(self):
         assert count_sentences("") == 0
