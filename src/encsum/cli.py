@@ -257,7 +257,7 @@ def _cmd_cutoff(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    report = write_evaluation(
+    count = write_evaluation(
         args.dataset,
         args.systems,
         args.split,
@@ -268,7 +268,7 @@ def _cmd_evaluate(args) -> int:
         beta=args.beta,
         mask_deid=args.mask_deid,
     )
-    logger.info("wrote report to %s", report)
+    logger.info("wrote %d report rows to %s", count, args.out)
     return 0
 
 

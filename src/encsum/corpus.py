@@ -10,8 +10,10 @@ from __future__ import annotations
 import logging
 import math
 import random
+import re
 from dataclasses import dataclass
 from datetime import datetime
+from operator import itemgetter
 from pathlib import Path
 from statistics import fmean
 from typing import Mapping, Sequence
@@ -160,28 +162,44 @@ def ingest_notes(path: str | Path) -> IngestResult:
     skipped: list[int] = []
     seen_ids: set[str] = set()
     for lineno, obj in iter_jsonl(path):
-        note = _parse_note(obj, seen_ids)
-        if note is None:
+        try:
+            note = _parse_note(obj, seen_ids)
+        except ValueError as exc:
             skipped.append(lineno)
-            logger.warning("%s:%d: skipping malformed note line", path, lineno)
+            logger.warning("%s:%d: skipping note line: %s", path, lineno, exc)
         else:
             notes.append(note)
             seen_ids.add(note.note_id)
     return IngestResult(notes, skipped)
 
 
-def _parse_note(obj, seen_ids: set[str]) -> ClinicalNote | None:
-    if not isinstance(obj, dict):
-        return None
-    if not all(isinstance(obj.get(k), str) for k in NOTE_FIELDS):
-        return None
+def _parse_note(obj, seen_ids: set[str]) -> ClinicalNote:
+    """The note in ``obj``; ``ValueError`` naming why it is not a usable one."""
+    if obj is None:
+        raise ValueError("not a JSON record")
+    check_fields(obj, "a note", _NOTE_TYPES)
     if obj["note_id"] in seen_ids:
-        return None
-    try:
-        datetime.fromisoformat(obj["chart_date"])
-    except ValueError:
-        return None
+        raise ValueError(f"repeated note_id {obj['note_id']!r}")
+    chart_time(obj["chart_date"])
     return _note(obj)
+
+
+# YYYY-MM-DD, optionally followed by "T" or one space and HH:MM, HH:MM:SS or
+# HH:MM:SS.ffffff; no UTC offset.
+_CHART_DATE_RE = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}(?:[T ][0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{6})?)?)?"
+)
+
+
+def chart_time(chart_date: str) -> datetime:
+    """The time a ``chart_date`` string names; ``ValueError("bad chart_date ...")``
+    unless it has the one accepted form and its fields are in range."""
+    if _CHART_DATE_RE.fullmatch(chart_date):
+        try:
+            return datetime.fromisoformat(chart_date)
+        except ValueError:
+            pass
+    raise ValueError(f"bad chart_date {chart_date!r}")
 
 
 def assemble_encounters(
@@ -190,8 +208,9 @@ def assemble_encounters(
 ) -> tuple[list[Encounter], AssemblyDiagnostics]:
     """Group notes into encounters, one per encounter_id with a single discharge summary.
 
-    Prior notes are sorted by (chart_date, note_id); notes charted after the
-    discharge summary are not "prior" and are dropped. Encounters with zero or
+    Prior notes are sorted by (chart time, note_id); notes charted after the
+    discharge summary are not "prior" and are dropped. Every ``chart_date``
+    must be of the form :func:`chart_time` accepts. Encounters with zero or
     multiple discharge summaries are dropped and tallied, as are encounters
     without an admission note when ``require_admission_note`` is set.
     """
@@ -213,11 +232,12 @@ def assemble_encounters(
             diagnostics.multiple_discharge += 1
             continue
         summary = summaries[0]
+        discharged = chart_time(summary.chart_date)
         priors = sorted(
-            (n for n in group if n is not summary),
-            key=lambda n: (n.chart_date, n.note_id),
+            ((chart_time(n.chart_date), n.note_id, n) for n in group if n is not summary),
+            key=itemgetter(0, 1),
         )
-        kept = [n for n in priors if n.chart_date <= summary.chart_date]
+        kept = [n for charted, _, n in priors if charted <= discharged]
         diagnostics.notes_after_discharge += len(priors) - len(kept)
         if require_admission_note and not any(
             n.category.strip().lower() in ADMISSION_CATEGORIES for n in kept

@@ -128,7 +128,8 @@ def _keyed_encounter(record) -> tuple[str, Encounter]:
 
 
 def load_splits(dataset_dir: str | Path) -> dict[str, str]:
-    return dict(read_jsonl(Path(dataset_dir) / "splits.jsonl", _split_row))
+    """Map subject_id -> split; a repeated subject_id is fatal with ``<file>:<line>``."""
+    return read_jsonl_keyed(Path(dataset_dir) / "splits.jsonl", _split_row, "subject_id")
 
 
 def _split_row(record) -> tuple[str, str]:

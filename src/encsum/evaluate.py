@@ -1,9 +1,15 @@
 """Scoring of system summaries: ROUGE-1/2/L and entity faithfulness per section.
 
-This is the only code that scores summaries. Entity sets come from one
-function, ``entities(key, texts) -> frozenset[str]``, called once per set with
-the set's annotation key (``enc:<id>:src``, ``enc:<id>:<section>:ref`` or
-``enc:<id>:<section>:sys:<system>``) and the texts it is drawn from.
+This is the only code that scores summaries. Each (instance, system) pair is
+scored once into a per-instance record: ROUGE-1/2/L P/R/F1, faithfulness-
+adjusted P/R/F_beta, the incorrect hallucination rate, and the empty-system
+and empty-relevant flags. A system's report row holds the column means of its
+records over the section's instances, with the two flags summed to counts.
+
+Entity sets come from one function, ``entities(key, texts) -> frozenset[str]``,
+called once per set with the set's annotation key (``enc:<id>:src``,
+``enc:<id>:<section>:ref`` or ``enc:<id>:<section>:sys:<system>``) and the
+texts it is drawn from.
 :func:`gazetteer_entities` matches a term list in the texts and
 :func:`annotated_entities` looks the key up in ingested annotations.
 """
@@ -21,13 +27,12 @@ from .dataset import iter_instances, read_system_summaries
 from .faithfulness import (
     DEFAULT_BETA,
     Gazetteer,
-    aggregate_scores,
     extract_entities_gazetteer,
     ingest_entity_annotations,
     load_default_gazetteer,
     score_sets,
 )
-from .reports import MetricReport, ReportRow, write_report
+from .reports import ReportRow, write_report
 from .rouge import rouge_l, rouge_n
 from .sections import SectionInstance, SectionName
 from .textproc import count_sentences, tokenize
@@ -69,7 +74,8 @@ def score_section(
     beta: float,
     mask_deid: bool = False,
 ) -> list[ReportRow]:
-    """One report row per system, macro-averaged over one section's instances.
+    """One report row per system: the column means of its per-instance scores
+    over one section's instances.
 
     ``sources`` maps encounter_id to the entity set of its prior notes, and
     ``summaries`` maps (encounter_id, section, system) to the summary text.
@@ -84,8 +90,7 @@ def score_section(
         raise ValueError("no system summaries to score")
     section = instances[0].section
     instances = sorted(instances, key=lambda i: i.encounter_id)
-    rouge = {system: ([], [], []) for system in systems}
-    faith = {system: [] for system in systems}
+    scores: dict[str, list[tuple]] = {system: [] for system in systems}
     words, sents = [], []
     for instance in instances:
         ref = tokenize(instance.reference_text, mask_deid=mask_deid)
@@ -97,41 +102,26 @@ def score_section(
         for system in systems:
             text = summaries.get((instance.encounter_id, section.value, system), "")
             cand = tokenize(text, mask_deid=mask_deid)
-            r1, r2, rl = rouge[system]
-            r1.append(rouge_n(cand, ref, 1))
-            r2.append(rouge_n(cand, ref, 2))
-            rl.append(rouge_l(cand, ref))
-            sys_set = entities(f"{prefix}:sys:{system}", (text,))
-            faith[system].append(score_sets(source_set, ref_set, sys_set, beta))
-
-    def prf(scores):
-        return (
-            fmean(s.precision for s in scores),
-            fmean(s.recall for s in scores),
-            fmean(s.f1 for s in scores),
-        )
-
+            r1, r2, rl = rouge_n(cand, ref, 1), rouge_n(cand, ref, 2), rouge_l(cand, ref)
+            fa = score_sets(source_set, ref_set, entities(f"{prefix}:sys:{system}", (text,)), beta)
+            scores[system].append((
+                r1.precision, r1.recall, r1.f1,
+                r2.precision, r2.recall, r2.f1,
+                rl.precision, rl.recall, rl.f1,
+                fa.fa_precision, fa.fa_recall, fa.fa_f_beta, fa.incorrect_hallucination_rate,
+                fa.empty_system, fa.empty_relevant,
+            ))
     mean_words, mean_sents = fmean(words), fmean(sents)
     rows = []
     for system in systems:
-        r1, r2, rl = rouge[system]
-        agg = aggregate_scores(faith[system])
+        # A record holds ReportRow's metric columns in order, less beta: the
+        # 12 from rouge1_p to fa_f_beta, the hallucination rate, then the two
+        # empty flags, which are summed to counts.
+        *columns, empty_system, empty_relevant = zip(*scores[system])
+        *up_to_f_beta, hallucination = map(fmean, columns)
         rows.append(ReportRow(
-            section=section.value,
-            system=system,
-            instances=len(instances),
-            rouge1=prf(r1),
-            rouge2=prf(r2),
-            rouge_l=prf(rl),
-            fa_precision=agg.fa_precision,
-            fa_recall=agg.fa_recall,
-            fa_f_beta=agg.fa_f_beta,
-            beta=beta,
-            incorrect_hallucination_rate=agg.incorrect_hallucination_rate,
-            empty_system=agg.empty_system_count,
-            empty_relevant=agg.empty_relevant_count,
-            mean_output_words=mean_words,
-            mean_output_sentences=mean_sents,
+            section.value, system, len(instances), *up_to_f_beta, beta, hallucination,
+            sum(empty_system), sum(empty_relevant), mean_words, mean_sents,
         ))
     return rows
 
@@ -146,9 +136,10 @@ def write_evaluation(
     gazetteer: str | Path | None = None,
     beta: float = DEFAULT_BETA,
     mask_deid: bool = False,
-) -> Path:
+) -> int:
     """Score the summary files matching the glob ``systems`` on each section's
-    instances in ``split`` and write the report into ``out``; returns its directory.
+    instances in ``split`` and write the report into ``out``; returns its number
+    of (section, system) rows.
 
     Entity sets come from the ``annotations`` file if given, else from the
     ``gazetteer`` term file, else from the packaged gazetteer. A section with
@@ -193,7 +184,8 @@ def write_evaluation(
     for found in instances.values():
         rows += score_section(found, sources, summaries, entities, beta, mask_deid=mask_deid)
     _check_looked_up(annotated, looked_up, split)
-    return write_report(MetricReport(tuple(rows)), out)["table"].parent
+    write_report(rows, out)
+    return len(rows)
 
 
 def _check_matched(

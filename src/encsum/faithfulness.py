@@ -24,8 +24,7 @@ import logging
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from statistics import fmean
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .jsonl import iter_jsonl
 from .textproc import normalize, tokenize
@@ -220,31 +219,6 @@ def ingest_entity_annotations(path: str | Path) -> dict[str, frozenset[str]]:
             raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
         out[key] = frozenset(normalize(e) for e in obj["entities"] if e.strip())
     return out
-
-
-@dataclass(frozen=True)
-class AggregateFaithfulness:
-    """Macro-average over instances, with degenerate-instance counts."""
-
-    fa_precision: float
-    fa_recall: float
-    fa_f_beta: float
-    incorrect_hallucination_rate: float
-    empty_system_count: int
-    empty_relevant_count: int
-
-
-def aggregate_scores(scores: Sequence[FaithfulnessScores]) -> AggregateFaithfulness:
-    if not scores:
-        raise ValueError("cannot aggregate an empty score list")
-    return AggregateFaithfulness(
-        fa_precision=fmean(s.fa_precision for s in scores),
-        fa_recall=fmean(s.fa_recall for s in scores),
-        fa_f_beta=fmean(s.fa_f_beta for s in scores),
-        incorrect_hallucination_rate=fmean(s.incorrect_hallucination_rate for s in scores),
-        empty_system_count=sum(s.empty_system for s in scores),
-        empty_relevant_count=sum(s.empty_relevant for s in scores),
-    )
 
 
 def score_sets(

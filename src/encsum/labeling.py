@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Sequence, TypeVar
 
-from .corpus import source_sentences
+from .corpus import Encounter, source_sentences
 from .dataset import iter_instances, summary_record
 from .jsonl import write_jsonl
 from .rouge import LcsPool, prf
@@ -26,6 +27,8 @@ logger = logging.getLogger(__name__)
 
 ORACLE_SYSTEM = "oracle_ext"
 RULE_SYSTEM = "rule_based_ext"
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -133,32 +136,40 @@ def build_pseudo_pairs(
     )
 
 
-def aligned_instances(
-    dataset_dir: str | Path, sections: Sequence[SectionName], split: str, mask_deid: bool = False
-) -> Iterator[tuple[SectionInstance, list[Sentence], list[Sentence], LcsPool]]:
-    """Yield (instance, reference sentences, source pool, its LcsPool) for
-    alignment.
+def align_instances(
+    dataset_dir: str | Path, sections: Sequence[SectionName], split: str,
+    align: Callable[[SectionInstance, list[Sentence], list[Sentence], LcsPool], T],
+    mask_deid: bool = False,
+) -> list[T]:
+    """``align(instance, reference sentences, source pool, its LcsPool)`` for
+    each instance of ``iter_instances``, in its order.
 
-    Each encounter's source pool is segmented, and its tokens pooled for the
-    LCS kernel, once and shared by all of its sections. An instance with an
-    empty reference or source pool is skipped with a warning.
+    The instances are aligned encounter by encounter: each encounter's source
+    pool is segmented, and its tokens pooled for the LCS kernel, once for all
+    of its sections and dropped before the next encounter's. An instance with
+    an empty reference or source pool is skipped with a warning.
     """
-    pools: dict[str, tuple[list[Sentence], LcsPool]] = {}
-    for encounter, instance in iter_instances(dataset_dir, sections, split):
-        refs = split_sentences(instance.reference_text, mask_deid=mask_deid)
-        cached = pools.get(encounter.encounter_id)
-        if cached is None:
-            pool = source_sentences(encounter, mask_deid=mask_deid)
-            cached = pools[encounter.encounter_id] = (pool, LcsPool([s.tokens for s in pool]))
-        pool, lcs_pool = cached
-        if not refs or not pool:
-            logger.warning(
-                "skipping %s/%s: empty %s",
-                instance.encounter_id, instance.section.value,
-                "reference" if not refs else "source pool",
-            )
-            continue
-        yield instance, refs, pool, lcs_pool
+    by_encounter: dict[str, tuple[Encounter, list[tuple[int, SectionInstance]]]] = {}
+    for position, (encounter, instance) in enumerate(iter_instances(dataset_dir, sections, split)):
+        by_encounter.setdefault(encounter.encounter_id, (encounter, []))[1].append(
+            (position, instance)
+        )
+    aligned: list[tuple[int, T]] = []
+    for encounter, found in by_encounter.values():
+        pool = source_sentences(encounter, mask_deid=mask_deid)
+        lcs_pool = LcsPool([s.tokens for s in pool])
+        for position, instance in found:
+            refs = split_sentences(instance.reference_text, mask_deid=mask_deid)
+            if not refs or not pool:
+                logger.warning(
+                    "skipping %s/%s: empty %s",
+                    instance.encounter_id, instance.section.value,
+                    "reference" if not refs else "source pool",
+                )
+                continue
+            aligned.append((position, align(instance, refs, pool, lcs_pool)))
+    aligned.sort(key=itemgetter(0))
+    return [row for _, row in aligned]
 
 
 def write_oracle_summaries(
@@ -166,14 +177,12 @@ def write_oracle_summaries(
     out: str | Path, mask_deid: bool = False,
 ) -> int:
     """Write the oracle summaries (system ``oracle_ext``); returns their number."""
-    aligned = aligned_instances(dataset_dir, sections, split, mask_deid)
-    rows = [
-        summary_record(
-            instance.encounter_id, instance.section, ORACLE_SYSTEM,
-            oracle_extract(refs, pool, lcs_pool).summary_text,
-        )
-        for instance, refs, pool, lcs_pool in aligned
-    ]
+
+    def summary(instance, refs, pool, lcs_pool) -> dict:
+        text = oracle_extract(refs, pool, lcs_pool).summary_text
+        return summary_record(instance.encounter_id, instance.section, ORACLE_SYSTEM, text)
+
+    rows = align_instances(dataset_dir, sections, split, summary, mask_deid)
     write_jsonl(out, rows)
     return len(rows)
 
@@ -183,13 +192,12 @@ def write_pseudo_labels(
     out: str | Path, mask_deid: bool = False,
 ) -> int:
     """Write one pseudo-label record per aligned instance; returns their number."""
-    aligned = aligned_instances(dataset_dir, sections, split, mask_deid)
-    rows = [
-        build_pseudo_pairs(refs, pool, lcs_pool).to_record(
-            instance.encounter_id, instance.section.value
-        )
-        for instance, refs, pool, lcs_pool in aligned
-    ]
+
+    def labels(instance, refs, pool, lcs_pool) -> dict:
+        pairs = build_pseudo_pairs(refs, pool, lcs_pool)
+        return pairs.to_record(instance.encounter_id, instance.section.value)
+
+    rows = align_instances(dataset_dir, sections, split, labels, mask_deid)
     write_jsonl(out, rows)
     return len(rows)
 

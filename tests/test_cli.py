@@ -16,7 +16,7 @@ from encsum import cli, evaluate, labeling
 from encsum.cli import main
 from encsum.faithfulness import score_sets
 from encsum.jsonl import read_jsonl, write_jsonl
-from encsum.rouge import rouge_l
+from encsum.rouge import rouge_l, rouge_n
 from encsum.sections import SectionName
 from encsum.textproc import tokenize
 
@@ -272,6 +272,23 @@ class TestBaselineCommands:
         )
         assert expected in caplog.text
 
+    def test_repeated_subject_id_fatal(self, workspace, tmp_path, caplog):
+        # The later record used to move the subject to another split without a word.
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        splits = data / "splits.jsonl"
+        lines = splits.read_text(encoding="utf-8").splitlines(keepends=True)
+        first = json.loads(lines[0])
+        other = "test" if first["split"] == "train" else "train"
+        repeat = json.dumps({**first, "split": other}) + "\n"
+        splits.write_text("".join(lines) + repeat, encoding="utf-8")
+        out = tmp_path / "s.jsonl"
+        with caplog.at_level(logging.ERROR, logger="encsum"):
+            assert run("chunk", "--dataset", data, "--split", "train", "--out", out) == 1
+        expected = f"splits.jsonl:{len(lines) + 1}: repeated subject_id {first['subject_id']!r}"
+        assert expected in caplog.text
+        assert not out.exists()
+
     # oracle and rule-baseline used to skip such an instance with a warning,
     # and evaluate raised a bare KeyError.
     @pytest.mark.parametrize("command", ["oracle", "rule-baseline", "evaluate"])
@@ -338,6 +355,36 @@ class TestBaselineCommands:
         assert run("--quiet", command, "--dataset", workspace / "data",
                    "--split", "train", "--out", tmp_path / "out.jsonl") == 0
         assert calls and len(calls) == len(set(calls))
+
+    def test_oracle_aligns_encounter_by_encounter(self, workspace, tmp_path, monkeypatch):
+        # All of an encounter's sections are aligned before the next encounter's
+        # pool is built, and the rows still come out section by section.
+        pools, aligned = {}, []
+        segment, extract = labeling.source_sentences, labeling.oracle_extract
+
+        def remembering(encounter, **kwargs):
+            pool = segment(encounter, **kwargs)
+            pools[id(pool)] = (encounter.encounter_id, pool)
+            return pool
+
+        def recording(refs, pool, lcs_pool=None):
+            aligned.append(pools[id(pool)][0])
+            return extract(refs, pool, lcs_pool)
+
+        monkeypatch.setattr(labeling, "source_sentences", remembering)
+        monkeypatch.setattr(labeling, "oracle_extract", recording)
+        out = tmp_path / "out.jsonl"
+        assert run("--quiet", "oracle", "--dataset", workspace / "data",
+                   "--split", "train", "--out", out) == 0
+        runs = [enc for i, enc in enumerate(aligned) if i == 0 or aligned[i - 1] != enc]
+        assert len(runs) == len(set(runs)) > 1
+        rows = [(r["section"], r["encounter_id"]) for r in read_jsonl(out)]
+        files = [
+            (section.value, r["encounter_id"])
+            for section in SectionName
+            for r in read_jsonl(workspace / "data" / "sections" / f"{section.value}__train.jsonl")
+        ]
+        assert rows == files
 
 
 def _train_argv(command, data, tmp_path, encounter_id):
@@ -620,7 +667,49 @@ def evaluated(workspace, tmp_path_factory):
     return {"root": root, "report": report}
 
 
+# The documented report.csv columns, in order.
+REPORT_HEADER = (
+    "section,system,instances,rouge1_p,rouge1_r,rouge1_f1,rouge2_p,rouge2_r,rouge2_f1,"
+    "rougeL_p,rougeL_r,rougeL_f1,fa_precision,fa_recall,fa_f_beta,beta,"
+    "incorrect_hallucination_rate,empty_system,empty_relevant,"
+    "mean_output_words,mean_output_sentences"
+)
+
+
 class TestEvaluate:
+    def test_report_csv_header(self, evaluated):
+        with open(evaluated["report"] / "report.csv", encoding="utf-8") as fh:
+            assert fh.readline() == REPORT_HEADER + "\n"
+
+    def test_report_rouge_matches_direct_library_calls(self, workspace, evaluated):
+        # Each ROUGE cell is the mean of rouge_n/rouge_l over the section's
+        # instances in encounter-id order; the CSV holds repr floats, so exactly.
+        references = _references(workspace / "data", "test")
+        summaries = {
+            (r["encounter_id"], r["section"], r["system"]): r["text"]
+            for name in ("sys_oracle.jsonl", "sys_rule.jsonl")
+            for r in read_jsonl(evaluated["root"] / name)
+        }
+        with open(evaluated["report"] / "report.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 14
+        for row in rows:
+            section, system = row["section"], row["system"]
+            scores = []
+            for enc in sorted(enc for enc, sec in references if sec == section):
+                ref = tokenize(references[(enc, section)])
+                cand = tokenize(summaries.get((enc, section, system), ""))
+                scores.append({
+                    "rouge1": rouge_n(cand, ref, 1),
+                    "rouge2": rouge_n(cand, ref, 2),
+                    "rougeL": rouge_l(cand, ref),
+                })
+            assert int(row["instances"]) == len(scores)
+            for metric in ("rouge1", "rouge2", "rougeL"):
+                for column, field in (("p", "precision"), ("r", "recall"), ("f1", "f1")):
+                    expected = fmean(getattr(s[metric], field) for s in scores)
+                    assert float(row[f"{metric}_{column}"]) == expected, (section, system, metric)
+
     def test_row_cardinality(self, evaluated):
         with open(evaluated["report"] / "report.csv") as fh:
             rows = list(csv.DictReader(fh))
@@ -758,30 +847,6 @@ class TestEvaluate:
             f" sections; ignored: 'enc:{enc}:{section}:sys:misspelled', 'enc:x:src', 'enc:y:src', ..."
         ]
         assert reports["all"] == reports["used"]
-
-    def test_report_rouge_matches_direct_library_calls(self, workspace, evaluated):
-        from statistics import fmean
-
-        with open(evaluated["report"] / "report.csv") as fh:
-            rows = {(r["section"], r["system"]): r for r in csv.DictReader(fh)}
-        summaries = {
-            (r["encounter_id"], r["section"]): r["text"]
-            for r in read_jsonl(evaluated["root"] / "sys_rule.jsonl")
-        }
-        references = _references(workspace / "data", "test")
-        section = "history_of_present_illness"
-        instances = sorted(
-            enc for (enc, sec) in references if sec == section
-        )
-        recomputed = fmean(
-            rouge_l(
-                tokenize(summaries.get((enc, section), "")),
-                tokenize(references[(enc, section)]),
-            ).f1
-            for enc in instances
-        )
-        reported = float(rows[(section, "rule_based_ext")]["rougeL_f1"])
-        assert reported == pytest.approx(recomputed, abs=1e-12)
 
     def test_mask_deid_flag(self, tmp_path):
         # with masking, two placeholders differing only in id compare equal

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -57,6 +58,54 @@ class TestIngest:
         result = ingest_notes(path)
         assert len(result.notes) == 1 and result.skipped == 1
 
+    @pytest.mark.parametrize("chart_date", [
+        "2040-01-02",
+        "2040-01-02T12:00",
+        "2040-01-02 12:00",
+        "2040-01-02T12:00:59",
+        "2040-01-02 12:00:59",
+        "2040-01-02T12:00:59.123456",
+    ])
+    def test_chart_date_accepted(self, tmp_path, chart_date):
+        path = tmp_path / "notes.jsonl"
+        write_notes(path, [make_note(chart_date=chart_date)])
+        assert ingest_notes(path).skipped == 0
+
+    # Whatever datetime.fromisoformat took on the running Python used to be
+    # accepted, so these depended on the interpreter version.
+    @pytest.mark.parametrize("chart_date", [
+        "20400102T12:00:00",
+        "2040-01-02T12",
+        "2040-01-02T12:00:00Z",
+        "2040-01-02T12:00:00+01:00",
+        "2040-01-02T12:00:00.123",
+        "2040-01-02t12:00:00",
+        "2040-01-02  12:00:00",
+        "2040-W01-1",
+        "2040-1-2",
+        "2040-02-30",
+        "2040-01-02T24:00:00",
+        "2040-01-02T12:00:00\n",
+        "٢٠٤٠-01-02",
+    ])
+    def test_chart_date_rejected(self, tmp_path, caplog, chart_date):
+        path = tmp_path / "notes.jsonl"
+        write_notes(path, [make_note(chart_date=chart_date)])
+        with caplog.at_level(logging.WARNING, logger="encsum"):
+            result = ingest_notes(path)
+        assert result.notes == [] and result.skipped_lines == [1]
+        assert f"notes.jsonl:1: skipping note line: bad chart_date {chart_date!r}" in caplog.text
+
+    def test_skip_warning_names_the_reason(self, tmp_path, caplog):
+        path = tmp_path / "notes.jsonl"
+        write_notes(path, [make_note(), make_note()])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("[1, 2]\n")
+        with caplog.at_level(logging.WARNING, logger="encsum"):
+            assert ingest_notes(path).skipped_lines == [2, 3]
+        assert "notes.jsonl:2: skipping note line: repeated note_id 'n1'" in caplog.text
+        assert "notes.jsonl:3: skipping note line: not a note record" in caplog.text
+
 
 def _encounter_notes():
     return [
@@ -94,6 +143,28 @@ class TestAssemble:
         encounters, _ = assemble_encounters(pool + [notes[2]])
         got = [(n.chart_date, n.note_id) for n in encounters[0].prior_notes]
         assert got == sorted(got)
+
+    def test_priors_ordered_by_time_not_string(self):
+        # " " sorts before "T", so string order put 09:00 before 08:00.
+        notes = [
+            make_note(note_id="a", chart_date="2040-01-01 09:00:00"),
+            make_note(note_id="b", chart_date="2040-01-01T08:00:00"),
+            make_note(note_id="c", chart_date="2040-01-01T08:00"),
+            make_note(note_id="ds", chart_date="2040-01-03", category="discharge summary"),
+        ]
+        encounters, _ = assemble_encounters(notes)
+        assert [n.note_id for n in encounters[0].prior_notes] == ["b", "c", "a"]
+
+    def test_after_discharge_compared_by_time_not_string(self):
+        notes = [
+            make_note(note_id="adm", chart_date="2040-01-02T08:00:00"),
+            make_note(note_id="same", chart_date="2040-01-02T12:00:00.000000"),
+            make_note(note_id="late", chart_date="2040-01-02 12:00:01"),
+            make_note(note_id="ds", chart_date="2040-01-02 12:00", category="discharge summary"),
+        ]
+        encounters, diag = assemble_encounters(notes)
+        assert [n.note_id for n in encounters[0].prior_notes] == ["adm", "same"]
+        assert diag.notes_after_discharge == 1
 
     def test_two_discharge_summaries_dropped(self):
         notes = _encounter_notes() + [

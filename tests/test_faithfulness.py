@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from encsum.evaluate import gazetteer_entities, score_section
 from encsum.faithfulness import (
     Gazetteer,
-    aggregate_scores,
     extract_entities_gazetteer,
     f_beta,
     faithfulness_scores,
@@ -309,9 +308,3 @@ class TestEvaluateSection:
             reference = " ".join(rng.choice(vocab) for _ in range(4)) + "."
             row = score_triples([(docs, reference, system_text)], gaz)
             assert row.incorrect_hallucination_rate == 0.0
-
-
-class TestAggregate:
-    def test_empty_fatal(self):
-        with pytest.raises(ValueError):
-            aggregate_scores([])
