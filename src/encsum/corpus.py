@@ -16,7 +16,7 @@ from datetime import datetime
 from operator import itemgetter
 from pathlib import Path
 from statistics import fmean
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .jsonl import iter_jsonl
 from .textproc import Sentence, count_sentences, split_sentences, tokenize
@@ -109,24 +109,6 @@ def check_finite(value, what: str) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class SplitAssignment:
-    by_subject: Mapping[str, str]
-    ratios: tuple[float, float, float]
-
-    def split_of(self, subject_id: str) -> str:
-        return self.by_subject[subject_id]
-
-    def subjects(self, split: str) -> list[str]:
-        return sorted(s for s, sp in self.by_subject.items() if sp == split)
-
-    def to_records(self) -> list[dict]:
-        return [
-            {"subject_id": s, "split": sp}
-            for s, sp in sorted(self.by_subject.items())
-        ]
-
-
 @dataclass
 class IngestResult:
     notes: list[ClinicalNote]
@@ -143,14 +125,6 @@ class AssemblyDiagnostics:
     multiple_discharge: int = 0
     missing_admission: int = 0
     notes_after_discharge: int = 0
-
-    def to_record(self) -> dict:
-        return {
-            "no_discharge": self.no_discharge,
-            "multiple_discharge": self.multiple_discharge,
-            "missing_admission": self.missing_admission,
-            "notes_after_discharge": self.notes_after_discharge,
-        }
 
 
 def ingest_notes(path: str | Path) -> IngestResult:
@@ -267,8 +241,8 @@ def split_by_subject(
     encounters: Sequence[Encounter],
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
     seed: int = 0,
-) -> SplitAssignment:
-    """Assign every subject to exactly one of train/validation/test.
+) -> dict[str, str]:
+    """Map every subject_id to exactly one of train/validation/test.
 
     Subjects are shuffled with a seeded PRNG, then partitioned at cumulative
     ratio boundaries (rounded down), so a fixed seed always reproduces the
@@ -280,20 +254,14 @@ def split_by_subject(
         raise ValueError(
             f"need at least {len(SPLIT_NAMES)} subjects to split, got {len(subjects)}"
         )
-    rng = random.Random(seed)
-    rng.shuffle(subjects)
+    random.Random(seed).shuffle(subjects)
     n = len(subjects)
     first = int(n * ratios[0])
     second = int(n * (ratios[0] + ratios[1]))
-    by_subject = {}
-    for i, subject in enumerate(subjects):
-        if i < first:
-            by_subject[subject] = "train"
-        elif i < second:
-            by_subject[subject] = "validation"
-        else:
-            by_subject[subject] = "test"
-    return SplitAssignment(by_subject, tuple(ratios))
+    return {
+        subject: "train" if i < first else "validation" if i < second else "test"
+        for i, subject in enumerate(subjects)
+    }
 
 
 def source_sentences(encounter: Encounter, mask_deid: bool = False) -> list[Sentence]:
@@ -304,71 +272,37 @@ def source_sentences(encounter: Encounter, mask_deid: bool = False) -> list[Sent
     return out
 
 
-@dataclass(frozen=True)
-class SectionStats:
-    counts: Mapping[str, int]
-    mean_words: float | None
-    mean_sentences: float | None
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    @property
-    def undefined(self) -> bool:
-        return self.total == 0
-
-
-@dataclass(frozen=True)
-class CorpusStats:
-    per_section: Mapping[str, SectionStats]
-    mean_documents: float | None
-    mean_source_words: float | None
-
-    def to_record(self) -> dict:
-        return {
-            "per_section": {
-                name: {
-                    "counts": dict(stats.counts),
-                    "mean_words": stats.mean_words,
-                    "mean_sentences": stats.mean_sentences,
-                }
-                for name, stats in self.per_section.items()
-            },
-            "mean_documents": self.mean_documents,
-            "mean_source_words": self.mean_source_words,
-        }
-
-
 def corpus_stats(
-    section_texts: Mapping[str, Sequence[tuple[str, str]]],
+    section_records: Mapping[str, Mapping[str, Sequence[Mapping]]],
     encounters: Sequence[Encounter] = (),
     mask_deid: bool = False,
-) -> CorpusStats:
-    """Per-section output-length statistics plus per-encounter source statistics.
+) -> dict:
+    """The ``stats.json`` object: per-section output-length statistics plus
+    per-encounter source statistics.
 
-    ``section_texts`` maps a section name to (split, reference_text) pairs.
-    Empty groups produce a count of zero with undefined (None) means.
+    ``section_records`` maps a section name to {split: section records}, and a
+    record's ``text`` is its reference. Empty groups produce a count of zero
+    with undefined (None) means.
     """
-    per_section: dict[str, SectionStats] = {}
-    for name, items in section_texts.items():
-        counts = {split: 0 for split in SPLIT_NAMES}
-        words: list[int] = []
-        sents: list[int] = []
-        for split, text in items:
-            counts[split] = counts.get(split, 0) + 1
-            words.append(len(tokenize(text, mask_deid=mask_deid)))
-            sents.append(count_sentences(text))
-        per_section[name] = SectionStats(
-            counts=counts,
-            mean_words=fmean(words) if words else None,
-            mean_sentences=fmean(sents) if sents else None,
-        )
-    mean_docs = mean_words = None
-    if encounters:
-        mean_docs = fmean(len(e.prior_notes) for e in encounters)
-        mean_words = fmean(
+    per_section = {}
+    for name, by_split in section_records.items():
+        texts = [record["text"] for records in by_split.values() for record in records]
+        per_section[name] = {
+            "counts": {split: len(records) for split, records in by_split.items()},
+            "mean_words": _mean(len(tokenize(t, mask_deid=mask_deid)) for t in texts),
+            "mean_sentences": _mean(count_sentences(t) for t in texts),
+        }
+    return {
+        "per_section": per_section,
+        "mean_documents": _mean(len(e.prior_notes) for e in encounters),
+        "mean_source_words": _mean(
             sum(len(tokenize(n.text, mask_deid=mask_deid)) for n in e.prior_notes)
             for e in encounters
-        )
-    return CorpusStats(per_section, mean_docs, mean_words)
+        ),
+    }
+
+
+def _mean(values: Iterable[int]) -> float | None:
+    """The mean of ``values``, or None when there are none."""
+    values = list(values)
+    return fmean(values) if values else None

@@ -15,6 +15,8 @@ an empty body is excluded from that section's files.
 from __future__ import annotations
 
 import logging
+from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -57,16 +59,15 @@ def build_dataset(
     )
     if not encounters:
         raise ValueError("no valid encounters could be assembled")
-    assignment = split_by_subject(encounters, ratios=ratios, seed=seed)
+    splits = split_by_subject(encounters, ratios=ratios, seed=seed)
 
-    section_counts: dict[str, dict[str, int]] = {}
-    stats_texts: dict[str, list[tuple[str, str]]] = {s.value: [] for s in SectionName}
-    per_section_rows: dict[tuple[SectionName, str], list[dict]] = {
-        (section, split): [] for section in SectionName for split in SPLIT_NAMES
+    # section name -> split -> the records of that section file
+    section_records: dict[str, dict[str, list[dict]]] = {
+        section.value: {split: [] for split in SPLIT_NAMES} for section in SectionName
     }
-    excluded: dict[str, int] = {s.value: 0 for s in SectionName}
+    excluded = dict.fromkeys(section_records, 0)
     for encounter in encounters:
-        split = assignment.split_of(encounter.subject_id)
+        split = splits[encounter.subject_id]
         for section in SectionName:
             instance = extract_section(
                 encounter.discharge_summary.text,
@@ -77,24 +78,23 @@ def build_dataset(
             if instance is None or not instance.reference_text.strip():
                 excluded[section.value] += 1
                 continue
-            per_section_rows[(section, split)].append(instance.to_record())
-            stats_texts[section.value].append((split, instance.reference_text))
+            section_records[section.value][split].append(instance.to_record())
 
     out_dir.mkdir(parents=True, exist_ok=True)
     write_jsonl(out_dir / "encounters.jsonl", (e.to_record() for e in encounters))
-    write_jsonl(out_dir / "splits.jsonl", assignment.to_records())
-    for (section, split), rows in sorted(
-        per_section_rows.items(), key=lambda kv: (kv[0][0].value, kv[0][1])
-    ):
-        write_jsonl(section_file(out_dir, section, split), rows)
-        section_counts.setdefault(section.value, {})[split] = len(rows)
-
-    stats = corpus_stats(stats_texts, encounters, mask_deid=mask_deid)
-    write_json(out_dir / "stats.json", stats.to_record())
-    write_text(
-        out_dir / "stats.csv", render_stats_csv(stats.to_record()["per_section"], SPLIT_NAMES)
+    write_jsonl(
+        out_dir / "splits.jsonl",
+        ({"subject_id": s, "split": split} for s, split in sorted(splits.items())),
     )
+    for name, by_split in section_records.items():
+        for split, records in by_split.items():
+            write_jsonl(section_file(out_dir, SectionName(name), split), records)
 
+    stats = corpus_stats(section_records, encounters, mask_deid=mask_deid)
+    write_json(out_dir / "stats.json", stats)
+    write_text(out_dir / "stats.csv", render_stats_csv(stats["per_section"]))
+
+    subjects = Counter(splits.values())
     manifest = {
         "seed": seed,
         "ratios": list(ratios),
@@ -102,11 +102,9 @@ def build_dataset(
         "notes_ingested": len(ingest.notes),
         "notes_skipped": ingest.skipped,
         "encounters": len(encounters),
-        "subjects": {
-            split: len(assignment.subjects(split)) for split in SPLIT_NAMES
-        },
-        "assembly_diagnostics": diagnostics.to_record(),
-        "section_counts": section_counts,
+        "subjects": {split: subjects[split] for split in SPLIT_NAMES},
+        "assembly_diagnostics": asdict(diagnostics),
+        "section_counts": {name: s["counts"] for name, s in stats["per_section"].items()},
         "sections_excluded_empty": excluded,
     }
     write_json(out_dir / "manifest.json", manifest)

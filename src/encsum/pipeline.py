@@ -33,7 +33,7 @@ from .dataset import load_encounters, load_section_instances, load_splits, summa
 from .jsonl import read_jsonl_keyed, write_json, write_jsonl
 from .rouge import LcsPool, prf
 from .sections import SectionName
-from .textproc import Sentence, normalize, split_sentences, tokenize
+from .textproc import Sentence, normalize, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -55,8 +55,6 @@ class Segment:
     encounter_id: str
     sentences: tuple[tuple[int, int], ...]
     texts: tuple[str, ...]
-    # Known only for segments built by chunk_encounter; segment files omit it.
-    token_count: int | None = None
 
     def to_record(self) -> dict:
         return {
@@ -70,14 +68,27 @@ class Segment:
 
     @staticmethod
     def from_record(record) -> "Segment":
-        """Inverse of ``to_record``; ValueError when ``record`` is not a segment record."""
+        """Inverse of ``to_record``; ValueError when ``record`` is not a segment
+        record, one of its sentence keys is negative, or a key repeats."""
         check_fields(record, "a segment", _SEGMENT_FIELDS)
+        keys: dict[tuple[int, int], None] = {}
         for i, sentence in enumerate(record["sentences"]):
-            check_fields(sentence, "a segment", _SENTENCE_TEXT_FIELDS, f"sentences[{i}]")
+            where = f"sentences[{i}]"
+            check_fields(sentence, "a segment", _SENTENCE_TEXT_FIELDS, where)
+            try:
+                key = _sentence_key(sentence)
+            except ValueError as exc:
+                raise ValueError(f"not a segment record: {where}: {exc}") from None
+            if key in keys:
+                raise ValueError(
+                    f"not a segment record: segment {record['segment_id']}: "
+                    f"sentence {key} repeated"
+                )
+            keys[key] = None
         return Segment(
             record["segment_id"],
             record["encounter_id"],
-            tuple((s["doc"], s["sent"]) for s in record["sentences"]),
+            tuple(keys),
             tuple(s["text"] for s in record["sentences"]),
         )
 
@@ -85,6 +96,15 @@ class Segment:
 _SENTENCE_KEY_FIELDS = (("doc", int), ("sent", int))
 _SEGMENT_FIELDS = (("segment_id", str), ("encounter_id", str), ("sentences", list))
 _SENTENCE_TEXT_FIELDS = (*_SENTENCE_KEY_FIELDS, ("text", str))
+
+
+def _sentence_key(record: dict) -> tuple[int, int]:
+    """The (doc, sent) key of a sentence record whose fields are checked;
+    ValueError unless both indices are at least 0."""
+    key = (record["doc"], record["sent"])
+    if key[0] < 0 or key[1] < 0:
+        raise ValueError(f"sentence {key}: doc and sent must be at least 0")
+    return key
 
 
 @dataclass(frozen=True)
@@ -106,10 +126,11 @@ class ScoredSentence:
     def from_record(record) -> "ScoredSentence":
         """Inverse of ``to_record``. A score file's sentence records carry no
         ``text`` and get the empty text. ValueError when ``record`` is not a
-        sentence record or its score is not a finite number (a bool is none).
+        sentence record, its key is negative (``_sentence_key``) or its score
+        is not a finite number (a bool is none).
         """
         check_fields(record, "a scored sentence", _SENTENCE_KEY_FIELDS)
-        key = (record["doc"], record["sent"])
+        key = _sentence_key(record)
         text = record.get("text", "")
         if type(text) is not str:
             raise ValueError("not a scored sentence record: field 'text' not of type str")
@@ -156,7 +177,6 @@ def chunk_encounter(
                     segment_id=f"{encounter_id}/{len(segments)}",
                     encounter_id=encounter_id,
                     sentences=tuple(s.key for s in current),
-                    token_count=current_tokens,
                     texts=tuple(s.raw_text for s in current),
                 )
             )
@@ -174,7 +194,6 @@ def chunk_encounter(
                         segment_id=f"{encounter_id}/{len(segments)}",
                         encounter_id=encounter_id,
                         sentences=(sent.key,),
-                        token_count=len(window),
                         texts=(" ".join(window),),
                     )
                 )
@@ -296,9 +315,8 @@ class _SweepInstance:
     """
 
     def __init__(
-        self, scored: Sequence[ScoredSentence], refs: Sequence[Sentence], mask_deid: bool
+        self, scored: Sequence[ScoredSentence], reference: Sequence[str], mask_deid: bool
     ):
-        reference = list(chain.from_iterable(sent.tokens for sent in refs))
         self.pool = LcsPool((reference,))
         self.reference_length = len(reference)
         self.mask_deid = mask_deid
@@ -324,20 +342,22 @@ class _SweepInstance:
 
 
 def sweep_threshold(
-    validation: Sequence[tuple[Sequence[ScoredSentence], Sequence[Sentence]]],
+    validation: Sequence[tuple[Sequence[ScoredSentence], Sequence[str]]],
     mask_deid: bool = False,
 ) -> ThresholdSweepResult:
     """Pick the cutoff maximizing mean validation ROUGE-L F1 over a quantile grid.
 
-    Candidates are up to 101 quantiles of all observed scores (deduplicated);
-    ties resolve to the smallest threshold.
+    ``validation`` holds (scored sentences, reference tokens) pairs, the
+    reference tokenised as ``evaluate`` tokenises it. Candidates are up to 101
+    quantiles of all observed scores (deduplicated); ties resolve to the
+    smallest threshold.
     """
     if not validation:
         raise ValueError("validation set is empty")
     pooled = [s.score for scored, _ in validation for s in scored]
     if not pooled:
         raise ValueError("no sentence scores in the validation set")
-    instances = [_SweepInstance(scored, refs, mask_deid) for scored, refs in validation]
+    instances = [_SweepInstance(scored, ref, mask_deid) for scored, ref in validation]
     thresholds = _quantile_grid(pooled)
     means = [fmean([inst.rouge_l_f1(t) for inst in instances]) for t in thresholds]
     best = 0
@@ -451,7 +471,8 @@ def write_merged_scores(
     one record per encounter; returns the encounter count.
 
     A score row for a segment the segment file lacks is fatal, as is a
-    segment without a complete score row (``merge_scores``).
+    segment without a complete score row (``merge_scores``); both errors name
+    the score file.
     """
     segments = read_segments(segments_path)
     per_segment = read_scores(scores_path)
@@ -466,7 +487,10 @@ def write_merged_scores(
         )
     rows = []
     for encounter_id in sorted(by_encounter):
-        merged = merge_scores(by_encounter[encounter_id], per_segment)
+        try:
+            merged = merge_scores(by_encounter[encounter_id], per_segment)
+        except ValueError as exc:
+            raise ValueError(f"{scores_path}: {exc}") from None
         rows.append({"encounter_id": encounter_id, "sentences": [s.to_record() for s in merged]})
     write_jsonl(out, rows)
     return len(rows)
@@ -486,7 +510,7 @@ def write_sweep(
         if scored is None:
             logger.warning("no scores for encounter %s; skipping", instance.encounter_id)
             continue
-        validation.append((scored, split_sentences(instance.reference_text, mask_deid=mask_deid)))
+        validation.append((scored, tokenize(instance.reference_text, mask_deid=mask_deid)))
     if not validation:
         raise ValueError("no validation instances with scores to sweep")
     result = sweep_threshold(validation, mask_deid=mask_deid)

@@ -16,6 +16,7 @@ from io import StringIO
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .corpus import SPLIT_NAMES
 from .jsonl import write_text
 from .sections import SECTION_ORDER
 
@@ -139,18 +140,18 @@ def render_plot_data(rows: Sequence[ReportRow]) -> str:
     return buf.getvalue()
 
 
-def render_stats_csv(per_section: Mapping[str, Mapping], splits: Sequence[str]) -> str:
+def render_stats_csv(per_section: Mapping[str, Mapping]) -> str:
     """Corpus statistics table: per-split counts and mean output lengths per section."""
     buf = StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("section", *splits, "mean_words", "mean_sentences"))
+    writer.writerow(("section", *SPLIT_NAMES, "mean_words", "mean_sentences"))
     for name in sorted(per_section, key=_section_order):
         stats = per_section[name]
         counts = stats["counts"]
         writer.writerow(
             (
                 name,
-                *(counts.get(split, 0) for split in splits),
+                *(counts.get(split, 0) for split in SPLIT_NAMES),
                 "" if stats["mean_words"] is None else repr(stats["mean_words"]),
                 "" if stats["mean_sentences"] is None else repr(stats["mean_sentences"]),
             )

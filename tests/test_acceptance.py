@@ -22,10 +22,11 @@ from encsum.jsonl import read_jsonl
 from encsum.labeling import build_pseudo_pairs, oracle_extract
 from encsum.pipeline import ChunkConfig, ScoredSentence, chunk_encounter, merge_scores, sweep_threshold
 from encsum.rouge import lcs_length, rouge_n
+from encsum.textproc import tokenize
 from tests.conftest import make_sentence
 from tests.test_faithfulness import oracle_regions, score_triples
 from tests.test_labeling import exhaustive_argmax
-from tests.test_pipeline import reevaluate_grid
+from tests.test_pipeline import reevaluate_grid, segment_token_count
 from tests.test_rouge import brute_force_lcs, brute_force_ngram_overlap
 
 
@@ -167,7 +168,7 @@ def test_criterion_6_chunk_merge_round_trip():
                     make_sentence(" ".join(f"w{k}" for k in range(n_tokens)), 0, i)
                 )
             segments = chunk_encounter(sents, ChunkConfig(max_tokens=1024), "enc")
-            assert all(seg.token_count <= 1024 for seg in segments)
+            assert all(segment_token_count(seg) <= 1024 for seg in segments)
             scores = {
                 seg.segment_id: [
                     ScoredSentence(key, 1.0, text)
@@ -194,8 +195,8 @@ def test_criterion_7_threshold_sweep_optimality():
                     )
                     for i in range(rng.randint(1, 10))
                 ]
-                refs = [make_sentence(" ".join(rng.choice("abcd") for _ in range(6)) + ".")]
-                validation.append((scored, refs))
+                ref = tokenize(" ".join(rng.choice("abcd") for _ in range(6)) + ".")
+                validation.append((scored, ref))
             result = sweep_threshold(validation)
             means = reevaluate_grid(validation, result.thresholds)
             assert list(result.mean_scores) == pytest.approx(means, abs=1e-12)

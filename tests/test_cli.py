@@ -538,6 +538,73 @@ class TestPipelineCommands:
         expected = f"segments.jsonl:{len(rows) + 1}: repeated segment_id {rows[0]['segment_id']!r}"
         assert expected in caplog.text
 
+    # A repeated key used to double that sentence's text in the merged file.
+    def test_repeated_sentence_in_segment_fatal(self, scored_pipeline, tmp_path, caplog):
+        segments = tmp_path / "segments.jsonl"
+        shutil.copy(scored_pipeline["segments"], segments)
+        first = read_jsonl(segments)[0]
+        _edit_first_record(segments, lambda r: {**r, "sentences": r["sentences"] * 2})
+        out = tmp_path / "m.jsonl"
+        with caplog.at_level(logging.ERROR, logger="encsum"):
+            assert run("merge-scores", "--segments", segments,
+                       "--scores", scored_pipeline["scores"], "--out", out) == 1
+        key = (first["sentences"][0]["doc"], first["sentences"][0]["sent"])
+        expected = (
+            f"segments.jsonl:1: not a segment record: segment {first['segment_id']}: "
+            f"sentence {key} repeated"
+        )
+        assert expected in caplog.text
+        assert not out.exists()
+
+    # Negative indices used to be merged, swept and cut off with exit 0.
+    @pytest.mark.parametrize("where", ["segments", "scores", "merged"])
+    def test_negative_sentence_key_fatal(self, workspace, scored_pipeline, tmp_path, caplog,
+                                         where):
+        negative = {"doc": -1, "sent": -5}
+        paths = {name: tmp_path / f"{name}.jsonl" for name in ("segments", "scores", "merged")}
+        for name, path in paths.items():
+            shutil.copy(scored_pipeline[name], path)
+        list_field = {"segments": "sentences", "scores": "scores", "merged": "sentences"}[where]
+        _edit_first_record(paths[where], lambda r: {
+            **r, list_field: [{**r[list_field][0], **negative}, *r[list_field][1:]]
+        })
+        if where == "segments":
+            # The score file gives the same key, so only the index is wrong.
+            _edit_first_record(paths["scores"], lambda r: {
+                **r, "scores": [{**r["scores"][0], **negative}, *r["scores"][1:]]
+            })
+        out = tmp_path / "out.jsonl"
+        if where == "merged":
+            argv = ["cutoff", "--merged", paths["merged"], "--section", "past_medical_history",
+                    "--threshold", "0.5", "--out", out]
+        else:
+            argv = ["merge-scores", "--segments", paths["segments"], "--scores", paths["scores"],
+                    "--out", out]
+        with caplog.at_level(logging.ERROR, logger="encsum"):
+            assert run(*argv) == 1
+        assert f"{where}.jsonl:1: " in caplog.text
+        assert "sentence (-1, -5): doc and sent must be at least 0" in caplog.text
+        assert not out.exists()
+
+    def test_uncovered_segment_names_score_file(self, scored_pipeline, tmp_path):
+        rows = read_jsonl(scored_pipeline["scores"])
+        row = next(r for r in rows if len(r["scores"]) > 1)
+        missing = row["scores"].pop()
+        scores = tmp_path / "scores.jsonl"
+        write_jsonl(scores, rows)
+        proc = subprocess.run(
+            [sys.executable, "-m", "encsum.cli", "merge-scores",
+             "--segments", str(scored_pipeline["segments"]), "--scores", str(scores),
+             "--out", str(tmp_path / "m.jsonl")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert (
+            f"{scores}: score list for segment {row['segment_id']} does not cover its "
+            f"sentences (missing [({missing['doc']}, {missing['sent']})], extra [])"
+        ) in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("edit, message", [
         (lambda r: [1, 2], "not a scores record: a JSON list"),
         (lambda r: {"segment_id": r["segment_id"]}, "not a scores record: field 'scores'"),

@@ -1,5 +1,6 @@
 import json
 import logging
+from dataclasses import asdict
 
 import pytest
 
@@ -126,7 +127,7 @@ class TestAssemble:
         assert len(encounters) == 1
         assert [n.note_id for n in encounters[0].prior_notes] == ["adm"]
         assert encounters[0].discharge_summary.note_id == "ds"
-        assert diag.to_record() == {
+        assert asdict(diag) == {
             "no_discharge": 0, "multiple_discharge": 0,
             "missing_admission": 0, "notes_after_discharge": 0,
         }
@@ -232,11 +233,15 @@ def _encounters_for_subjects(n_subjects, encounters_per_subject=1):
     return encounters
 
 
+def _subjects(splits: dict[str, str], split: str) -> set[str]:
+    return {subject for subject, sp in splits.items() if sp == split}
+
+
 class TestSplit:
     def test_100_subjects_80_10_10(self):
-        assignment = split_by_subject(_encounters_for_subjects(100), (0.8, 0.1, 0.1), seed=1)
+        splits = split_by_subject(_encounters_for_subjects(100), (0.8, 0.1, 0.1), seed=1)
         counts = {
-            split: len(assignment.subjects(split))
+            split: len(_subjects(splits, split))
             for split in ("train", "validation", "test")
         }
         assert counts == {"train": 80, "validation": 10, "test": 10}
@@ -245,20 +250,20 @@ class TestSplit:
         encounters = _encounters_for_subjects(10)
         a = split_by_subject(encounters, seed=42)
         b = split_by_subject(encounters, seed=42)
-        assert a.by_subject == b.by_subject
+        assert a == b
 
     def test_subject_encounters_stay_together(self):
         encounters = _encounters_for_subjects(5, encounters_per_subject=3)
-        assignment = split_by_subject(encounters, seed=0)
+        splits = split_by_subject(encounters, seed=0)
         for encounter in encounters:
-            assert assignment.split_of(encounter.subject_id) in ("train", "validation", "test")
-        assert len(assignment.by_subject) == 5
+            assert splits[encounter.subject_id] in ("train", "validation", "test")
+        assert len(splits) == 5
 
     def test_partition_no_leakage(self):
         encounters = _encounters_for_subjects(23)
-        assignment = split_by_subject(encounters, seed=9)
+        splits = split_by_subject(encounters, seed=9)
         subjects = {e.subject_id for e in encounters}
-        split_sets = [set(assignment.subjects(s)) for s in ("train", "validation", "test")]
+        split_sets = [_subjects(splits, s) for s in ("train", "validation", "test")]
         assert set.union(*split_sets) == subjects
         for i in range(3):
             for j in range(i + 1, 3):
@@ -266,10 +271,10 @@ class TestSplit:
 
     def test_realized_ratios_close(self):
         encounters = _encounters_for_subjects(37)
-        assignment = split_by_subject(encounters, (0.8, 0.1, 0.1), seed=5)
+        splits = split_by_subject(encounters, (0.8, 0.1, 0.1), seed=5)
         n = 37
         for split, ratio in zip(("train", "validation", "test"), (0.8, 0.1, 0.1)):
-            assert abs(len(assignment.subjects(split)) - ratio * n) <= 1
+            assert abs(len(_subjects(splits, split)) - ratio * n) <= 1
 
     def test_too_few_subjects_fatal(self):
         with pytest.raises(ValueError):
@@ -289,36 +294,50 @@ class TestSplit:
             split_by_subject(_encounters_for_subjects(10), ratios, seed=0)
 
     def test_edge_ratios_accepted(self):
-        assignment = split_by_subject(_encounters_for_subjects(10), (0.0, 1.0, 0.0), seed=0)
-        assert len(assignment.subjects("validation")) == 10
+        splits = split_by_subject(_encounters_for_subjects(10), (0.0, 1.0, 0.0), seed=0)
+        assert len(_subjects(splits, "validation")) == 10
+
+
+def _records(**texts_by_split) -> dict[str, list[dict]]:
+    """{split: section records} holding the given reference texts."""
+    return {split: [{"text": t} for t in texts] for split, texts in texts_by_split.items()}
 
 
 class TestStats:
     def test_mean_words(self):
-        stats = corpus_stats({"cc": [("train", "a b c d."), ("test", "a b c d e f.")]})
+        stats = corpus_stats({"cc": _records(train=["a b c d."], test=["a b c d e f."])})
         # tokenizer counts the trailing period as a token: 5 and 7 tokens.
-        assert stats.per_section["cc"].mean_words == pytest.approx(6.0)
+        assert stats["per_section"]["cc"]["mean_words"] == pytest.approx(6.0)
 
     def test_hand_average_without_punct(self):
-        stats = corpus_stats({"cc": [("train", "a b c d"), ("test", "a b c d e f")]})
-        assert stats.per_section["cc"].mean_words == pytest.approx(5.0)
+        stats = corpus_stats({"cc": _records(train=["a b c d"], test=["a b c d e f"])})
+        assert stats["per_section"]["cc"]["mean_words"] == pytest.approx(5.0)
 
     def test_single_sentence(self):
-        stats = corpus_stats({"sh": [("train", "lives alone")]})
-        assert stats.per_section["sh"].mean_sentences == pytest.approx(1.0)
+        stats = corpus_stats({"sh": _records(train=["lives alone"])})
+        assert stats["per_section"]["sh"]["mean_sentences"] == pytest.approx(1.0)
+
+    def test_counts_per_split(self):
+        stats = corpus_stats({"cc": _records(train=["a.", "b."], validation=[], test=["c."])})
+        assert stats["per_section"]["cc"]["counts"] == {"train": 2, "validation": 0, "test": 1}
 
     def test_empty_group_flagged(self):
-        stats = corpus_stats({"fh": []})
-        section = stats.per_section["fh"]
-        assert section.total == 0
-        assert section.undefined
-        assert section.mean_words is None and section.mean_sentences is None
+        stats = corpus_stats({"fh": _records(train=[], validation=[], test=[])})
+        assert stats["per_section"]["fh"] == {
+            "counts": {"train": 0, "validation": 0, "test": 0},
+            "mean_words": None,
+            "mean_sentences": None,
+        }
 
     def test_encounter_means(self):
         encounters = _encounters_for_subjects(4)
         stats = corpus_stats({}, encounters)
-        assert stats.mean_documents == pytest.approx(1.0)
-        assert stats.mean_source_words == pytest.approx(2.0)  # "hello." -> 2 tokens
+        assert stats["mean_documents"] == pytest.approx(1.0)
+        assert stats["mean_source_words"] == pytest.approx(2.0)  # "hello." -> 2 tokens
+
+    def test_no_encounters_undefined(self):
+        stats = corpus_stats({})
+        assert stats["mean_documents"] is None and stats["mean_source_words"] is None
 
 
 class TestSourceSentences:

@@ -13,10 +13,17 @@ from encsum.pipeline import (
     postprocess,
     summary_text,
     sweep_threshold,
+    write_sweep,
 )
+from encsum.jsonl import write_jsonl
 from encsum.rouge import rouge_l
-from encsum.textproc import split_sentences, tokenize
+from encsum.sections import SectionName
+from encsum.textproc import tokenize
 from tests.conftest import make_sentence
+
+
+def segment_token_count(segment):
+    return sum(len(tokenize(text)) for text in segment.texts)
 
 
 def _sent_of_tokens(n_tokens, doc=0, idx=0, word="tok"):
@@ -28,7 +35,7 @@ class TestChunk:
         sents = [_sent_of_tokens(300, 0, i) for i in range(5)]
         segments = chunk_encounter(sents, ChunkConfig(max_tokens=1024))
         assert [len(s.sentences) for s in segments] == [3, 2]
-        assert [s.token_count for s in segments] == [900, 600]
+        assert [segment_token_count(s) for s in segments] == [900, 600]
 
     def test_empty(self):
         assert chunk_encounter([], ChunkConfig()) == []
@@ -36,7 +43,7 @@ class TestChunk:
     def test_oversize_sentence_windowed(self):
         sents = [_sent_of_tokens(2000, 0, 0)]
         segments = chunk_encounter(sents, ChunkConfig(max_tokens=1024))
-        assert [s.token_count for s in segments] == [1024, 976]
+        assert [segment_token_count(s) for s in segments] == [1024, 976]
         assert all(s.sentences == ((0, 0),) for s in segments)
 
     def test_windows_preserve_tokens(self):
@@ -60,7 +67,7 @@ class TestChunk:
         sents = [_sent_of_tokens(n, 0, i) for i, n in enumerate(lengths)]
         segments = chunk_encounter(sents, ChunkConfig(max_tokens=budget))
         for segment in segments:
-            assert segment.token_count <= budget
+            assert segment_token_count(segment) <= budget
 
 
 def _identity_scores(segments):
@@ -175,8 +182,7 @@ def _sweep_instance(sent_scores, reference_text):
     scored = [
         ScoredSentence((0, i), score, text) for i, (text, score) in enumerate(sent_scores)
     ]
-    refs = [make_sentence(reference_text)]
-    return scored, refs
+    return scored, tokenize(reference_text)
 
 
 def reevaluate_grid(validation, thresholds, mask_deid=False):
@@ -188,10 +194,9 @@ def reevaluate_grid(validation, thresholds, mask_deid=False):
     means = []
     for t in thresholds:
         per = []
-        for scored, refs in validation:
+        for scored, ref in validation:
             kept = apply_cutoff(scored, t)
             cand = tokenize(summary_text(kept), mask_deid=mask_deid)
-            ref = [s for r in refs for s in r.tokens]
             per.append(rouge_l(cand, ref).f1)
         means.append(fmean(per))
     return means
@@ -270,7 +275,7 @@ class TestSweep:
         validation = [
             (
                 [ScoredSentence((0, i), score, text) for i, (text, score) in enumerate(sents)],
-                split_sentences(ref_text, mask_deid=mask_deid),
+                tokenize(ref_text, mask_deid=mask_deid),
             )
             for sents, ref_text in instances
         ]
@@ -281,10 +286,27 @@ class TestSweep:
             result.thresholds, tuple(means), result.thresholds[best]
         )
 
+    # The sweep used to score the tokens of the reference's sentences, and
+    # "Dr." ends a sentence inside the placeholder, so it read 0.571 here.
+    def test_reference_tokens_are_evaluates(self, tmp_path):
+        reference = "Seen by [ Dr. Smith ] today."
+        record = {"encounter_id": "e1", "section": "chief_complaint", "text": reference,
+                  "start": 0, "end": len(reference)}
+        write_jsonl(tmp_path / "data" / "sections" / "chief_complaint__validation.jsonl", [record])
+        merged = tmp_path / "merged.jsonl"
+        write_jsonl(merged, [{"encounter_id": "e1", "sentences": [
+            {"doc": 0, "sent": 0, "score": 1.0, "text": reference},
+        ]}])
+        result = write_sweep(tmp_path / "data", SectionName.CHIEF_COMPLAINT, "validation", merged,
+                             tmp_path / "sweep.json", mask_deid=True)
+        tokens = tokenize(reference, mask_deid=True)
+        assert rouge_l(tokens, tokens).f1 == 1.0
+        assert max(result.mean_scores) == 1.0
+
     def test_empty_validation_fatal(self):
         with pytest.raises(ValueError):
             sweep_threshold([])
 
     def test_no_scores_fatal(self):
         with pytest.raises(ValueError):
-            sweep_threshold([([], [make_sentence("x.")])])
+            sweep_threshold([([], tokenize("x."))])
