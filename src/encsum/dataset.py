@@ -18,7 +18,7 @@ import logging
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 from .corpus import (
     SPLIT_NAMES,
@@ -138,12 +138,16 @@ def _split_row(record) -> tuple[str, str]:
 
 
 def load_section_instances(
-    dataset_dir: str | Path, section: SectionName, split: str
+    dataset_dir: str | Path,
+    section: SectionName,
+    split: str,
+    encounters: Container[str] | None = None,
 ) -> list[SectionInstance]:
     """The section's instances in ``split``, in file order.
 
-    A record naming another section, or an ``encounter_id`` seen twice, is
-    fatal with ``<file>:<line>``.
+    A record naming another section, an ``encounter_id`` seen twice, or, when
+    ``encounters`` is given, an ``encounter_id`` not in it, is fatal with
+    ``<file>:<line>``.
     """
     path = section_file(dataset_dir, section, split)
     if not path.is_file():
@@ -155,6 +159,8 @@ def load_section_instances(
             raise ValueError(
                 f"section {instance.section.value!r} in a {section.value!r} section file"
             )
+        if encounters is not None and instance.encounter_id not in encounters:
+            raise ValueError(f"no encounter record for {instance.encounter_id!r}")
         return instance.encounter_id, instance
 
     return list(read_jsonl_keyed(path, keyed, "encounter_id").values())
@@ -166,18 +172,12 @@ def iter_instances(
     """Yield (encounter, instance) for each section's instances in one split.
 
     An instance whose encounter has no record in ``encounters.jsonl`` is
-    fatal, naming the section file and the encounter.
+    fatal with ``<section file>:<line>``.
     """
     encounters = load_encounters(dataset_dir)
     for section in sections:
-        for instance in load_section_instances(dataset_dir, section, split):
-            encounter = encounters.get(instance.encounter_id)
-            if encounter is None:
-                raise ValueError(
-                    f"{section_file(dataset_dir, section, split)}: no encounter record "
-                    f"for {instance.encounter_id!r}"
-                )
-            yield encounter, instance
+        for instance in load_section_instances(dataset_dir, section, split, encounters):
+            yield encounters[instance.encounter_id], instance
 
 
 _SUMMARY_FIELDS = tuple((name, str) for name in ("encounter_id", "section", "system", "text"))

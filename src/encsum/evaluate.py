@@ -33,9 +33,9 @@ from .faithfulness import (
     score_sets,
 )
 from .reports import ReportRow, write_report
-from .rouge import rouge_l, rouge_n
+from .rouge import LcsPool, prf
 from .sections import SectionInstance, SectionName
-from .textproc import count_sentences, tokenize
+from .textproc import count_sentences, ngrams, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -99,15 +99,21 @@ def score_section(
         source_set = sources[instance.encounter_id]
         prefix = f"enc:{instance.encounter_id}:{section.value}"
         ref_set = entities(f"{prefix}:ref", (instance.reference_text,))
+        # The reference side of ROUGE-1/2/L, built once and shared by every
+        # system; the scores equal rouge_n(cand, ref, 1|2) and rouge_l(cand, ref).
+        ref_unigrams, ref_bigrams = ngrams(ref, 1), ngrams(ref, 2)
+        ref_pool = LcsPool((ref,))
         for system in systems:
             text = summaries.get((instance.encounter_id, section.value, system), "")
             cand = tokenize(text, mask_deid=mask_deid)
-            r1, r2, rl = rouge_n(cand, ref, 1), rouge_n(cand, ref, 2), rouge_l(cand, ref)
+            unigrams = sum((ngrams(cand, 1) & ref_unigrams).values())
+            bigrams = sum((ngrams(cand, 2) & ref_bigrams).values())
+            [lcs] = ref_pool.lcs(ref_pool.masks_of(cand))
             fa = score_sets(source_set, ref_set, entities(f"{prefix}:sys:{system}", (text,)), beta)
             scores[system].append((
-                r1.precision, r1.recall, r1.f1,
-                r2.precision, r2.recall, r2.f1,
-                rl.precision, rl.recall, rl.f1,
+                *prf(unigrams, len(cand), len(ref)),
+                *prf(bigrams, max(len(cand) - 1, 0), max(len(ref) - 1, 0)),
+                *prf(lcs, len(cand), len(ref)),
                 fa.fa_precision, fa.fa_recall, fa.fa_f_beta, fa.incorrect_hallucination_rate,
                 fa.empty_system, fa.empty_relevant,
             ))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
@@ -144,14 +145,21 @@ class Gazetteer:
     """Dictionary of known entity terms, stored as normalized token tuples."""
 
     terms: frozenset[tuple[str, ...]]
-    max_term_tokens: int
 
     @staticmethod
     def from_terms(terms: Iterable[str]) -> "Gazetteer":
         tokenized = {tuple(tokenize(term)) for term in terms} - {()}
         if not tokenized:
             raise ValueError("gazetteer has no usable terms")
-        return Gazetteer(frozenset(tokenized), max(len(t) for t in tokenized))
+        return Gazetteer(frozenset(tokenized))
+
+    @cached_property
+    def lengths_by_first_token(self) -> dict[str, tuple[int, ...]]:
+        """Each term's first token -> the lengths of the terms it starts, longest first."""
+        lengths: dict[str, set[int]] = {}
+        for term in self.terms:
+            lengths.setdefault(term[0], set()).add(len(term))
+        return {first: tuple(sorted(found, reverse=True)) for first, found in lengths.items()}
 
     @staticmethod
     def from_file(path: str | Path) -> "Gazetteer":
@@ -166,20 +174,28 @@ def load_default_gazetteer() -> Gazetteer:
 
 
 def extract_entities_gazetteer(text: str, gaz: Gazetteer) -> frozenset[str]:
-    """Greedy longest-match scan of the token stream against the gazetteer."""
+    """Greedy leftmost-longest scan of the token stream against the gazetteer.
+
+    At each position the longest term starting there is taken and the scan
+    resumes after it; only the lengths of the terms that start with the
+    position's token are tried.
+    """
     tokens = tokenize(text)
+    lengths_by_first, terms = gaz.lengths_by_first_token, gaz.terms
     found: set[str] = set()
     i = 0
     n = len(tokens)
     while i < n:
-        matched = 0
-        for length in range(min(gaz.max_term_tokens, n - i), 0, -1):
+        step = 1
+        for length in lengths_by_first.get(tokens[i], ()):
+            # A slice cut short by the end of the stream is the longest
+            # candidate that fits, so matching it is still longest-first.
             candidate = tuple(tokens[i:i + length])
-            if candidate in gaz.terms:
+            if candidate in terms:
                 found.add(" ".join(candidate))
-                matched = length
+                step = len(candidate)
                 break
-        i += matched if matched else 1
+        i += step
     return frozenset(found)
 
 

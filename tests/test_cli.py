@@ -295,14 +295,14 @@ class TestBaselineCommands:
     def test_instance_without_encounter_fatal(self, workspace, tmp_path, caplog, command):
         data = tmp_path / "data"
         shutil.copytree(workspace / "data", data)
-        [instance, *_] = read_jsonl(data / "sections" / "chief_complaint__train.jsonl")
+        [_, instance, *_] = read_jsonl(data / "sections" / "chief_complaint__train.jsonl")
         encounters = data / "encounters.jsonl"
         kept = [r for r in read_jsonl(encounters) if r["encounter_id"] != instance["encounter_id"]]
         write_jsonl(encounters, kept)
         with caplog.at_level(logging.ERROR, logger="encsum"):
             assert run(*_train_argv(command, data, tmp_path, instance["encounter_id"])) == 1
         expected = (
-            f"chief_complaint__train.jsonl: no encounter record for {instance['encounter_id']!r}"
+            f"chief_complaint__train.jsonl:2: no encounter record for {instance['encounter_id']!r}"
         )
         assert expected in caplog.text
 

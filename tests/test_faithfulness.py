@@ -2,7 +2,7 @@ import json
 import logging
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from encsum.evaluate import gazetteer_entities, score_section
 from encsum.faithfulness import (
@@ -16,6 +16,7 @@ from encsum.faithfulness import (
     venn_regions,
 )
 from encsum.sections import SectionInstance, SectionName
+from encsum.textproc import tokenize
 
 entity_sets = st.sets(st.sampled_from("abcdefghijkl"), max_size=12)
 
@@ -138,6 +139,35 @@ class TestFaithfulnessScores:
         assert f_beta(p, r, 3.0) == pytest.approx(10 * p * r / (9 * p + r), abs=1e-12)
 
 
+def greedy_scan_oracle(text, gaz):
+    """The gazetteer scan without the first-token index: at each token, every
+    length from the longest term's down to 1."""
+    tokens = tokenize(text)
+    longest = max(map(len, gaz.terms))
+    found = set()
+    i = 0
+    n = len(tokens)
+    while i < n:
+        matched = 0
+        for length in range(min(longest, n - i), 0, -1):
+            candidate = tuple(tokens[i:i + length])
+            if candidate in gaz.terms:
+                found.add(" ".join(candidate))
+                matched = length
+                break
+        i += matched if matched else 1
+    return frozenset(found)
+
+
+# A small vocabulary, so terms that share a first token, terms that are
+# prefixes of others, punctuation terms and overlapping matches are common.
+_STREAM_VOCAB = ["chest", "pain", "at", "rest", "htn", ".", ",", "-"]
+gazetteer_terms = st.lists(
+    st.lists(st.sampled_from(_STREAM_VOCAB), min_size=1, max_size=5).map(" ".join),
+    min_size=1, max_size=8,
+)
+
+
 class TestGazetteer:
     GAZ = Gazetteer.from_terms(["chest pain", "htn", "pain"])
 
@@ -168,7 +198,21 @@ class TestGazetteer:
     def test_default_gazetteer_loads(self):
         gaz = load_default_gazetteer()
         assert ("chest", "pain") in gaz.terms
-        assert gaz.max_term_tokens >= 4
+        index = gaz.lengths_by_first_token
+        assert 2 in index["chest"]
+        assert index["coronary"] == (4, 3)
+        assert all(list(lengths) == sorted(set(lengths), reverse=True) for lengths in index.values())
+        assert {(term[0], len(term)) for term in gaz.terms} == {
+            (first, length) for first, lengths in index.items() for length in lengths
+        }
+
+    @given(gazetteer_terms, st.lists(st.sampled_from(_STREAM_VOCAB), max_size=40))
+    @example(["chest", "chest pain", "chest pain at rest"], "chest pain at chest pain at rest".split())
+    @example(["pain", "pain at", "at rest", "."], "pain at rest . pain".split())
+    def test_index_scan_equals_greedy_scan(self, terms, stream):
+        gaz = Gazetteer.from_terms(terms)
+        text = " ".join(stream)
+        assert extract_entities_gazetteer(text, gaz) == greedy_scan_oracle(text, gaz)
 
 
 class TestAnnotations:

@@ -3,7 +3,10 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from encsum.evaluate import score_section
 from encsum.rouge import LcsPool, lcs_length, rouge_l, rouge_n
+from encsum.sections import SectionInstance, SectionName
+from encsum.textproc import tokenize
 
 tokens = st.lists(st.sampled_from("abcd"), max_size=8)
 
@@ -180,3 +183,39 @@ class TestLcsPool:
         pool = LcsPool([["a", "b"], ["b"]])
         assert pool.masks_of(["z", "b", "y", "a"]) == [0b1010, 0b0001]
         assert pool.lcs([]) == [0, 0]
+
+
+# Words with repeats, a sentence end and de-identification placeholders, which
+# --mask-deid turns into one token each.
+_SUMMARY_WORDS = ["pain", "at", "rest", "htn.", "[ dr x ]", "[ 12 ]"]
+summary_texts = st.one_of(
+    st.just(""),
+    st.sampled_from(_SUMMARY_WORDS),
+    st.lists(st.sampled_from(_SUMMARY_WORDS), max_size=60).map(" ".join),
+)
+_ROUGE_COLUMNS = (
+    "rouge1_p", "rouge1_r", "rouge1_f1", "rouge2_p", "rouge2_r", "rouge2_f1",
+    "rougeL_p", "rougeL_r", "rougeL_f1",
+)
+
+
+@settings(deadline=None)
+@given(summary_texts, st.lists(summary_texts, min_size=1, max_size=3), st.booleans())
+@example("pain", ["", "pain", "pain at rest pain"], False)
+@example("[ dr x ] pain", ["[ 12 ]", "[ dr x ]"], True)
+def test_score_section_rouge_equals_oracles(reference, candidates, mask_deid):
+    """Each row's nine ROUGE columns are rouge_n(cand, ref, 1|2) and
+    rouge_l(cand, ref) on the tokens evaluate scores."""
+    section = SectionName.CHIEF_COMPLAINT
+    instance = SectionInstance("e1", section, reference, (0, len(reference)))
+    summaries = {("e1", section.value, f"sys{k}"): text for k, text in enumerate(candidates)}
+    rows = score_section(
+        [instance], {"e1": frozenset()}, summaries, lambda key, texts: frozenset(), 3.0,
+        mask_deid=mask_deid,
+    )
+    ref = tokenize(reference, mask_deid=mask_deid)
+    for row, text in zip(rows, candidates, strict=True):
+        cand = tokenize(text, mask_deid=mask_deid)
+        oracles = (rouge_n(cand, ref, 1), rouge_n(cand, ref, 2), rouge_l(cand, ref))
+        expected = [v for o in oracles for v in (o.precision, o.recall, o.f1)]
+        assert [getattr(row, column) for column in _ROUGE_COLUMNS] == expected
