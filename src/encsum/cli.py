@@ -8,6 +8,7 @@ standard error; ``--quiet`` suppresses nonfatal warnings.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import sys
 
@@ -30,15 +31,18 @@ logger = logging.getLogger("encsum")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.ERROR if args.quiet else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    # The command function is looked up on each call rather than kept in the
+    # parser, which is built once per process: a wrapper bound to its name
+    # after the first call is still the one that runs.
+    command = globals()[f"_cmd_{args.command.replace('-', '_')}"]
     try:
-        return args.func(args)
+        return command(args)
     except (OSError, ValueError, KeyError) as exc:
         logger.error("%s", exc)
         return 1
@@ -83,6 +87,7 @@ def _beta_arg(value: str) -> float:
     return beta
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="encsum",
@@ -97,7 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--encounters", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=7)
-    p.set_defaults(func=_cmd_synth_corpus)
 
     p = sub.add_parser("build-dataset", help="ingest notes and build a dataset directory")
     p.add_argument("--notes", required=True)
@@ -106,7 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ratios", type=_ratios_arg, default=(0.8, 0.1, 0.1))
     p.add_argument("--require-admission", action="store_true")
-    p.set_defaults(func=_cmd_build_dataset)
 
     for name, helptext in (
         ("oracle", "oracle extractive summaries (system oracle_ext)"),
@@ -122,22 +125,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True)
         if name == "rule-baseline":
             p.add_argument("--rules", default=None)
-    sub.choices["oracle"].set_defaults(func=_cmd_oracle)
-    sub.choices["pseudo-labels"].set_defaults(func=_cmd_pseudo_labels)
-    sub.choices["rule-baseline"].set_defaults(func=_cmd_rule_baseline)
 
     p = sub.add_parser("chunk", help="split encounters into token-bounded segments")
     p.add_argument("--dataset", required=True)
     p.add_argument("--split", default="test", choices=SPLIT_NAMES)
     p.add_argument("--max-tokens", type=_positive_int, default=1024)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_chunk)
 
     p = sub.add_parser("merge-scores", help="merge per-segment scores back into source order")
     p.add_argument("--segments", required=True)
     p.add_argument("--scores", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_merge_scores)
 
     p = sub.add_parser("sweep", help="sweep the score cutoff on validation ROUGE-L")
     p.add_argument("--dataset", required=True)
@@ -145,7 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", default="validation", choices=SPLIT_NAMES)
     p.add_argument("--merged", required=True, help="merged scored-sentence JSONL")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("cutoff", help="apply a score cutoff and emit system summaries")
     p.add_argument("--merged", required=True)
@@ -155,7 +152,6 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--threshold", type=_finite_arg)
     group.add_argument("--sweep", dest="sweep_file", help="sweep result JSON to take the threshold from")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_cutoff)
 
     p = sub.add_parser("evaluate", help="score system summaries with ROUGE and faithfulness")
     p.add_argument("--dataset", required=True)
@@ -169,7 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=_beta_arg, default=DEFAULT_BETA,
                    help="F_beta recall weight, a finite number above 0")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_evaluate)
 
     return parser
 

@@ -65,14 +65,30 @@ class Encounter:
         """Inverse of ``to_record``; ValueError when ``record`` is not an encounter record."""
         check_fields(record, "an encounter", _ENCOUNTER_FIELDS)
         for i, note in enumerate(record["prior_notes"]):
-            check_fields(note, "an encounter", _NOTE_TYPES, f"prior_notes[{i}]")
-        check_fields(record["discharge_summary"], "an encounter", _NOTE_TYPES, "discharge_summary")
+            _check_encounter_note(record, note, f"prior_notes[{i}]")
+        _check_encounter_note(record, record["discharge_summary"], "discharge_summary")
         return Encounter(
             subject_id=record["subject_id"],
             encounter_id=record["encounter_id"],
             prior_notes=tuple(_note(n) for n in record["prior_notes"]),
             discharge_summary=_note(record["discharge_summary"]),
         )
+
+
+def _check_encounter_note(record: dict, note, where: str) -> None:
+    """A note of an encounter record must be a note record of that encounter
+    and subject, with a ``chart_date`` that ``chart_time`` accepts."""
+    check_fields(note, "an encounter", _NOTE_TYPES, where)
+    for name in ("encounter_id", "subject_id"):
+        if note[name] != record[name]:
+            raise ValueError(
+                f"not an encounter record: {where}: {name} {note[name]!r} is not the"
+                f" encounter's {record[name]!r}"
+            )
+    try:
+        chart_time(note["chart_date"])
+    except ValueError as exc:
+        raise ValueError(f"not an encounter record: {where}: {exc}") from None
 
 
 def _note(record: dict) -> ClinicalNote:
@@ -135,25 +151,36 @@ def ingest_notes(path: str | Path) -> IngestResult:
     notes: list[ClinicalNote] = []
     skipped: list[int] = []
     seen_ids: set[str] = set()
+    subjects: dict[str, str] = {}  # encounter_id -> subject_id of its first note
     for lineno, obj in iter_jsonl(path):
         try:
-            note = _parse_note(obj, seen_ids)
+            note = _parse_note(obj, seen_ids, subjects)
         except ValueError as exc:
             skipped.append(lineno)
             logger.warning("%s:%d: skipping note line: %s", path, lineno, exc)
         else:
             notes.append(note)
             seen_ids.add(note.note_id)
+            subjects.setdefault(note.encounter_id, note.subject_id)
     return IngestResult(notes, skipped)
 
 
-def _parse_note(obj, seen_ids: set[str]) -> ClinicalNote:
-    """The note in ``obj``; ``ValueError`` naming why it is not a usable one."""
+def _parse_note(obj, seen_ids: set[str], subjects: Mapping[str, str]) -> ClinicalNote:
+    """The note in ``obj``; ``ValueError`` naming why it is not a usable one.
+
+    ``subjects`` maps each encounter_id to the subject of its notes so far.
+    """
     if obj is None:
         raise ValueError("not a JSON record")
     check_fields(obj, "a note", _NOTE_TYPES)
     if obj["note_id"] in seen_ids:
         raise ValueError(f"repeated note_id {obj['note_id']!r}")
+    subject = subjects.get(obj["encounter_id"], obj["subject_id"])
+    if obj["subject_id"] != subject:
+        raise ValueError(
+            f"subject_id {obj['subject_id']!r} is not {subject!r}, the subject of encounter"
+            f" {obj['encounter_id']!r} on an earlier line"
+        )
     chart_time(obj["chart_date"])
     return _note(obj)
 

@@ -6,10 +6,12 @@ adjusted P/R/F_beta, the incorrect hallucination rate, and the empty-system
 and empty-relevant flags. A system's report row holds the column means of its
 records over the section's instances, with the two flags summed to counts.
 
-Entity sets come from one function, ``entities(key, texts) -> frozenset[str]``,
-called once per set with the set's annotation key (``enc:<id>:src``,
-``enc:<id>:<section>:ref`` or ``enc:<id>:<section>:sys:<system>``) and the
-texts it is drawn from.
+Entity sets come from one function, ``entities(key, texts, tokens=None) ->
+frozenset[str]``, called once per set with the set's annotation key
+(``enc:<id>:src``, ``enc:<id>:<section>:ref`` or
+``enc:<id>:<section>:sys:<system>``) and the texts it is drawn from. Where
+ROUGE has already tokenized those texts unmasked, ``tokens`` holds
+``tokenize(t)`` for each text ``t``, so that they are not tokenized again.
 :func:`gazetteer_entities` matches a term list in the texts and
 :func:`annotated_entities` looks the key up in ingested annotations.
 """
@@ -30,6 +32,7 @@ from .faithfulness import (
     extract_entities_gazetteer,
     ingest_entity_annotations,
     load_default_gazetteer,
+    match_gazetteer,
     score_sets,
 )
 from .reports import ReportRow, write_report
@@ -39,14 +42,18 @@ from .textproc import count_sentences, ngrams, tokenize
 
 logger = logging.getLogger(__name__)
 
-EntitySource = Callable[[str, Sequence[str]], frozenset[str]]
+EntitySource = Callable[[str, Sequence[str], Sequence[Sequence[str]] | None], frozenset[str]]
 
 
 def gazetteer_entities(gazetteer: Gazetteer) -> EntitySource:
     """The union of the gazetteer's matches in each text; no term spans two texts."""
 
-    def entities(key: str, texts: Sequence[str]) -> frozenset[str]:
-        return frozenset().union(*(extract_entities_gazetteer(t, gazetteer) for t in texts))
+    def entities(
+        key: str, texts: Sequence[str], tokens: Sequence[Sequence[str]] | None = None
+    ) -> frozenset[str]:
+        if tokens is None:
+            return frozenset().union(*(extract_entities_gazetteer(t, gazetteer) for t in texts))
+        return frozenset().union(*(match_gazetteer(t, gazetteer) for t in tokens))
 
     return entities
 
@@ -59,7 +66,9 @@ def annotated_entities(
     Each key asked for is added to ``looked_up``.
     """
 
-    def entities(key: str, texts: Sequence[str]) -> frozenset[str]:
+    def entities(
+        key: str, texts: Sequence[str], tokens: Sequence[Sequence[str]] | None = None
+    ) -> frozenset[str]:
         looked_up.add(key)
         return annotations.get(key, frozenset())
 
@@ -98,7 +107,10 @@ def score_section(
         sents.append(count_sentences(instance.reference_text))
         source_set = sources[instance.encounter_id]
         prefix = f"enc:{instance.encounter_id}:{section.value}"
-        ref_set = entities(f"{prefix}:ref", (instance.reference_text,))
+        # Unmasked, the ROUGE tokens are the entity source's tokens too.
+        ref_set = entities(
+            f"{prefix}:ref", (instance.reference_text,), None if mask_deid else (ref,)
+        )
         # The reference side of ROUGE-1/2/L, built once and shared by every
         # system; the scores equal rouge_n(cand, ref, 1|2) and rouge_l(cand, ref).
         ref_unigrams, ref_bigrams = ngrams(ref, 1), ngrams(ref, 2)
@@ -109,7 +121,8 @@ def score_section(
             unigrams = sum((ngrams(cand, 1) & ref_unigrams).values())
             bigrams = sum((ngrams(cand, 2) & ref_bigrams).values())
             [lcs] = ref_pool.lcs(ref_pool.masks_of(cand))
-            fa = score_sets(source_set, ref_set, entities(f"{prefix}:sys:{system}", (text,)), beta)
+            sys_set = entities(f"{prefix}:sys:{system}", (text,), None if mask_deid else (cand,))
+            fa = score_sets(source_set, ref_set, sys_set, beta)
             scores[system].append((
                 *prf(unigrams, len(cand), len(ref)),
                 *prf(bigrams, max(len(cand) - 1, 0), max(len(ref) - 1, 0)),

@@ -14,7 +14,8 @@ system entities found in neither source nor reference,
 
 An entity set is a ``frozenset`` of normalized strings, and two entities are
 the same when their strings are equal. The sets come from the gazetteer matcher
-(``extract_entities_gazetteer``) or from an annotations file
+(``extract_entities_gazetteer`` on a text, ``match_gazetteer`` on its tokens)
+or from an annotations file
 (``ingest_entity_annotations``).
 """
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .jsonl import iter_jsonl
 from .textproc import normalize, tokenize
@@ -174,13 +175,17 @@ def load_default_gazetteer() -> Gazetteer:
 
 
 def extract_entities_gazetteer(text: str, gaz: Gazetteer) -> frozenset[str]:
+    """``match_gazetteer`` on the tokens of ``text``."""
+    return match_gazetteer(tokenize(text), gaz)
+
+
+def match_gazetteer(tokens: Sequence[str], gaz: Gazetteer) -> frozenset[str]:
     """Greedy leftmost-longest scan of the token stream against the gazetteer.
 
     At each position the longest term starting there is taken and the scan
     resumes after it; only the lengths of the terms that start with the
     position's token are tried.
     """
-    tokens = tokenize(text)
     lengths_by_first, terms = gaz.lengths_by_first_token, gaz.terms
     found: set[str] = set()
     i = 0

@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .corpus import Encounter, source_sentences
 from .dataset import iter_instances, summary_record
 from .jsonl import write_jsonl
 from .rouge import LcsPool, prf
-from .sections import HeaderRuleSet, SectionInstance, SectionName, rule_based_extract_from_priors
+from .sections import HeaderRuleSet, SectionInstance, SectionName, extract_sections
 from .textproc import Sentence, split_sentences
 
 logger = logging.getLogger(__name__)
@@ -84,19 +84,30 @@ def _argmax_per_reference(
         raise ValueError("source sentence pool is empty, nothing to extract")
     if lcs_pool is None:
         lcs_pool = LcsPool([s.tokens for s in source_sents])
-    lengths = [len(s.tokens) for s in source_sents]
+    lengths = list(map(len, map(attrgetter("tokens"), source_sents)))
+    keys = list(map(attrgetter("doc_index", "sent_index"), source_sents))
+    in_key_order = keys == sorted(keys)
     picks = []
     for ref_index, ref in enumerate(reference_sents):
         ref_len = len(ref.tokens)
-        best_sent = None
-        best_score = -1.0
         lcs = lcs_pool.lcs(lcs_pool.masks_of(ref.tokens))
-        for src, n, overlap in zip(source_sents, lengths, lcs):
-            score = prf(overlap, n, ref_len)[metric]
-            if score > best_score or (score == best_score and src.key < best_sent.key):
-                best_sent = src
-                best_score = score
-        picks.append((ref_index, best_sent, best_score))
+        if metric == _RECALL:
+            # Recall is overlap / ref_len, and a source without tokens has
+            # overlap 0: the overlaps order the sources as their recalls do.
+            scores = lcs
+        else:
+            # prf's F1, in its order of operations, so that scores equal to
+            # the last bit break ties alike; no overlap scores 0.
+            scores = [
+                2 * (p := overlap / n) * (r := overlap / ref_len) / (p + r) if overlap else 0.0
+                for overlap, n in zip(lcs, lengths)
+            ]
+        # The best score's lowest key: in a pool in key order, its first index.
+        best = max(scores)
+        i = scores.index(best)
+        if not in_key_order:
+            i = min((j for j, score in enumerate(scores) if score == best), key=keys.__getitem__)
+        picks.append((ref_index, source_sents[i], prf(lcs[i], lengths[i], ref_len)[metric]))
     return picks
 
 
@@ -149,13 +160,8 @@ def align_instances(
     of its sections and dropped before the next encounter's. An instance with
     an empty reference or source pool is skipped with a warning.
     """
-    by_encounter: dict[str, tuple[Encounter, list[tuple[int, SectionInstance]]]] = {}
-    for position, (encounter, instance) in enumerate(iter_instances(dataset_dir, sections, split)):
-        by_encounter.setdefault(encounter.encounter_id, (encounter, []))[1].append(
-            (position, instance)
-        )
     aligned: list[tuple[int, T]] = []
-    for encounter, found in by_encounter.values():
+    for encounter, found in _instances_by_encounter(dataset_dir, sections, split):
         pool = source_sentences(encounter, mask_deid=mask_deid)
         lcs_pool = LcsPool([s.tokens for s in pool])
         for position, instance in found:
@@ -170,6 +176,19 @@ def align_instances(
             aligned.append((position, align(instance, refs, pool, lcs_pool)))
     aligned.sort(key=itemgetter(0))
     return [row for _, row in aligned]
+
+
+def _instances_by_encounter(
+    dataset_dir: str | Path, sections: Sequence[SectionName], split: str
+) -> Iterable[tuple[Encounter, list[tuple[int, SectionInstance]]]]:
+    """Each encounter of ``iter_instances`` with its instances and their
+    positions in that order, the encounters in order of first appearance."""
+    by_encounter: dict[str, tuple[Encounter, list[tuple[int, SectionInstance]]]] = {}
+    for position, (encounter, instance) in enumerate(iter_instances(dataset_dir, sections, split)):
+        by_encounter.setdefault(encounter.encounter_id, (encounter, []))[1].append(
+            (position, instance)
+        )
+    return by_encounter.values()
 
 
 def write_oracle_summaries(
@@ -207,11 +226,24 @@ def write_rule_summaries(
     rules: HeaderRuleSet, out: str | Path,
 ) -> int:
     """Write the rule-based summaries (system ``rule_based_ext``) of the instances
-    whose prior notes hold the section; returns their number."""
-    rows = []
-    for encounter, instance in iter_instances(dataset_dir, sections, split):
-        text = rule_based_extract_from_priors(encounter, instance.section, rules)
-        if text is not None:
-            rows.append(summary_record(instance.encounter_id, instance.section, RULE_SYSTEM, text))
-    write_jsonl(out, rows)
+    whose prior notes hold the section; returns their number.
+
+    A summary is ``rule_based_extract_from_priors`` of its instance. Each
+    encounter's prior notes are scanned once for all of its sections, and the
+    scans are dropped before the next encounter's; rows keep the order of
+    ``iter_instances``.
+    """
+    rows: list[tuple[int, dict]] = []
+    for encounter, found in _instances_by_encounter(dataset_dir, sections, split):
+        scans = [extract_sections(note.text, rules) for note in encounter.prior_notes]
+        for position, instance in found:
+            hits = [scan[instance.section].reference_text for scan in scans
+                    if instance.section in scan]
+            if hits:
+                text = "\n\n".join(hits)
+                rows.append((position, summary_record(
+                    instance.encounter_id, instance.section, RULE_SYSTEM, text
+                )))
+    rows.sort(key=itemgetter(0))
+    write_jsonl(out, [row for _, row in rows])
     return len(rows)

@@ -16,11 +16,14 @@ from enum import Enum
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .corpus import Encounter, check_fields
 
-_MAX_HEADER_INDENT = 3
+# The characters ``str.splitlines`` breaks lines at (``\r\n`` counts as one
+# break). ``^`` under ``re.MULTILINE`` follows only ``\n``, so the header
+# regex names them itself.
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 class SectionName(str, Enum):
@@ -56,8 +59,12 @@ class HeaderRuleSet:
                 raise ValueError(f"no header variants for section {section.value!r}")
             if any(not p.strip() for p in patterns):
                 raise ValueError(f"blank header variant for section {section.value!r}")
+            if any(_has_line_break(p) for p in patterns):
+                raise ValueError(f"header variant with a line break for section {section.value!r}")
         if any(not p.strip() for p in self.terminators):
             raise ValueError("blank header pattern in 'terminators'")
+        if any(_has_line_break(p) for p in self.terminators):
+            raise ValueError("header pattern with a line break in 'terminators'")
 
     def all_patterns(self) -> list[tuple[str, SectionName | None]]:
         out: list[tuple[str, SectionName | None]] = []
@@ -68,13 +75,19 @@ class HeaderRuleSet:
 
     @cached_property
     def _matcher(self) -> tuple[re.Pattern, dict[str, SectionName | None]]:
-        # Alternatives longest first, so the first that matches is the longest;
-        # a pattern listed twice keeps its first owner in all_patterns() order.
+        # A line break, at most three spaces or tabs not followed by another,
+        # then a pattern as group 1. Alternatives longest first, so the first
+        # that matches is the longest; a pattern listed twice keeps its first
+        # owner in all_patterns() order.
         owners: dict[str, SectionName | None] = {}
         for pattern, section in self.all_patterns():
             owners.setdefault(pattern, section)
         alternation = "|".join(map(re.escape, sorted(owners, key=len, reverse=True)))
-        return re.compile(alternation), owners
+        return re.compile(f"[{_LINE_BREAKS}][ \t]{{0,3}}(?![ \t])({alternation})"), owners
+
+
+def _has_line_break(pattern: str) -> bool:
+    return pattern.splitlines() != [pattern]
 
 
 @dataclass(frozen=True)
@@ -112,8 +125,7 @@ _INSTANCE_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class HeaderMatch:
+class HeaderMatch(NamedTuple):
     start: int
     end: int
     section: SectionName | None  # None for terminator patterns
@@ -124,8 +136,9 @@ def load_rules(path: str | Path | None = None) -> HeaderRuleSet:
 
     The file holds one JSON object whose keys are section names or
     ``terminators``, each a list of non-blank strings; every section needs at
-    least one variant and ``terminators`` is optional. Anything else raises a
-    ValueError naming the file and the key.
+    least one variant and ``terminators`` is optional. A string holding a line
+    break (any that ``str.splitlines`` breaks at) could never match within one
+    line. Anything else raises a ValueError naming the file and the key.
     """
     if path is None:
         source = "packaged data/section_headers.json"
@@ -162,17 +175,33 @@ def find_headers(document_text: str, rules: HeaderRuleSet) -> list[HeaderMatch]:
     ``all_patterns()`` order (sections in order, then terminators).
     """
     matcher, owners = rules._matcher
+    lowered = document_text.lower()
+    if len(lowered) != len(document_text):
+        return _find_headers_by_line(document_text, matcher, owners)
+    # One scan of the whole document; the "\n" put in front makes its start a
+    # line start and shifts every offset by one. Lowercasing keeps offsets
+    # when it keeps the length, and no line break changes how the text around
+    # it lowercases (not even a final sigma), so each line lowercases here as
+    # it would alone.
+    return [
+        HeaderMatch(m.start(1) - 1, m.end() - 1, owners[m[1]])
+        for m in matcher.finditer("\n" + lowered)
+    ]
+
+
+def _find_headers_by_line(
+    document_text: str, matcher: re.Pattern, owners: Mapping[str, SectionName | None]
+) -> list[HeaderMatch]:
+    # U+0130 is the one character that lowercases to two, shifting every
+    # offset after it in a lowercased document; a header's offsets are those
+    # of its own line, and its end is its start plus the pattern's length.
     matches: list[HeaderMatch] = []
     offset = 0
     for line in document_text.splitlines(keepends=True):
-        stripped = line.lstrip(" \t")
-        indent = len(line) - len(stripped)
-        if indent <= _MAX_HEADER_INDENT:
-            m = matcher.match(stripped.lower())
-            if m is not None:
-                start = offset + indent
-                pattern = m.group()
-                matches.append(HeaderMatch(start, start + len(pattern), owners[pattern]))
+        m = matcher.match("\n" + line.lower())
+        if m is not None:
+            start = offset + m.start(1) - 1
+            matches.append(HeaderMatch(start, start + len(m[1]), owners[m[1]]))
         offset += len(line)
     return matches
 
@@ -182,13 +211,33 @@ def extract_section(
 ) -> SectionInstance | None:
     """Extract the first occurrence of ``section``; None when no header matches."""
     matches = find_headers(document_text, rules)
-    header = next((m for m in matches if m.section is section), None)
-    if header is None:
-        return None
-    following = [m.start for m in matches if m.start > header.start]
-    body_end = min(following) if following else len(document_text)
-    start, end = _trim_span(document_text, header.end, body_end)
-    return SectionInstance(encounter_id, section, document_text[start:end], (start, end))
+    for i, match in enumerate(matches):
+        if match.section is section:
+            return _section_at(document_text, matches, i, encounter_id)
+    return None
+
+
+def extract_sections(
+    document_text: str, rules: HeaderRuleSet, encounter_id: str = ""
+) -> dict[SectionName, SectionInstance]:
+    """``extract_section`` for every section from one header scan: each section
+    whose header matches, mapped to its first occurrence."""
+    matches = find_headers(document_text, rules)
+    found: dict[SectionName, SectionInstance] = {}
+    for i, match in enumerate(matches):
+        if match.section is not None and match.section not in found:
+            found[match.section] = _section_at(document_text, matches, i, encounter_id)
+    return found
+
+
+def _section_at(
+    text: str, matches: list[HeaderMatch], i: int, encounter_id: str
+) -> SectionInstance:
+    # The body runs from the end of header i to the next header of any kind,
+    # trimmed of surrounding whitespace.
+    body_end = matches[i + 1].start if i + 1 < len(matches) else len(text)
+    start, end = _trim_span(text, matches[i].end, body_end)
+    return SectionInstance(encounter_id, matches[i].section, text[start:end], (start, end))
 
 
 def _trim_span(text: str, start: int, end: int) -> tuple[int, int]:

@@ -140,4 +140,4 @@ def ngrams(surfaces: list[str], n: int) -> Counter:
     """All contiguous n-grams of ``surfaces`` with multiplicity."""
     if n < 1:
         raise ValueError(f"n-gram order must be >= 1, got {n}")
-    return Counter(tuple(surfaces[i:i + n]) for i in range(len(surfaces) - n + 1))
+    return Counter(zip(*(surfaces[i:] for i in range(n))))

@@ -195,7 +195,19 @@ class TestBaselineCommands:
          "prior_notes[0]: field 'text'"),
         (lambda r: {**r, "discharge_summary": [r["discharge_summary"]]},
          "field 'discharge_summary'"),
-    ], ids=["list", "no subject_id", "int encounter_id", "int note text", "list summary"])
+        # A note that disagrees with its encounter, or has a bad chart_date,
+        # used to be read without a word.
+        (lambda r: {**r, "prior_notes": [{**r["prior_notes"][0], "encounter_id": "other"}]},
+         "prior_notes[0]: encounter_id 'other' is not the encounter's"),
+        (lambda r: {**r, "discharge_summary": {**r["discharge_summary"], "subject_id": "other"}},
+         "discharge_summary: subject_id 'other' is not the encounter's"),
+        (lambda r: {**r, "prior_notes": [{**r["prior_notes"][0], "chart_date": "2040-13-01"}]},
+         "prior_notes[0]: bad chart_date '2040-13-01'"),
+        (lambda r: {**r, "discharge_summary": {**r["discharge_summary"], "chart_date": "today"}},
+         "discharge_summary: bad chart_date 'today'"),
+    ], ids=["list", "no subject_id", "int encounter_id", "int note text", "list summary",
+            "note of another encounter", "summary of another subject", "bad note chart_date",
+            "bad summary chart_date"])
     def test_malformed_encounter_record_fatal(self, workspace, tmp_path, caplog, edit, message):
         data = tmp_path / "data"
         shutil.copytree(workspace / "data", data)
@@ -1075,6 +1087,9 @@ class TestEvaluate:
             note["text"] for enc in evaluated_ids for note in encounters[enc]["prior_notes"]
         )
         assert expected and Counter(t for t in calls if t in prior_texts) == expected
+        # References and summaries are matched on the tokens ROUGE scored,
+        # without tokenizing them again.
+        assert Counter(calls) == expected
 
 
 class TestEntryPoints:
@@ -1082,6 +1097,36 @@ class TestEntryPoints:
         with pytest.raises(SystemExit) as exc:
             main(["definitely-not-a-command"])
         assert exc.value.code == 2
+
+    def test_successive_calls_parse_independently(self, scored_pipeline, tmp_path, capsys):
+        # The parser is built once per process; no call may see another's argv.
+        assert cli._build_parser() is cli._build_parser()
+        parse = cli._build_parser().parse_args
+        assert parse(["--quiet", "chunk", "--dataset", "d", "--out", "o"]).quiet is True
+        assert parse(["chunk", "--dataset", "d", "--out", "o"]).quiet is False
+        sweep_file = tmp_path / "sweep.json"
+        sweep_file.write_text(json.dumps({"chosen_threshold": 0.5}))
+        cutoff = ["--quiet", "cutoff", "--merged", scored_pipeline["merged"],
+                  "--section", "past_medical_history"]
+        assert run(*cutoff, "--threshold", "0.5", "--out", tmp_path / "a.jsonl") == 0
+        assert run(*cutoff, "--sweep", sweep_file, "--out", tmp_path / "b.jsonl") == 0
+        assert filecmp.cmp(tmp_path / "a.jsonl", tmp_path / "b.jsonl", shallow=False)
+        for extra in (["--threshold", "0.5", "--sweep", sweep_file], []):
+            with pytest.raises(SystemExit) as exc:
+                run(*cutoff, *extra, "--out", tmp_path / "c.jsonl")
+            assert exc.value.code == 2
+        assert "--threshold" in capsys.readouterr().err
+        assert run(*cutoff, "--threshold", "0.95", "--out", tmp_path / "c.jsonl") == 0
+        assert not filecmp.cmp(tmp_path / "a.jsonl", tmp_path / "c.jsonl", shallow=False)
+
+    def test_command_function_looked_up_per_call(self, monkeypatch, tmp_path):
+        # A wrapper bound to a command function's name after the parser was
+        # built is the one that runs.
+        cli._build_parser()
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_synth_corpus", lambda args: seen.append(args.out) or 0)
+        assert run("--quiet", "synth-corpus", "--out", tmp_path / "n.jsonl") == 0
+        assert seen == [str(tmp_path / "n.jsonl")] and not (tmp_path / "n.jsonl").exists()
 
     # "1.5,-0.5,0" used to exit 0 with every subject in train.
     @pytest.mark.parametrize("ratios", [

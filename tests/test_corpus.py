@@ -53,6 +53,18 @@ class TestIngest:
         result = ingest_notes(path)
         assert result.notes == [] and result.skipped == 1
 
+    def test_note_of_another_subject_skipped(self, tmp_path, caplog):
+        # It used to join the encounter, whose record a dataset reader rejects.
+        path = tmp_path / "notes.jsonl"
+        write_notes(path, [make_note(), make_note(note_id="n2", subject_id="s2")])
+        with caplog.at_level(logging.WARNING):
+            result = ingest_notes(path)
+        assert [n.note_id for n in result.notes] == ["n1"] and result.skipped_lines == [2]
+        assert (
+            "notes.jsonl:2: skipping note line: subject_id 's2' is not 's1', the subject of"
+            " encounter 'e1' on an earlier line"
+        ) in caplog.text
+
     def test_duplicate_note_id_skipped(self, tmp_path):
         path = tmp_path / "notes.jsonl"
         write_notes(path, [make_note(), make_note()])

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from encsum.labeling import build_pseudo_pairs, oracle_extract
-from encsum.rouge import rouge_l
+from encsum.labeling import _F1, _RECALL, _argmax_per_reference, build_pseudo_pairs, oracle_extract
+from encsum.rouge import LcsPool, prf, rouge_l
+from encsum.textproc import Sentence
 from tests.conftest import make_sentence
 from tests.test_rouge import brute_force_lcs
 
@@ -159,3 +161,72 @@ def _random_instance(rng: random.Random, distinct: bool = False):
         for i in range(rng.randint(1, 5))
     ]
     return pool, refs
+
+
+def loop_argmax(reference_sents, source_sents, metric):
+    """The per-pair loop that ``_argmax_per_reference`` replaces: one ``prf``
+    call per (reference, source) pair, the best score kept, ties to the
+    lowest key."""
+    lcs_pool = LcsPool([s.tokens for s in source_sents])
+    lengths = [len(s.tokens) for s in source_sents]
+    picks = []
+    for ref_index, ref in enumerate(reference_sents):
+        ref_len = len(ref.tokens)
+        best_sent = None
+        best_score = -1.0
+        lcs = lcs_pool.lcs(lcs_pool.masks_of(ref.tokens))
+        for src, n, overlap in zip(source_sents, lengths, lcs):
+            score = prf(overlap, n, ref_len)[metric]
+            if score > best_score or (score == best_score and src.key < best_sent.key):
+                best_sent = src
+                best_score = score
+        picks.append((ref_index, best_sent, best_score))
+    return picks
+
+
+def _picks(picks):
+    # Sentence equality would merge two sources that differ only in identity.
+    return [(i, id(s), s.key, score) for i, s, score in picks]
+
+
+_tokens = st.lists(st.sampled_from("abcde"), max_size=8).map(tuple)
+
+
+@st.composite
+def argmax_instances(draw):
+    """Pools in any key order, with repeated keys, repeated token sequences and
+    sources without tokens; references may be without tokens too."""
+    pool = [
+        Sentence(draw(_tokens), draw(st.integers(0, 2)), draw(st.integers(0, 4)), "")
+        for _ in range(draw(st.integers(1, 10)))
+    ]
+    refs = [Sentence(draw(_tokens), 0, i, "") for i in range(draw(st.integers(1, 4)))]
+    return refs, pool
+
+
+class TestArgmaxMatchesLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(argmax_instances(), st.sampled_from([_F1, _RECALL]))
+    def test_random_pools(self, instance, metric):
+        refs, pool = instance
+        assert _picks(_argmax_per_reference(refs, pool, None, metric)) == _picks(
+            loop_argmax(refs, pool, metric)
+        )
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("metric", [_F1, _RECALL])
+    def test_f1_tie_rounded_one_ulp_apart(self, reverse, metric):
+        # With a 59-token reference, overlap 42 of 70 and 56 of 113 both have
+        # F1 = 28/43 exactly, but prf rounds them to ...744 and ...745: the
+        # second source wins on F1 although its key is higher.
+        ref = tuple(f"r{i}" for i in range(59))
+        first = ref[:42] + tuple(f"x{i}" for i in range(28))
+        second = ref[:56] + tuple(f"y{i}" for i in range(57))
+        assert prf(42, 70, 59)[2] < prf(56, 113, 59)[2]
+        pool = [Sentence(first, 0, 0, ""), Sentence(second, 0, 1, "")]
+        if reverse:
+            pool.reverse()
+        refs = [Sentence(ref, 0, 0, "")]
+        got = _argmax_per_reference(refs, pool, None, metric)
+        assert _picks(got) == _picks(loop_argmax(refs, pool, metric))
+        assert got[0][1].key == (0, 1)

@@ -210,7 +210,7 @@ def test_score_section_rouge_equals_oracles(reference, candidates, mask_deid):
     instance = SectionInstance("e1", section, reference, (0, len(reference)))
     summaries = {("e1", section.value, f"sys{k}"): text for k, text in enumerate(candidates)}
     rows = score_section(
-        [instance], {"e1": frozenset()}, summaries, lambda key, texts: frozenset(), 3.0,
+        [instance], {"e1": frozenset()}, summaries, lambda key, texts, tokens: frozenset(), 3.0,
         mask_deid=mask_deid,
     )
     ref = tokenize(reference, mask_deid=mask_deid)

@@ -1,14 +1,21 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from encsum.corpus import assemble_encounters
+from encsum.corpus import Encounter, assemble_encounters
+from encsum.dataset import iter_instances, section_file, summary_record
+from encsum.jsonl import read_jsonl, write_jsonl
+from encsum.labeling import RULE_SYSTEM, write_rule_summaries
 from encsum.sections import (
     HeaderMatch,
     HeaderRuleSet,
+    SectionInstance,
     SectionName,
     extract_section,
+    extract_sections,
     find_headers,
     load_rules,
     rule_based_extract_from_priors,
@@ -49,6 +56,21 @@ def overlapping_rules():
     variants[SectionName.SOCIAL_HISTORY] = ("hx:", "social:")
     variants[SectionName.BRIEF_HOSPITAL_COURSE] = ("cc: brief: course:", "plan:")
     return HeaderRuleSet(variants, ("plan:", "hx:", "allergies:", "cc"))
+
+
+def unicode_rules():
+    """Rules whose patterns hold characters that lowercase unusually: "İ"
+    becomes two characters, the Kelvin sign "K" becomes "k", and a capital
+    sigma becomes "ς" or "σ" by what surrounds it. A pattern that starts with
+    a space or tab never matches, as a line's indent is never its header."""
+    variants = {s: (f"{s.display}:",) for s in SectionName}
+    variants[SectionName.CHIEF_COMPLAINT] = ("İcu:", "cc:", " cc:", "\tk:")
+    variants[SectionName.FAMILY_HISTORY] = ("kin:", "ok:")
+    variants[SectionName.SOCIAL_HISTORY] = ("σa:", "aς:", "aσa:")
+    return HeaderRuleSet(variants, ("İ:", "k"))
+
+
+RULE_SETS = {"packaged": load_rules, "overlapping": overlapping_rules, "unicode": unicode_rules}
 
 DOC = (
     "chief complaint:\nchest pain\n\n"
@@ -135,7 +157,14 @@ class TestExtractSection:
 
 
 # Line separators str.splitlines honours, plus a space that is not one.
-SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x85", "\u2028", " "]
+SEPARATORS = [
+    "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", " ",
+]
+
+
+# Characters a header's own may be written as; all but "İ" lowercase back to
+# the pattern's character.
+_SPELLINGS = {"k": "kK\u212a", "σ": "σΣ", "ς": "ςΣ", "i": "iIİ"}
 
 
 @st.composite
@@ -146,13 +175,13 @@ def header_documents(draw, rules):
         if draw(st.booleans()):
             pattern = draw(st.sampled_from(patterns))
             cased = "".join(
-                c.upper() if draw(st.booleans()) else c for c in pattern
+                draw(st.sampled_from(_SPELLINGS.get(c, c + c.upper()))) for c in pattern
             )
             indent = draw(st.text(alphabet=" \t", max_size=5))
-            tail = draw(st.sampled_from(["", " fever", ":", " course: x", "x"]))
+            tail = draw(st.sampled_from(["", " fever", ":", " course: x", "x", "Σ", "aΣ b"]))
             lines.append(indent + cased + tail)
         else:
-            lines.append(draw(st.text(alphabet="ahc x:\t.", max_size=12)))
+            lines.append(draw(st.text(alphabet="ahc x:\t.ΣİK\u212a", max_size=12)))
     text = ""
     for line in lines:
         text += line + draw(st.sampled_from(SEPARATORS))
@@ -174,6 +203,23 @@ class TestFindHeadersMatchesReference:
         doc = data.draw(header_documents(rules))
         assert find_headers(doc, rules) == reference_find_headers(doc, rules)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_unicode_rules(self, data):
+        rules = unicode_rules()
+        doc = data.draw(header_documents(rules))
+        assert find_headers(doc, rules) == reference_find_headers(doc, rules)
+
+    @pytest.mark.parametrize("doc", [
+        "σa: x\nΣA: y\nAΣA: z\naΣ: w\nAΣ",
+        "ΣA:x\u2028\u212aIN: y\r\n  OK: z\x85İCU: w\x1cİ:",
+        "İ\nİcu: x\n \tİ: y\ncc: z\nİCU: w",
+    ], ids=["sigma", "kelvin", "dotted capital i"])
+    def test_unusual_lowercasing(self, doc):
+        rules = unicode_rules()
+        got = find_headers(doc, rules)
+        assert got and got == reference_find_headers(doc, rules)
+
     def test_longest_variant_wins(self):
         rules = overlapping_rules()
         doc = "x\n  cc: brief: course: walked\nCC: BRIEF: fever\ncc: brief\n"
@@ -191,6 +237,28 @@ class TestFindHeadersMatchesReference:
             HeaderMatch(9, 14, SectionName.BRIEF_HOSPITAL_COURSE),
         ]
         assert extract_section(doc, SectionName.SOCIAL_HISTORY, rules) is None
+
+
+class TestExtractSectionsMatchesExtractSection:
+    @pytest.mark.parametrize("rule_set", list(RULE_SETS))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_random_documents(self, rule_set, data):
+        rules = RULE_SETS[rule_set]()
+        doc = data.draw(header_documents(rules))
+        expected = {
+            section: instance for section in SectionName
+            if (instance := extract_section(doc, section, rules, "e1")) is not None
+        }
+        assert extract_sections(doc, rules, "e1") == expected
+
+    def test_first_occurrence_each(self, rules):
+        doc = "cc: first\nsocial history:\nalone\nchief complaint:\nsecond\n"
+        cc, social = SectionName.CHIEF_COMPLAINT, SectionName.SOCIAL_HISTORY
+        assert extract_sections(doc, rules) == {
+            cc: SectionInstance("", cc, "first", (4, 9)),
+            social: SectionInstance("", social, "alone", (26, 31)),
+        }
 
 
 class TestRuleSet:
@@ -221,6 +289,10 @@ class TestRuleSet:
         ("terminators", "allergies:"),
         ("terminators", [None]),
         ("chief_compliant", ["cc:"]),
+        # A pattern with a line break used to load and match at a line end or never.
+        ("chief_complaint", ["cc:\n"]),
+        ("family_history", ["family\r\nhistory:"]),
+        ("terminators", ["allergies:\u2028"]),
     ])
     def test_malformed_rules_fatal(self, tmp_path, key, value):
         data = {s.value: [f"{s.display}:"] for s in SectionName}
@@ -281,3 +353,56 @@ class TestRuleBaseline:
         encounters, _ = assemble_encounters(notes)
         got = rule_based_extract_from_priors(encounters[0], SectionName.SOCIAL_HISTORY, rules)
         assert got == ""
+
+
+@st.composite
+def rule_datasets(draw, rules):
+    """Encounter records whose prior notes are header documents, and for each
+    section the encounters with an instance of it, in file order."""
+    encounters = []
+    for e in range(draw(st.integers(1, 4))):
+        priors = tuple(
+            make_note(note_id=f"e{e}-{i}", encounter_id=f"e{e}",
+                      chart_date=f"2040-01-0{i + 1}", category="nursing",
+                      text=draw(header_documents(rules)))
+            for i in range(draw(st.integers(0, 3)))
+        )
+        summary = make_note(note_id=f"e{e}-ds", encounter_id=f"e{e}", chart_date="2040-01-09",
+                            category="discharge summary", text="x")
+        encounters.append(Encounter("s1", f"e{e}", priors, summary))
+    ids = [e.encounter_id for e in encounters]
+    members = {
+        section: draw(st.permutations(ids).flatmap(lambda p: st.lists(
+            st.sampled_from(p), unique=True, max_size=len(p)
+        )))
+        for section in SectionName
+    }
+    return encounters, members
+
+
+class TestRuleSummariesMatchPerInstance:
+    @pytest.mark.parametrize("rule_set", list(RULE_SETS))
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_random_datasets(self, rule_set, data):
+        # One scan per prior note for all sections writes, in iter_instances
+        # order, what rule_based_extract_from_priors gives for each instance.
+        rules = RULE_SETS[rule_set]()
+        encounters, members = data.draw(rule_datasets(rules))
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            write_jsonl(root / "encounters.jsonl", (e.to_record() for e in encounters))
+            for section, ids in members.items():
+                write_jsonl(section_file(root, section, "test"), (
+                    SectionInstance(eid, section, "ref", (0, 3)).to_record() for eid in ids
+                ))
+            sections = list(SectionName)
+            count = write_rule_summaries(root, sections, "test", rules, root / "rule.jsonl")
+            expected = []
+            for encounter, instance in iter_instances(root, sections, "test"):
+                text = rule_based_extract_from_priors(encounter, instance.section, rules)
+                if text is not None:
+                    expected.append(
+                        summary_record(encounter.encounter_id, instance.section, RULE_SYSTEM, text)
+                    )
+            assert read_jsonl(root / "rule.jsonl") == expected and count == len(expected)

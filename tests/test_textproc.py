@@ -1,5 +1,6 @@
 import re
 import string
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -346,3 +347,10 @@ class TestNgrams:
     @given(st.lists(st.sampled_from("abcd"), max_size=30), st.integers(1, 5))
     def test_count_law(self, tokens, n):
         assert sum(ngrams(tokens, n).values()) == max(0, len(tokens) - n + 1)
+
+    @given(st.lists(st.sampled_from("abcd"), max_size=30), st.integers(1, 5))
+    def test_matches_slices(self, tokens, n):
+        # The one-slice-per-n-gram construction that ngrams replaces.
+        slices = Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+        got = ngrams(tokens, n)
+        assert got == slices and list(got) == list(slices)
