@@ -32,11 +32,15 @@ logger = logging.getLogger("encsum")
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.ERROR if args.quiet else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    # This call's stderr handler, at this call's level, on encsum's logger for
+    # the call only: handlers installed by others (a root handler, pytest's
+    # caplog) stay, and a later call's --quiet is its own.
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setLevel(logging.ERROR if args.quiet else logging.INFO)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    level = logger.level
+    logger.setLevel(logging.INFO)
+    logger.addHandler(handler)
     # The command function is looked up on each call rather than kept in the
     # parser, which is built once per process: a wrapper bound to its name
     # after the first call is still the one that runs.
@@ -46,6 +50,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError, KeyError) as exc:
         logger.error("%s", exc)
         return 1
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 def _sections_arg(value: str) -> list[SectionName]:

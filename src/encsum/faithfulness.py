@@ -4,10 +4,11 @@ The three texts of an evaluation instance are reduced to sets of normalized
 entity strings, and the measures are plain set algebra over the regions of
 their Venn diagram: writing C for the entities shared by all three sets,
 B for those in reference and source but not the system output, and G for
-system entities found in neither source nor reference,
+system entities found in neither source nor reference, the measures need
+only four set sizes, C, B + C = |Source ∩ Reference|, G and |System|:
 
 * faithfulness-adjusted precision   = C / |System|
-* faithfulness-adjusted recall      = C / (B + C)
+* faithfulness-adjusted recall      = C / (B + C) = C / |Source ∩ Reference|
 * faithfulness-adjusted F_beta      = (1 + b^2) P R / (b^2 P + R), beta = 3
   by default (recall weighted three times precision)
 * incorrect hallucination rate      = G / |System|
@@ -37,66 +38,6 @@ DEFAULT_BETA = 3.0
 
 
 @dataclass(frozen=True)
-class EntityVennRegions:
-    """Cardinalities of the seven regions of the (source, reference, system) diagram."""
-
-    source_only: int
-    reference_only: int
-    system_only: int
-    source_reference: int
-    source_system: int
-    reference_system: int
-    all_three: int
-
-    @property
-    def b(self) -> int:
-        """|(reference ∩ source) \\ system| — relevant, faithful, but missed."""
-        return self.source_reference
-
-    @property
-    def c(self) -> int:
-        """|system ∩ reference ∩ source| — relevant, faithful, and produced."""
-        return self.all_three
-
-    @property
-    def f(self) -> int:
-        """|(system ∩ reference) \\ source| — relevant but unsupported."""
-        return self.reference_system
-
-    @property
-    def g(self) -> int:
-        """|system \\ (source ∪ reference)| — neither supported nor relevant."""
-        return self.system_only
-
-    @property
-    def source_size(self) -> int:
-        return self.source_only + self.source_reference + self.source_system + self.all_three
-
-    @property
-    def reference_size(self) -> int:
-        return self.reference_only + self.source_reference + self.reference_system + self.all_three
-
-    @property
-    def system_size(self) -> int:
-        return self.system_only + self.source_system + self.reference_system + self.all_three
-
-
-def venn_regions(
-    src: frozenset[str], ref: frozenset[str], sys_: frozenset[str]
-) -> EntityVennRegions:
-    """Exact set-algebra cardinalities for all seven Venn regions."""
-    return EntityVennRegions(
-        source_only=len(src - ref - sys_),
-        reference_only=len(ref - src - sys_),
-        system_only=len(sys_ - src - ref),
-        source_reference=len((src & ref) - sys_),
-        source_system=len((src & sys_) - ref),
-        reference_system=len((ref & sys_) - src),
-        all_three=len(src & ref & sys_),
-    )
-
-
-@dataclass(frozen=True)
 class FaithfulnessScores:
     fa_precision: float
     fa_recall: float
@@ -114,31 +55,10 @@ def f_beta(precision: float, recall: float, beta: float) -> float:
         return precision
     denominator = beta * beta * precision + recall
     if denominator <= 0:
+        # Only when recall is 0 and beta * beta underflows to 0 (beta below
+        # about 1e-162, which ``--beta`` accepts); the numerator is 0 too.
         return 0.0
     return (1 + beta * beta) * precision * recall / denominator
-
-
-def faithfulness_scores(regions: EntityVennRegions, beta: float = DEFAULT_BETA) -> FaithfulnessScores:
-    """Faithfulness-adjusted P/R/F_beta and incorrect hallucination rate.
-
-    Degenerate denominators (empty system output, or no relevant-and-faithful
-    entities to recall) score zero and set the matching flag.
-    """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    system_size = regions.system_size
-    relevant = regions.b + regions.c
-    precision = regions.c / system_size if system_size else 0.0
-    hallucination = regions.g / system_size if system_size else 0.0
-    recall = regions.c / relevant if relevant else 0.0
-    return FaithfulnessScores(
-        fa_precision=precision,
-        fa_recall=recall,
-        fa_f_beta=f_beta(precision, recall, beta),
-        incorrect_hallucination_rate=hallucination,
-        empty_system=system_size == 0,
-        empty_relevant=relevant == 0,
-    )
 
 
 @dataclass(frozen=True)
@@ -246,4 +166,23 @@ def score_sets(
     source: frozenset[str], reference: frozenset[str], system: frozenset[str],
     beta: float = DEFAULT_BETA,
 ) -> FaithfulnessScores:
-    return faithfulness_scores(venn_regions(source, reference, system), beta)
+    """Faithfulness-adjusted P/R/F_beta and incorrect hallucination rate.
+
+    Degenerate denominators (empty system output, or no relevant-and-faithful
+    entities to recall) score zero and set the matching flag.
+    """
+    relevant = source & reference
+    c = len(relevant & system)
+    g = len(system - source - reference)
+    system_size = len(system)
+    precision = c / system_size if system_size else 0.0
+    hallucination = g / system_size if system_size else 0.0
+    recall = c / len(relevant) if relevant else 0.0
+    return FaithfulnessScores(
+        fa_precision=precision,
+        fa_recall=recall,
+        fa_f_beta=f_beta(precision, recall, beta),
+        incorrect_hallucination_rate=hallucination,
+        empty_system=system_size == 0,
+        empty_relevant=not relevant,
+    )

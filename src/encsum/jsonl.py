@@ -62,24 +62,25 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:
                 yield lineno, None
 
 
-def read_jsonl(path: str | Path, parse: Callable[[Any], Any] | None = None) -> list:
-    """Read every JSONL record, skipping blank lines.
+def read_jsonl(path: str | Path, add: Callable[[Any], None] | None = None) -> list:
+    """Read every JSONL record, skipping blank lines, into the returned list.
 
     An undecodable (or ``null``) line is fatal: ``ValueError("<path>:<lineno>: ...")``.
-    With ``parse``, each record is replaced by ``parse(record)``; a ValueError it
-    raises is fatal with the same ``<path>:<lineno>:`` prefix.
+    With ``add``, each record goes to ``add(record)`` instead and the list
+    stays empty; a ValueError it raises is fatal with the same
+    ``<path>:<lineno>:`` prefix.
     Loaders that skip bad lines with a counted warning use ``iter_jsonl``.
     """
-    out = []
+    out: list = []
+    if add is None:
+        add = out.append
     for lineno, obj in iter_jsonl(path):
         if obj is None:
             raise ValueError(f"{path}:{lineno}: not a JSON record")
-        if parse is not None:
-            try:
-                obj = parse(obj)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-        out.append(obj)
+        try:
+            add(obj)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out
 
 
@@ -88,8 +89,8 @@ def read_jsonl_keyed(
 ) -> dict:
     """Read a JSONL file whose records each carry a unique key into a dict.
 
-    ``parse(record)`` returns ``(key, value)``. As ``read_jsonl``, and a key
-    seen on an earlier line is fatal too:
+    ``parse(record)`` returns ``(key, value)``. Errors are as for
+    ``read_jsonl``, and a key seen on an earlier line is fatal too:
     ``ValueError("<path>:<lineno>: repeated <key_name> ...")``.
     """
     out: dict = {}

@@ -11,7 +11,6 @@ ROUGE-L F1; pseudo pairs for extractor training score by ROUGE-L recall.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -31,43 +30,6 @@ RULE_SYSTEM = "rule_based_ext"
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class OraclePick:
-    reference_index: int
-    source_key: tuple[int, int]
-    score: float
-
-
-@dataclass(frozen=True)
-class OracleExtraction:
-    picks: tuple[OraclePick, ...]
-    summary_text: str
-
-
-@dataclass(frozen=True)
-class PseudoPair:
-    source_key: tuple[int, int]
-    reference_index: int
-    score: float
-
-
-@dataclass(frozen=True)
-class PseudoPairSet:
-    pairs: tuple[PseudoPair, ...]
-    positives: tuple[tuple[int, int], ...]
-
-    def to_record(self, encounter_id: str, section: str) -> dict:
-        return {
-            "encounter_id": encounter_id,
-            "section": section,
-            "positives": [list(key) for key in self.positives],
-            "pairs": [
-                {"src": list(p.source_key), "ref": p.reference_index, "score": p.score}
-                for p in self.pairs
-            ],
-        }
-
-
 # Indices into ``rouge.prf``'s (precision, recall, F1).
 _RECALL, _F1 = 1, 2
 
@@ -75,20 +37,23 @@ _RECALL, _F1 = 1, 2
 def _argmax_per_reference(
     reference_sents: Sequence[Sentence],
     source_sents: Sequence[Sentence],
-    lcs_pool: LcsPool | None,
+    lcs_pool: LcsPool,
     metric: int,
-) -> list[tuple[int, Sentence, float]]:
+) -> list[tuple[Sentence, float]]:
+    """For each reference sentence, in order, the source sentence with the
+    best ``metric`` of ``rouge.prf`` (ties to the lowest key) and that score.
+
+    ``lcs_pool`` pools the tokens of ``source_sents`` in their order.
+    """
     if not reference_sents:
         raise ValueError("reference sentence list is empty")
     if not source_sents:
         raise ValueError("source sentence pool is empty, nothing to extract")
-    if lcs_pool is None:
-        lcs_pool = LcsPool([s.tokens for s in source_sents])
     lengths = list(map(len, map(attrgetter("tokens"), source_sents)))
     keys = list(map(attrgetter("doc_index", "sent_index"), source_sents))
     in_key_order = keys == sorted(keys)
     picks = []
-    for ref_index, ref in enumerate(reference_sents):
+    for ref in reference_sents:
         ref_len = len(ref.tokens)
         lcs = lcs_pool.lcs(lcs_pool.masks_of(ref.tokens))
         if metric == _RECALL:
@@ -107,44 +72,43 @@ def _argmax_per_reference(
         i = scores.index(best)
         if not in_key_order:
             i = min((j for j, score in enumerate(scores) if score == best), key=keys.__getitem__)
-        picks.append((ref_index, source_sents[i], prf(lcs[i], lengths[i], ref_len)[metric]))
+        picks.append((source_sents[i], prf(lcs[i], lengths[i], ref_len)[metric]))
     return picks
 
 
 def oracle_extract(
     reference_sents: Sequence[Sentence],
     source_sents: Sequence[Sentence],
-    lcs_pool: LcsPool | None = None,
-) -> OracleExtraction:
-    """For each reference sentence pick the source sentence maximizing ROUGE-L F1.
+    lcs_pool: LcsPool,
+) -> str:
+    """The oracle summary: for each reference sentence, in order, the source
+    sentence maximizing ROUGE-L F1, joined by newlines.
 
-    Ties break toward the lowest (doc_index, sent_index). Picks keep reference
-    order and the oracle summary joins the picked sentences in that order.
-    ``lcs_pool``, when given, must pool the tokens of ``source_sents`` in
-    their order; it is built here otherwise.
+    Ties break toward the lowest (doc_index, sent_index). ``lcs_pool`` pools
+    the tokens of ``source_sents`` in their order.
     """
     picks = _argmax_per_reference(reference_sents, source_sents, lcs_pool, _F1)
-    return OracleExtraction(
-        picks=tuple(OraclePick(i, s.key, score) for i, s, score in picks),
-        summary_text="\n".join(s.raw_text for _, s, _ in picks),
-    )
+    return "\n".join(s.raw_text for s, _ in picks)
 
 
 def build_pseudo_pairs(
     reference_sents: Sequence[Sentence],
     source_sents: Sequence[Sentence],
-    lcs_pool: LcsPool | None = None,
-) -> PseudoPairSet:
-    """Greedy one-best source sentence per reference sentence by ROUGE-L recall.
+    lcs_pool: LcsPool,
+) -> dict:
+    """Greedy one-best source sentence per reference sentence by ROUGE-L recall,
+    as the ``positives`` and ``pairs`` fields of a pseudo-label record.
 
     Duplicate source picks collapse into a single positive label.
     ``lcs_pool`` is as for ``oracle_extract``.
     """
     picks = _argmax_per_reference(reference_sents, source_sents, lcs_pool, _RECALL)
-    return PseudoPairSet(
-        pairs=tuple(PseudoPair(s.key, i, score) for i, s, score in picks),
-        positives=tuple(sorted({s.key for _, s, _ in picks})),
-    )
+    return {
+        "positives": [list(key) for key in sorted({s.key for s, _ in picks})],
+        "pairs": [
+            {"src": list(s.key), "ref": i, "score": score} for i, (s, score) in enumerate(picks)
+        ],
+    }
 
 
 def align_instances(
@@ -198,7 +162,7 @@ def write_oracle_summaries(
     """Write the oracle summaries (system ``oracle_ext``); returns their number."""
 
     def summary(instance, refs, pool, lcs_pool) -> dict:
-        text = oracle_extract(refs, pool, lcs_pool).summary_text
+        text = oracle_extract(refs, pool, lcs_pool)
         return summary_record(instance.encounter_id, instance.section, ORACLE_SYSTEM, text)
 
     rows = align_instances(dataset_dir, sections, split, summary, mask_deid)
@@ -213,8 +177,11 @@ def write_pseudo_labels(
     """Write one pseudo-label record per aligned instance; returns their number."""
 
     def labels(instance, refs, pool, lcs_pool) -> dict:
-        pairs = build_pseudo_pairs(refs, pool, lcs_pool)
-        return pairs.to_record(instance.encounter_id, instance.section.value)
+        return {
+            "encounter_id": instance.encounter_id,
+            "section": instance.section.value,
+            **build_pseudo_pairs(refs, pool, lcs_pool),
+        }
 
     rows = align_instances(dataset_dir, sections, split, labels, mask_deid)
     write_jsonl(out, rows)

@@ -10,8 +10,8 @@ deterministic glue around them:
   the max over the windows of a split sentence;
 * ``sweep_threshold`` picks the score cutoff that maximizes mean validation
   ROUGE-L F1 over a quantile grid;
-* ``apply_cutoff`` / ``postprocess`` turn scored sentences into a deduplicated
-  extractive summary.
+* ``apply_cutoff`` turns scored sentences into a deduplicated extractive
+  summary.
 
 This module owns the segment, score, merged-score and sweep-result files:
 each is built and parsed only here, and the ``write_*`` functions run the
@@ -115,7 +115,7 @@ class ScoredSentence:
 
     @property
     def dedup_key(self) -> str:
-        """What ``postprocess`` compares: the text, lowercased, whitespace collapsed."""
+        """What ``apply_cutoff`` compares: the text, lowercased, whitespace collapsed."""
         return normalize(self.text)
 
     def to_record(self) -> dict:
@@ -248,24 +248,19 @@ def merge_scores(
 _Kept = TypeVar("_Kept")
 
 
-def _cutoff(sentences: Iterable[_Kept], threshold: float | None) -> list[_Kept]:
+def _cutoff(sentences: Iterable[_Kept], threshold: float) -> list[_Kept]:
     """The one cutoff-and-dedup rule: in order, the sentences scoring at or
-    above ``threshold`` (all of them when it is None), less each whose
-    ``dedup_key`` an earlier kept sentence has."""
+    above ``threshold``, less each whose ``dedup_key`` an earlier kept
+    sentence has."""
     seen: set[str] = set()
     out = []
     for sent in sentences:
-        if threshold is None or sent.score >= threshold:
+        if sent.score >= threshold:
             key = sent.dedup_key
             if key not in seen:
                 seen.add(key)
                 out.append(sent)
     return out
-
-
-def postprocess(extracted: Sequence[ScoredSentence]) -> list[ScoredSentence]:
-    """Drop exact duplicates (case/whitespace-insensitive), keeping first occurrence."""
-    return _cutoff(extracted, None)
 
 
 def summary_text(sentences: Sequence[ScoredSentence]) -> str:

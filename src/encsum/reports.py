@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 from .corpus import SPLIT_NAMES
 from .jsonl import write_text
-from .sections import SECTION_ORDER
+from .sections import SectionName
 
 
 @dataclass(frozen=True)
@@ -57,16 +57,12 @@ PLOT_METRICS = (
 )
 
 
-_SECTION_RANK = {s.value: i for i, s in enumerate(SECTION_ORDER)}
-
-
-def _section_order(section: str) -> tuple[int, str]:
-    return _SECTION_RANK.get(section, len(_SECTION_RANK)), section
+_SECTION_RANK = {s.value: i for i, s in enumerate(SectionName)}
 
 
 def _sorted(rows: Sequence[ReportRow]) -> list[ReportRow]:
-    """Rows in section order (unknown sections last, by name), then by system."""
-    return sorted(rows, key=lambda r: (_section_order(r.section), r.system))
+    """Rows in ``SectionName`` order, then by system."""
+    return sorted(rows, key=lambda r: (_SECTION_RANK[r.section], r.system))
 
 
 def _pct(value: float) -> str:
@@ -145,7 +141,7 @@ def render_stats_csv(per_section: Mapping[str, Mapping]) -> str:
     buf = StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("section", *SPLIT_NAMES, "mean_words", "mean_sentences"))
-    for name in sorted(per_section, key=_section_order):
+    for name in sorted(per_section, key=_SECTION_RANK.__getitem__):
         stats = per_section[name]
         counts = stats["counts"]
         writer.writerow(

@@ -37,13 +37,6 @@ class SectionName(str, Enum):
     HISTORY_OF_PRESENT_ILLNESS = "history_of_present_illness"
     BRIEF_HOSPITAL_COURSE = "brief_hospital_course"
 
-    @property
-    def display(self) -> str:
-        return self.value.replace("_", " ")
-
-
-SECTION_ORDER = tuple(SectionName)
-
 
 @dataclass(frozen=True)
 class HeaderRuleSet:

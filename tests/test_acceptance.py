@@ -12,20 +12,15 @@ from contextlib import contextmanager
 import pytest
 
 from encsum.cli import main
-from encsum.faithfulness import (
-    Gazetteer,
-    f_beta,
-    faithfulness_scores,
-    venn_regions,
-)
+from encsum.faithfulness import Gazetteer, f_beta, score_sets
 from encsum.jsonl import read_jsonl
 from encsum.labeling import build_pseudo_pairs, oracle_extract
 from encsum.pipeline import ChunkConfig, ScoredSentence, chunk_encounter, merge_scores, sweep_threshold
-from encsum.rouge import lcs_length, rouge_n
+from encsum.rouge import LcsPool, lcs_length, rouge_n
 from encsum.textproc import tokenize
 from tests.conftest import make_sentence
-from tests.test_faithfulness import oracle_regions, score_triples
-from tests.test_labeling import exhaustive_argmax
+from tests.test_faithfulness import WORKED, oracle_regions, oracle_scores, score_triples
+from tests.test_labeling import exhaustive_argmax, oracle_picks
 from tests.test_pipeline import reevaluate_grid, segment_token_count
 from tests.test_rouge import brute_force_lcs, brute_force_ngram_overlap
 
@@ -68,23 +63,21 @@ def test_criterion_2_faithfulness_formulas():
             src = {c for c in universe if rng.random() < 0.4}
             ref = {c for c in universe if rng.random() < 0.4}
             sys_ = {c for c in universe if rng.random() < 0.4}
-            regions = venn_regions(frozenset(src), frozenset(ref), frozenset(sys_))
-            expected = oracle_regions(src, ref, sys_)
-            for name, value in expected.items():
-                assert getattr(regions, name) == value
-            scores = faithfulness_scores(regions)
+            scores = score_sets(frozenset(src), frozenset(ref), frozenset(sys_))
+            assert scores == oracle_scores(src, ref, sys_)
+            counts = oracle_regions(src, ref, sys_)
+            c = counts["all_three"]
             if sys_:
-                assert abs(scores.fa_precision * len(sys_) - regions.c) <= 1e-12
-            relevant = regions.b + regions.c
+                assert abs(scores.fa_precision * len(sys_) - c) <= 1e-12
+            relevant = counts["source_reference"] + c
             if relevant:
-                assert abs(scores.fa_recall * relevant - regions.c) <= 1e-12
-            assert regions.f + regions.g == len(sys_ - src)
+                assert abs(scores.fa_recall * relevant - c) <= 1e-12
+            assert counts["reference_system"] + counts["system_only"] == len(sys_ - src)
 
-        worked = venn_regions(
-            frozenset({"x", "y", "z"}), frozenset({"y", "z", "w"}), frozenset({"z", "w", "v"})
-        )
-        assert (worked.c, worked.b, worked.g, worked.system_size) == (1, 1, 1, 3)
-        scores = faithfulness_scores(worked, beta=3.0)
+        counts = oracle_regions(*WORKED)
+        assert (counts["all_three"], counts["source_reference"], counts["system_only"]) == (1, 1, 1)
+        scores = score_sets(*map(frozenset, WORKED), beta=3.0)
+        assert (scores.fa_precision, scores.fa_recall) == (1 / 3, 1 / 2)
         assert scores.fa_f_beta == pytest.approx(0.4762, abs=1e-4)
         assert scores.incorrect_hallucination_rate == 1 / 3
 
@@ -146,13 +139,16 @@ def test_criterion_5_oracle_extraction_optimality():
                 )
                 for i in range(rng.randint(1, 5))
             ]
-            extraction = oracle_extract(refs, pool)
+            lcs_pool = LcsPool([s.tokens for s in pool])
+            expected = exhaustive_argmax(refs, pool, "f1")
+            assert oracle_picks(refs, pool) == expected
+            by_key = {s.key: s for s in pool}
+            assert oracle_extract(refs, pool, lcs_pool) == "\n".join(
+                by_key[key].raw_text for key, _ in expected
+            )
+            pairs = build_pseudo_pairs(refs, pool, lcs_pool)
             assert [
-                (p.source_key, p.score) for p in extraction.picks
-            ] == exhaustive_argmax(refs, pool, "f1")
-            pairs = build_pseudo_pairs(refs, pool)
-            assert [
-                (p.source_key, p.score) for p in pairs.pairs
+                (tuple(p["src"]), p["score"]) for p in pairs["pairs"]
             ] == exhaustive_argmax(refs, pool, "recall")
 
 

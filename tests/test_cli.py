@@ -379,7 +379,7 @@ class TestBaselineCommands:
             pools[id(pool)] = (encounter.encounter_id, pool)
             return pool
 
-        def recording(refs, pool, lcs_pool=None):
+        def recording(refs, pool, lcs_pool):
             aligned.append(pools[id(pool)][0])
             return extract(refs, pool, lcs_pool)
 
@@ -1118,6 +1118,38 @@ class TestEntryPoints:
         assert "--threshold" in capsys.readouterr().err
         assert run(*cutoff, "--threshold", "0.95", "--out", tmp_path / "c.jsonl") == 0
         assert not filecmp.cmp(tmp_path / "a.jsonl", tmp_path / "c.jsonl", shallow=False)
+
+    # basicConfig does nothing after its first call in a process, so the first
+    # call's --quiet used to govern every later call.
+    @pytest.mark.parametrize("quiet_first", [False, True])
+    def test_quiet_governs_its_call_only(self, tmp_path, quiet_first):
+        flags = [["--quiet"], []] if quiet_first else [[], ["--quiet"]]
+        argvs = [
+            [*flag, "synth-corpus", "--out", str(tmp_path / f"n{i}.jsonl"), "--encounters", "2"]
+            for i, flag in enumerate(flags)
+        ]
+        script = (
+            "import json, sys\n"
+            "from encsum.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0\n"
+            "    print('-- call done', file=sys.stderr, flush=True)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        *logs, tail = proc.stderr.split("-- call done\n")
+        assert tail == ""
+        assert ["INFO encsum: wrote" in log for log in logs] == [not flag for flag in flags]
+
+    def test_quiet_leaves_other_handlers(self, tmp_path, caplog):
+        root, package = logging.getLogger(), logging.getLogger("encsum")
+        before = (list(root.handlers), list(package.handlers), package.level)
+        with caplog.at_level(logging.INFO):
+            assert run("--quiet", "synth-corpus", "--out", tmp_path / "n.jsonl",
+                       "--encounters", "2") == 0
+        assert "wrote" in caplog.text
+        assert (list(root.handlers), list(package.handlers), package.level) == before
 
     def test_command_function_looked_up_per_call(self, monkeypatch, tmp_path):
         # A wrapper bound to a command function's name after the parser was

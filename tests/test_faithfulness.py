@@ -6,14 +6,13 @@ from hypothesis import example, given, strategies as st
 
 from encsum.evaluate import gazetteer_entities, score_section
 from encsum.faithfulness import (
+    FaithfulnessScores,
     Gazetteer,
     extract_entities_gazetteer,
     f_beta,
-    faithfulness_scores,
     ingest_entity_annotations,
     load_default_gazetteer,
     score_sets,
-    venn_regions,
 )
 from encsum.sections import SectionInstance, SectionName
 from encsum.textproc import tokenize
@@ -46,43 +45,75 @@ def oracle_regions(src, ref, sys_):
     return counts
 
 
+def oracle_scores(src, ref, sys_, beta=3.0):
+    """The scores recomputed from the membership oracle's region counts:
+    C = all_three, B = source_reference, G = system_only, and |System| as the
+    sum of the four regions inside the system set."""
+    counts = oracle_regions(src, ref, sys_)
+    c, b, g = counts["all_three"], counts["source_reference"], counts["system_only"]
+    system_size = c + g + counts["source_system"] + counts["reference_system"]
+    precision = c / system_size if system_size else 0.0
+    recall = c / (b + c) if b + c else 0.0
+    return FaithfulnessScores(
+        fa_precision=precision,
+        fa_recall=recall,
+        fa_f_beta=f_beta(precision, recall, beta),
+        incorrect_hallucination_rate=g / system_size if system_size else 0.0,
+        empty_system=system_size == 0,
+        empty_relevant=b + c == 0,
+    )
+
+
+# S={x,y,z}, R={y,z,w}, Y={z,w,v}: one entity in each of C, B, F and G.
+WORKED = ({"x", "y", "z"}, {"y", "z", "w"}, {"z", "w", "v"})
+
+
 class TestVennRegions:
     def test_worked_example(self):
-        regions = venn_regions(*_sets({"x", "y", "z"}, {"y", "z", "w"}, {"z", "w", "v"}))
-        assert (regions.c, regions.b, regions.f, regions.g) == (1, 1, 1, 1)
+        counts = oracle_regions(*WORKED)
+        assert (counts["all_three"], counts["source_reference"],
+                counts["reference_system"], counts["system_only"]) == (1, 1, 1, 1)
+        assert score_sets(*_sets(*WORKED)) == oracle_scores(*WORKED)
 
     def test_all_equal(self):
-        regions = venn_regions(*_sets({"a", "b"}, {"a", "b"}, {"a", "b"}))
-        assert regions.c == 2
-        assert regions.b == regions.f == regions.g == 0
+        scores = score_sets(*_sets({"a", "b"}, {"a", "b"}, {"a", "b"}))
+        assert scores == oracle_scores({"a", "b"}, {"a", "b"}, {"a", "b"})
+        assert scores.fa_precision == scores.fa_recall == scores.fa_f_beta == 1.0
+        assert scores.incorrect_hallucination_rate == 0.0
 
     def test_system_disjoint(self):
-        regions = venn_regions(*_sets({"a"}, {"b"}, {"c", "d"}))
-        assert regions.g == 2
-        assert regions.c == regions.b == regions.f == 0
+        scores = score_sets(*_sets({"a"}, {"b"}, {"c", "d"}))
+        assert scores == oracle_scores({"a"}, {"b"}, {"c", "d"})
+        assert scores.incorrect_hallucination_rate == 1.0
+        assert scores.fa_precision == scores.fa_recall == 0.0
+        assert scores.empty_relevant and not scores.empty_system
 
-    @given(entity_sets, entity_sets, entity_sets)
-    def test_matches_membership_oracle(self, src, ref, sys_):
-        regions = venn_regions(*_sets(src, ref, sys_))
-        expected = oracle_regions(src, ref, sys_)
-        for name, value in expected.items():
-            assert getattr(regions, name) == value
+    @given(entity_sets, entity_sets, entity_sets, st.sampled_from([0.5, 1.0, 3.0]))
+    def test_matches_membership_oracle(self, src, ref, sys_, beta):
+        assert score_sets(*_sets(src, ref, sys_), beta) == oracle_scores(src, ref, sys_, beta)
 
     @given(entity_sets, entity_sets, entity_sets)
     def test_sizes_reconstruct(self, src, ref, sys_):
-        regions = venn_regions(*_sets(src, ref, sys_))
-        assert regions.source_size == len(src)
-        assert regions.reference_size == len(ref)
-        assert regions.system_size == len(sys_)
-        assert regions.f + regions.g == len(set(sys_) - set(src))
+        # The set sizes score_sets and the docs use, from the oracle's regions.
+        counts = oracle_regions(src, ref, sys_)
+        c = counts["all_three"]
+        assert len(src & ref) == counts["source_reference"] + c
+        assert len(sys_ - src - ref) == counts["system_only"]
+        assert len(sys_ & ref) - c == counts["reference_system"]
+        for size, regions in (
+            (len(src), ("source_only", "source_reference", "source_system")),
+            (len(ref), ("reference_only", "source_reference", "reference_system")),
+            (len(sys_), ("system_only", "source_system", "reference_system")),
+        ):
+            assert size == c + sum(counts[name] for name in regions)
+        assert counts["reference_system"] + counts["system_only"] == len(sys_ - src)
 
 
 class TestFaithfulnessScores:
     def test_worked_example(self):
-        regions = venn_regions(*_sets({"x", "y", "z"}, {"y", "z", "w"}, {"z", "w", "v"}))
-        scores = faithfulness_scores(regions, beta=3.0)
-        assert scores.fa_precision == pytest.approx(1 / 3)
-        assert scores.fa_recall == pytest.approx(1 / 2)
+        scores = score_sets(*_sets(*WORKED), beta=3.0)
+        assert scores.fa_precision == 1 / 3
+        assert scores.fa_recall == 1 / 2
         assert scores.fa_f_beta == pytest.approx(0.476190476, abs=1e-6)
         assert scores.incorrect_hallucination_rate == 1 / 3
         assert not scores.empty_system and not scores.empty_relevant
@@ -107,22 +138,29 @@ class TestFaithfulnessScores:
         assert scores.empty_relevant and not scores.empty_system
 
     def test_bad_beta(self):
-        regions = venn_regions(*_sets({"a"}, {"a"}, {"a"}))
-        with pytest.raises(ValueError):
-            faithfulness_scores(regions, beta=0.0)
+        for beta in (0.0, -1.0):
+            with pytest.raises(ValueError, match="beta must be positive"):
+                score_sets(*_sets({"a"}, {"a"}, {"a"}), beta=beta)
+
+    # beta * beta underflows to 0 below about 1e-162, and --beta accepts such
+    # a value: the denominator is then 0 when recall is 0.
+    def test_f_beta_underflowing_beta(self):
+        assert f_beta(0.5, 0.0, 1e-200) == 0.0
+        assert score_sets(*_sets({"a"}, {"b"}, {"a"}), beta=1e-200).fa_f_beta == 0.0
 
     @given(entity_sets, entity_sets, entity_sets)
     def test_products_recover_counts(self, src, ref, sys_):
-        regions = venn_regions(*_sets(src, ref, sys_))
-        scores = faithfulness_scores(regions)
+        scores = score_sets(*_sets(src, ref, sys_))
+        counts = oracle_regions(src, ref, sys_)
+        c = counts["all_three"]
         if sys_:
-            assert scores.fa_precision * len(sys_) == pytest.approx(regions.c, abs=1e-12)
+            assert scores.fa_precision * len(sys_) == pytest.approx(c, abs=1e-12)
             assert scores.incorrect_hallucination_rate * len(sys_) == pytest.approx(
-                regions.g, abs=1e-12
+                counts["system_only"], abs=1e-12
             )
-        relevant = regions.b + regions.c
+        relevant = counts["source_reference"] + c
         if relevant:
-            assert scores.fa_recall * relevant == pytest.approx(regions.c, abs=1e-12)
+            assert scores.fa_recall * relevant == pytest.approx(c, abs=1e-12)
 
     @given(st.floats(0, 1), st.floats(0, 1))
     def test_f_beta_within_p_r_envelope(self, p, r):

@@ -1,11 +1,12 @@
 """Golden output digests: the sha256 of every file of a fixed 60-stay synthetic run.
 
 The run (:func:`golden_run`) goes through ``encsum.cli.main``: synth-corpus,
-build-dataset, oracle, pseudo-labels, rule-baseline, chunk, a deterministic
-scorer written here, merge-scores, sweep, cutoff and evaluate (packaged
-gazetteer, ``--gazetteer FILE``, ``--annotations FILE`` and ``--beta 1``),
-then build-dataset, oracle, pseudo-labels, chunk, sweep and evaluate again
-with ``--mask-deid``. The cutoff system gives the report partial-credit ROUGE
+build-dataset, oracle, pseudo-labels, rule-baseline, chunk (the validation
+split also under a 6-token budget, so that its long sentences are
+hard-windowed), a deterministic scorer written here, merge-scores, sweep,
+cutoff and evaluate (packaged gazetteer, ``--gazetteer FILE``,
+``--annotations FILE`` and ``--beta 1``), then build-dataset, oracle,
+pseudo-labels, chunk, sweep and evaluate again with ``--mask-deid``. The cutoff system gives the report partial-credit ROUGE
 and entity arithmetic, which the oracle and the rule baseline barely reach on
 the synthetic corpus. The run is checked in-process and once more in a
 subprocess under another ``PYTHONHASHSEED``.
@@ -14,7 +15,8 @@ A change that alters output bytes on purpose regenerates the digests with::
 
     PYTHONPATH=src python tests/test_golden.py --regenerate
 
-and names each changed file, and why, in CHANGES.md.
+which prints each added, removed and changed digest; name each of them, and
+why, in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -80,7 +82,9 @@ def _write_annotations(data: Path, out: Path) -> None:
 
 
 def _extract_run(data: Path, out: Path, mask: tuple[str, ...]) -> None:
-    """oracle, pseudo-labels, chunk, scores, merge-scores, sweep and cutoff into ``out``."""
+    """oracle, pseudo-labels, chunk, scores, merge-scores, sweep and cutoff into
+    ``out``; the validation split is also chunked under a 6-token budget, which
+    hard-windows its longer sentences, and merged from its scores."""
     systems = out / "systems"
     _run(*mask, "oracle", "--dataset", data, "--split", "test",
          "--out", systems / "sys_oracle.jsonl")
@@ -93,6 +97,13 @@ def _extract_run(data: Path, out: Path, mask: tuple[str, ...]) -> None:
         _write_scores(segments, out / f"scores_{split}.jsonl")
         _run("merge-scores", "--segments", segments, "--scores", out / f"scores_{split}.jsonl",
              "--out", out / f"merged_{split}.jsonl")
+    windowed = out / "segments_validation_windowed.jsonl"
+    _run(*mask, "chunk", "--dataset", data, "--split", "validation", "--max-tokens", 6,
+         "--out", windowed)
+    _write_scores(windowed, out / "scores_validation_windowed.jsonl")
+    _run("merge-scores", "--segments", windowed,
+         "--scores", out / "scores_validation_windowed.jsonl",
+         "--out", out / "merged_validation_windowed.jsonl")
     _run(*mask, "sweep", "--dataset", data, "--section", SWEEP_SECTION,
          "--merged", out / "merged_validation.jsonl", "--out", out / "sweep.json")
     _run("cutoff", "--merged", out / "merged_test.jsonl", "--section", SWEEP_SECTION,
@@ -145,6 +156,14 @@ def _differences(got: dict[str, str], want: dict[str, str]) -> list[str]:
     return sorted(name for name in got.keys() | want.keys() if got.get(name) != want.get(name))
 
 
+def _changes(new: dict[str, str], old: dict[str, str]) -> list[str]:
+    """One line per digest that ``new`` adds to, removes from or changes in ``old``."""
+    return [
+        f"{'added' if name not in old else 'removed' if name not in new else 'changed'} {name}"
+        for name in _differences(new, old)
+    ]
+
+
 def test_digests_match_golden(tmp_path):
     assert _differences(golden_run(tmp_path), _golden()) == []
 
@@ -168,7 +187,8 @@ if __name__ == "__main__":
     elif sys.argv[1:] == ["--regenerate"]:
         with tempfile.TemporaryDirectory() as tmp:
             digests = golden_run(Path(tmp))
+        old = _golden() if GOLDEN.exists() else {}
         GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", "utf-8")
-        print(f"wrote {len(digests)} digests to {GOLDEN}")
+        print("\n".join([*_changes(digests, old), f"wrote {len(digests)} digests to {GOLDEN}"]))
     else:
         sys.exit("usage: test_golden.py --regenerate | --print DIR")

@@ -53,3 +53,19 @@ class TestAtomicWrites:
         written = tmp_path / "written.txt"
         write_text(written, "x")
         assert written.stat().st_mode == plain.stat().st_mode
+
+
+class TestRead:
+    def test_records_go_to_add_and_no_list_is_kept(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        path.write_text('{"n": 1}\n\n{"n": 2}\n', encoding="utf-8")
+        seen = []
+        assert read_jsonl(path, seen.append) == []
+        assert seen == [{"n": 1}, {"n": 2}]
+
+        def add(record):
+            if record["n"] == 2:
+                raise ValueError("bad n")
+
+        with pytest.raises(ValueError, match=r"a\.jsonl:3: bad n$"):
+            read_jsonl(path, add)

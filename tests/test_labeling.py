@@ -37,74 +37,81 @@ def exhaustive_argmax(reference_sents, source_sents, mode):
     return picks
 
 
+def _pooled(pool):
+    return LcsPool([s.tokens for s in pool])
+
+
+def oracle_picks(refs, pool):
+    """(source key, ROUGE-L F1) of the oracle's pick for each reference sentence."""
+    return [(s.key, score) for s, score in _argmax_per_reference(refs, pool, _pooled(pool), _F1)]
+
+
 class TestOracleExtract:
     def test_identity_pick(self):
         pool = _pool([["no fever.", "chest pain noted.", "stable overnight."]])
         refs = [make_sentence("chest pain noted.")]
-        extraction = oracle_extract(refs, pool)
-        assert extraction.picks[0].source_key == (0, 1)
-        assert extraction.picks[0].score == 1.0
-        assert extraction.summary_text == "chest pain noted."
+        assert oracle_picks(refs, pool) == [((0, 1), 1.0)]
+        assert oracle_extract(refs, pool, _pooled(pool)) == "chest pain noted."
 
     def test_tie_breaks_to_lowest_key(self):
         pool = _pool([["same text.", "same text."]])
         refs = [make_sentence("same text.")]
-        extraction = oracle_extract(refs, pool)
-        assert extraction.picks[0].source_key == (0, 0)
+        [(sentence, _)] = _argmax_per_reference(refs, pool, _pooled(pool), _F1)
+        assert sentence is pool[0]
 
     def test_picks_follow_reference_order(self):
         pool = _pool([["alpha one.", "beta two.", "gamma three."]])
         refs = [make_sentence("gamma three.", 0, 0), make_sentence("alpha one.", 0, 1)]
-        extraction = oracle_extract(refs, pool)
-        assert [p.source_key for p in extraction.picks] == [(0, 2), (0, 0)]
-        assert extraction.summary_text == "gamma three.\nalpha one."
+        assert [key for key, _ in oracle_picks(refs, pool)] == [(0, 2), (0, 0)]
+        assert oracle_extract(refs, pool, _pooled(pool)) == "gamma three.\nalpha one."
 
     def test_empty_source_pool_fatal(self):
         with pytest.raises(ValueError):
-            oracle_extract([make_sentence("x.")], [])
+            oracle_extract([make_sentence("x.")], [], LcsPool([]))
 
     def test_empty_reference_fatal(self):
+        pool = _pool([["x."]])
         with pytest.raises(ValueError):
-            oracle_extract([], _pool([["x."]]))
+            oracle_extract([], pool, _pooled(pool))
 
     def test_scores_recomputable(self, rng):
         pool, refs = _random_instance(rng)
-        extraction = oracle_extract(refs, pool)
         by_key = {s.key: s for s in pool}
-        for pick in extraction.picks:
-            ref = refs[pick.reference_index]
-            assert rouge_l(by_key[pick.source_key].tokens, ref.tokens).f1 == pick.score
+        for ref, (key, score) in zip(refs, oracle_picks(refs, pool)):
+            assert rouge_l(by_key[key].tokens, ref.tokens).f1 == score
 
     def test_no_strictly_better_source(self, rng):
         pool, refs = _random_instance(rng)
-        extraction = oracle_extract(refs, pool)
-        for pick in extraction.picks:
-            ref = refs[pick.reference_index]
+        for ref, (_, score) in zip(refs, oracle_picks(refs, pool)):
             for src in pool:
-                assert rouge_l(src.tokens, ref.tokens).f1 <= pick.score
+                assert rouge_l(src.tokens, ref.tokens).f1 <= score
 
     def test_matches_exhaustive_argmax(self, rng):
         for _ in range(30):
             pool, refs = _random_instance(rng)
-            extraction = oracle_extract(refs, pool)
             expected = exhaustive_argmax(refs, pool, "f1")
-            assert [(p.source_key, p.score) for p in extraction.picks] == expected
+            assert oracle_picks(refs, pool) == expected
+            by_key = {s.key: s for s in pool}
+            assert oracle_extract(refs, pool, _pooled(pool)) == "\n".join(
+                by_key[key].raw_text for key, _ in expected
+            )
 
     def test_ordering_invariance_when_untied(self, rng):
         pool, refs = _random_instance(rng, distinct=True)
-        baseline = oracle_extract(refs, pool)
         shuffled = pool[:]
         rng.shuffle(shuffled)
-        again = oracle_extract(refs, shuffled)
-        assert [p.source_key for p in again.picks] == [p.source_key for p in baseline.picks]
+        assert oracle_picks(refs, shuffled) == oracle_picks(refs, pool)
+        assert oracle_extract(refs, shuffled, _pooled(shuffled)) == oracle_extract(
+            refs, pool, _pooled(pool)
+        )
 
 
 class TestPseudoPairs:
     def test_single_pair(self):
         pool = _pool([["only sentence."]])
-        pairs = build_pseudo_pairs([make_sentence("only sentence.")], pool)
-        assert len(pairs.pairs) == 1
-        assert pairs.positives == ((0, 0),)
+        pairs = build_pseudo_pairs([make_sentence("only sentence.")], pool, _pooled(pool))
+        assert len(pairs["pairs"]) == 1
+        assert pairs["positives"] == [[0, 0]]
 
     def test_duplicate_picks_collapse(self):
         pool = _pool([["target phrase here.", "unrelated words entirely."]])
@@ -112,24 +119,24 @@ class TestPseudoPairs:
             make_sentence("target phrase here.", 0, 0),
             make_sentence("target phrase again here.", 0, 1),
         ]
-        pairs = build_pseudo_pairs(refs, pool)
-        assert len(pairs.pairs) == 2
-        assert pairs.positives == ((0, 0),)
+        pairs = build_pseudo_pairs(refs, pool, _pooled(pool))
+        assert len(pairs["pairs"]) == 2
+        assert pairs["positives"] == [[0, 0]]
 
     def test_matches_exhaustive_recall_argmax(self, rng):
         for _ in range(30):
             pool, refs = _random_instance(rng)
-            pairs = build_pseudo_pairs(refs, pool)
+            pairs = build_pseudo_pairs(refs, pool, _pooled(pool))
             expected = exhaustive_argmax(refs, pool, "recall")
-            assert [(p.source_key, p.score) for p in pairs.pairs] == expected
+            assert pairs["pairs"] == [
+                {"src": list(key), "ref": i, "score": score}
+                for i, (key, score) in enumerate(expected)
+            ]
+            assert pairs["positives"] == [list(key) for key in sorted({key for key, _ in expected})]
 
     def test_wire_record(self):
         pool = _pool([["a b.", "c d."]])
-        pairs = build_pseudo_pairs([make_sentence("a b.")], pool)
-        record = pairs.to_record("e1", "chief_complaint")
-        assert record == {
-            "encounter_id": "e1",
-            "section": "chief_complaint",
+        assert build_pseudo_pairs([make_sentence("a b.")], pool, _pooled(pool)) == {
             "positives": [[0, 0]],
             "pairs": [{"src": [0, 0], "ref": 0, "score": 1.0}],
         }
@@ -138,10 +145,9 @@ class TestPseudoPairs:
         # Constructed so the recall argmax and the F1 argmax are the same sentence.
         pool = _pool([["alpha beta gamma.", "delta epsilon zeta."]])
         refs = [make_sentence("alpha beta gamma.")]
-        assert (
-            build_pseudo_pairs(refs, pool).pairs[0].source_key
-            == oracle_extract(refs, pool).picks[0].source_key
-        )
+        [pair] = build_pseudo_pairs(refs, pool, _pooled(pool))["pairs"]
+        [(key, _)] = oracle_picks(refs, pool)
+        assert tuple(pair["src"]) == key
 
 
 def _random_instance(rng: random.Random, distinct: bool = False):
@@ -170,7 +176,7 @@ def loop_argmax(reference_sents, source_sents, metric):
     lcs_pool = LcsPool([s.tokens for s in source_sents])
     lengths = [len(s.tokens) for s in source_sents]
     picks = []
-    for ref_index, ref in enumerate(reference_sents):
+    for ref in reference_sents:
         ref_len = len(ref.tokens)
         best_sent = None
         best_score = -1.0
@@ -180,13 +186,13 @@ def loop_argmax(reference_sents, source_sents, metric):
             if score > best_score or (score == best_score and src.key < best_sent.key):
                 best_sent = src
                 best_score = score
-        picks.append((ref_index, best_sent, best_score))
+        picks.append((best_sent, best_score))
     return picks
 
 
 def _picks(picks):
     # Sentence equality would merge two sources that differ only in identity.
-    return [(i, id(s), s.key, score) for i, s, score in picks]
+    return [(id(s), s.key, score) for s, score in picks]
 
 
 _tokens = st.lists(st.sampled_from("abcde"), max_size=8).map(tuple)
@@ -209,7 +215,7 @@ class TestArgmaxMatchesLoop:
     @given(argmax_instances(), st.sampled_from([_F1, _RECALL]))
     def test_random_pools(self, instance, metric):
         refs, pool = instance
-        assert _picks(_argmax_per_reference(refs, pool, None, metric)) == _picks(
+        assert _picks(_argmax_per_reference(refs, pool, _pooled(pool), metric)) == _picks(
             loop_argmax(refs, pool, metric)
         )
 
@@ -227,6 +233,6 @@ class TestArgmaxMatchesLoop:
         if reverse:
             pool.reverse()
         refs = [Sentence(ref, 0, 0, "")]
-        got = _argmax_per_reference(refs, pool, None, metric)
+        got = _argmax_per_reference(refs, pool, _pooled(pool), metric)
         assert _picks(got) == _picks(loop_argmax(refs, pool, metric))
-        assert got[0][1].key == (0, 1)
+        assert got[0][0].key == (0, 1)

@@ -10,7 +10,6 @@ from encsum.pipeline import (
     apply_cutoff,
     chunk_encounter,
     merge_scores,
-    postprocess,
     summary_text,
     sweep_threshold,
     write_sweep,
@@ -123,9 +122,14 @@ class TestMerge:
             merge_scores(segments, {})
 
 
+def dedup(items):
+    """The dedup half of ``apply_cutoff``: a cutoff below every score."""
+    return apply_cutoff(items, float("-inf"))
+
+
 class TestPostprocess:
     def test_normalized_dedup(self):
-        kept = postprocess(
+        kept = dedup(
             [
                 ScoredSentence((0, 0), 1.0, "a b"),
                 ScoredSentence((0, 1), 1.0, "a  B"),
@@ -136,17 +140,17 @@ class TestPostprocess:
 
     def test_unique_unchanged(self):
         items = [ScoredSentence((0, i), 1.0, f"s{i}") for i in range(4)]
-        assert postprocess(items) == items
+        assert dedup(items) == items
 
     def test_empty(self):
-        assert postprocess([]) == []
+        assert dedup([]) == []
         assert summary_text([]) == ""
 
     @given(st.lists(st.sampled_from(["a b", "A  b", "c", "d e", "D E "]), max_size=12))
     def test_idempotent(self, texts):
         items = [ScoredSentence((0, i), 0.5, t) for i, t in enumerate(texts)]
-        once = postprocess(items)
-        assert postprocess(once) == once
+        once = dedup(items)
+        assert dedup(once) == once
 
 
 class TestApplyCutoff:

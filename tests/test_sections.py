@@ -46,11 +46,16 @@ def reference_find_headers(document_text, rules):
     return matches
 
 
+def spelled(section: SectionName) -> str:
+    """The section's name with spaces, as a header says it."""
+    return section.value.replace("_", " ")
+
+
 def overlapping_rules():
     """Rules where one variant is a prefix of another and patterns are shared:
     "hx:" by two sections and the terminators, "plan:" by a section and the
     terminators."""
-    variants = {s: (f"{s.display}:",) for s in SectionName}
+    variants = {s: (f"{spelled(s)}:",) for s in SectionName}
     variants[SectionName.CHIEF_COMPLAINT] = ("cc:", "CC: Brief:")
     variants[SectionName.FAMILY_HISTORY] = ("family history:", "hx:")
     variants[SectionName.SOCIAL_HISTORY] = ("hx:", "social:")
@@ -63,7 +68,7 @@ def unicode_rules():
     becomes two characters, the Kelvin sign "K" becomes "k", and a capital
     sigma becomes "ς" or "σ" by what surrounds it. A pattern that starts with
     a space or tab never matches, as a line's indent is never its header."""
-    variants = {s: (f"{s.display}:",) for s in SectionName}
+    variants = {s: (f"{spelled(s)}:",) for s in SectionName}
     variants[SectionName.CHIEF_COMPLAINT] = ("İcu:", "cc:", " cc:", "\tk:")
     variants[SectionName.FAMILY_HISTORY] = ("kin:", "ok:")
     variants[SectionName.SOCIAL_HISTORY] = ("σa:", "aς:", "aσa:")
@@ -267,7 +272,7 @@ class TestRuleSet:
             HeaderRuleSet({SectionName.CHIEF_COMPLAINT: ("cc:",)}, ())
 
     def test_loads_custom_file(self, tmp_path):
-        data = {s.value: [f"{s.display}:"] for s in SectionName}
+        data = {s.value: [f"{spelled(s)}:"] for s in SectionName}
         data["terminators"] = ["allergies:"]
         path = tmp_path / "rules.json"
         path.write_text(json.dumps(data))
@@ -276,7 +281,7 @@ class TestRuleSet:
         assert rules.terminators == ("allergies:",)
 
     def test_terminators_optional(self, tmp_path):
-        data = {s.value: [f"{s.display}:"] for s in SectionName}
+        data = {s.value: [f"{spelled(s)}:"] for s in SectionName}
         path = tmp_path / "rules.json"
         path.write_text(json.dumps(data))
         assert load_rules(path).terminators == ()
@@ -295,7 +300,7 @@ class TestRuleSet:
         ("terminators", ["allergies:\u2028"]),
     ])
     def test_malformed_rules_fatal(self, tmp_path, key, value):
-        data = {s.value: [f"{s.display}:"] for s in SectionName}
+        data = {s.value: [f"{spelled(s)}:"] for s in SectionName}
         data[key] = value
         path = tmp_path / "rules.json"
         path.write_text(json.dumps(data))
@@ -303,7 +308,7 @@ class TestRuleSet:
             load_rules(path)
 
     def test_missing_section_key_fatal(self, tmp_path):
-        data = {s.value: [f"{s.display}:"] for s in SectionName}
+        data = {s.value: [f"{spelled(s)}:"] for s in SectionName}
         del data["brief_hospital_course"]
         path = tmp_path / "rules.json"
         path.write_text(json.dumps(data))
