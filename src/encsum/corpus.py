@@ -286,7 +286,7 @@ def split_by_subject(
     first = int(n * ratios[0])
     second = int(n * (ratios[0] + ratios[1]))
     return {
-        subject: "train" if i < first else "validation" if i < second else "test"
+        subject: SPLIT_NAMES[(i >= first) + (i >= second)]
         for i, subject in enumerate(subjects)
     }
 

@@ -23,6 +23,7 @@ or from an annotations file
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -48,17 +49,24 @@ class FaithfulnessScores:
 
 
 def f_beta(precision: float, recall: float, beta: float) -> float:
-    """Van Rijsbergen F_beta; returns precision exactly at the P == R fixed point."""
+    """Van Rijsbergen F_beta, which lies between P and R; returns precision
+    exactly at the P == R fixed point."""
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
     if precision == recall:
         return precision
-    denominator = beta * beta * precision + recall
+    beta2 = beta * beta
+    if beta2 == math.inf:
+        # beta above about 1.3e154, which ``--beta`` accepts: the beta -> infinity limit.
+        return recall if precision > 0 else 0.0
+    denominator = beta2 * precision + recall
     if denominator <= 0:
         # Only when recall is 0 and beta * beta underflows to 0 (beta below
         # about 1e-162, which ``--beta`` accepts); the numerator is 0 too.
         return 0.0
-    return (1 + beta * beta) * precision * recall / denominator
+    # Rounding a subnormal P * R can leave the [P, R] envelope; clamp to it.
+    low, high = sorted((precision, recall))
+    return min(max((1 + beta2) * precision * recall / denominator, low), high)
 
 
 @dataclass(frozen=True)

@@ -66,46 +66,6 @@ class Segment:
             ],
         }
 
-    @staticmethod
-    def from_record(record) -> "Segment":
-        """Inverse of ``to_record``; ValueError when ``record`` is not a segment
-        record, one of its sentence keys is negative, or a key repeats."""
-        check_fields(record, "a segment", _SEGMENT_FIELDS)
-        keys: dict[tuple[int, int], None] = {}
-        for i, sentence in enumerate(record["sentences"]):
-            where = f"sentences[{i}]"
-            check_fields(sentence, "a segment", _SENTENCE_TEXT_FIELDS, where)
-            try:
-                key = _sentence_key(sentence)
-            except ValueError as exc:
-                raise ValueError(f"not a segment record: {where}: {exc}") from None
-            if key in keys:
-                raise ValueError(
-                    f"not a segment record: segment {record['segment_id']}: "
-                    f"sentence {key} repeated"
-                )
-            keys[key] = None
-        return Segment(
-            record["segment_id"],
-            record["encounter_id"],
-            tuple(keys),
-            tuple(s["text"] for s in record["sentences"]),
-        )
-
-
-_SENTENCE_KEY_FIELDS = (("doc", int), ("sent", int))
-_SEGMENT_FIELDS = (("segment_id", str), ("encounter_id", str), ("sentences", list))
-_SENTENCE_TEXT_FIELDS = (*_SENTENCE_KEY_FIELDS, ("text", str))
-
-
-def _sentence_key(record: dict) -> tuple[int, int]:
-    """The (doc, sent) key of a sentence record whose fields are checked;
-    ValueError unless both indices are at least 0."""
-    key = (record["doc"], record["sent"])
-    if key[0] < 0 or key[1] < 0:
-        raise ValueError(f"sentence {key}: doc and sent must be at least 0")
-    return key
-
 
 @dataclass(frozen=True)
 class ScoredSentence:
@@ -121,21 +81,6 @@ class ScoredSentence:
     def to_record(self) -> dict:
         """The sentence record of a merged-scores file."""
         return {"doc": self.key[0], "sent": self.key[1], "score": self.score, "text": self.text}
-
-    @staticmethod
-    def from_record(record) -> "ScoredSentence":
-        """Inverse of ``to_record``. A score file's sentence records carry no
-        ``text`` and get the empty text. ValueError when ``record`` is not a
-        sentence record, its key is negative (``_sentence_key``) or its score
-        is not a finite number (a bool is none).
-        """
-        check_fields(record, "a scored sentence", _SENTENCE_KEY_FIELDS)
-        key = _sentence_key(record)
-        text = record.get("text", "")
-        if type(text) is not str:
-            raise ValueError("not a scored sentence record: field 'text' not of type str")
-        score = check_finite(record.get("score"), f"sentence {key}: score")
-        return ScoredSentence(key, score, text)
 
 
 @dataclass(frozen=True)
@@ -208,13 +153,14 @@ def chunk_encounter(
 
 def merge_scores(
     segments: Sequence[Segment],
-    per_segment_scores: Mapping[str, Sequence[ScoredSentence]],
+    per_segment_scores: Mapping[str, Mapping[tuple[int, int], float]],
 ) -> list[ScoredSentence]:
     """Reassemble per-segment scores into one list in source order.
 
-    Every segment must be scored over exactly its own sentence keys. A
-    sentence split across windows gets the max of its window scores, and its
-    text is the windows' texts rejoined in order.
+    ``per_segment_scores`` maps a segment_id to its scores by sentence key, as
+    ``read_scores`` returns them. Every segment must be scored over exactly
+    its own sentence keys. A sentence split across windows gets the max of
+    its window scores, and its text is the windows' texts rejoined in order.
     """
     merged_score: dict[tuple[int, int], float] = {}
     merged_text: dict[tuple[int, int], list[str]] = {}
@@ -223,15 +169,14 @@ def merge_scores(
         if scores is None:
             raise ValueError(f"no score list for segment {segment.segment_id}")
         expected = set(segment.sentences)
-        got = {s.key for s in scores}
-        if got != expected:
+        if scores.keys() != expected:
             raise ValueError(
-                f"score list for segment {segment.segment_id} does not cover its "
-                f"sentences (missing {sorted(expected - got)}, extra {sorted(got - expected)})"
+                f"score list for segment {segment.segment_id} does not cover its sentences "
+                f"(missing {sorted(expected - scores.keys())}, "
+                f"extra {sorted(scores.keys() - expected)})"
             )
-        by_key = {s.key: s for s in scores}
         for key, text in zip(segment.sentences, segment.texts):
-            score = by_key[key].score
+            score = scores[key]
             if key in merged_score:
                 merged_score[key] = max(merged_score[key], score)
                 merged_text[key].append(text)
@@ -272,9 +217,10 @@ def apply_cutoff(scored: Sequence[ScoredSentence], threshold: float) -> list[Sco
     return _cutoff(scored, threshold)
 
 
-def _quantile_grid(scores: Sequence[float], n: int = MAX_THRESHOLD_CANDIDATES) -> list[float]:
+def _quantile_grid(scores: Sequence[float]) -> list[float]:
     ordered = sorted(scores)
     m = len(ordered)
+    n = MAX_THRESHOLD_CANDIDATES
     grid = []
     for k in range(n):
         pos = (k / (n - 1)) * (m - 1)
@@ -364,16 +310,11 @@ def sweep_threshold(
 
 def read_segments(path: str | Path) -> list[Segment]:
     """The segments of a segment file, in file order; a repeated segment_id is fatal."""
-    return list(read_jsonl_keyed(path, _keyed_segment, "segment_id").values())
+    return list(read_jsonl_keyed(path, _segment_row, "segment_id").values())
 
 
-def _keyed_segment(record) -> tuple[str, Segment]:
-    segment = Segment.from_record(record)
-    return segment.segment_id, segment
-
-
-def read_scores(path: str | Path) -> dict[str, list[ScoredSentence]]:
-    """Map segment_id -> its scored sentences (empty texts) from a score file.
+def read_scores(path: str | Path) -> dict[str, dict[tuple[int, int], float]]:
+    """Map segment_id -> its scores by sentence key, in file order, from a score file.
 
     A repeated segment_id, or a sentence key repeated within one row, is fatal.
     """
@@ -402,35 +343,57 @@ def read_sweep_threshold(path: str | Path) -> float:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _score_row(record) -> tuple[str, list[ScoredSentence]]:
-    return _scored_row(record, "a scores", "segment_id", "scores", _SENTENCE_KEY_FIELDS)
+_KEY_FIELDS = (("doc", int), ("sent", int))
+_TEXT_FIELDS = (*_KEY_FIELDS, ("text", str))
+
+
+def _segment_row(record) -> tuple[str, Segment]:
+    segment_id, sentences = _sentence_list(
+        record, "a segment", "segment_id", "sentences", _TEXT_FIELDS,
+        scored=False, row_fields=(("encounter_id", str),),
+    )
+    texts = tuple(s["text"] for s in sentences.values())
+    return segment_id, Segment(segment_id, record["encounter_id"], tuple(sentences), texts)
+
+
+def _score_row(record) -> tuple[str, dict[tuple[int, int], float]]:
+    segment_id, sentences = _sentence_list(record, "a scores", "segment_id", "scores", _KEY_FIELDS)
+    return segment_id, {key: s["score"] for key, s in sentences.items()}
 
 
 def _merged_row(record) -> tuple[str, list[ScoredSentence]]:
-    return _scored_row(
-        record, "a merged-scores", "encounter_id", "sentences", _SENTENCE_TEXT_FIELDS
+    encounter_id, sentences = _sentence_list(
+        record, "a merged-scores", "encounter_id", "sentences", _TEXT_FIELDS
     )
+    return encounter_id, [ScoredSentence(key, s["score"], s["text"]) for key, s in sentences.items()]
 
 
-def _scored_row(
-    record, kind: str, id_field: str, list_field: str, sentence_fields
-) -> tuple[str, list[ScoredSentence]]:
-    check_fields(record, kind, ((id_field, str), (list_field, list)))
+def _sentence_list(
+    record, kind: str, id_field: str, list_field: str, sentence_fields,
+    scored: bool = True, row_fields=(),
+) -> tuple[str, dict[tuple[int, int], dict]]:
+    """Check a segment, score or merged-scores row: its fields, then each
+    sentence record's ``sentence_fields``, ``doc`` and ``sent`` of at least 0, a
+    finite ``score`` when ``scored``, and a key new to the row. Returns the id
+    and the sentence records by key, in file order."""
+    check_fields(record, kind, ((id_field, str), *row_fields, (list_field, list)))
     owner = f"{id_field.removesuffix('_id')} {record[id_field]}"
-    scored: list[ScoredSentence] = []
-    seen: set[tuple[int, int]] = set()
+    sentences: dict[tuple[int, int], dict] = {}
     for i, item in enumerate(record[list_field]):
         where = f"{owner}, {list_field}[{i}]"
         check_fields(item, kind, sentence_fields, where)
+        key = (item["doc"], item["sent"])
         try:
-            sentence = ScoredSentence.from_record(item)
+            if key[0] < 0 or key[1] < 0:
+                raise ValueError(f"sentence {key}: doc and sent must be at least 0")
+            if scored:
+                check_finite(item.get("score"), f"sentence {key}: score")
         except ValueError as exc:
             raise ValueError(f"not {kind} record: {where}: {exc}") from None
-        if sentence.key in seen:
-            raise ValueError(f"not {kind} record: {owner}: sentence {sentence.key} repeated")
-        seen.add(sentence.key)
-        scored.append(sentence)
-    return record[id_field], scored
+        if key in sentences:
+            raise ValueError(f"not {kind} record: {owner}: sentence {key} repeated")
+        sentences[key] = item
+    return record[id_field], sentences
 
 
 def write_segments(

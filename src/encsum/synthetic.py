@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .corpus import ClinicalNote
 from .jsonl import write_jsonl
+from .sections import SectionName
 
 _CONDITIONS = (
     "hypertension", "hyperlipidemia", "diabetes mellitus", "cad", "copd",
@@ -74,25 +75,7 @@ _FILLER = (
     "nursing note reviewed.",
 )
 
-SECTION_LAYOUT = (
-    "chief_complaint",
-    "family_history",
-    "social_history",
-    "medications_on_admission",
-    "past_medical_history",
-    "history_of_present_illness",
-    "brief_hospital_course",
-)
-
-_HEADERS = {
-    "chief_complaint": "chief complaint:",
-    "family_history": "family history:",
-    "social_history": "social history:",
-    "medications_on_admission": "medications on admission:",
-    "past_medical_history": "past medical history:",
-    "history_of_present_illness": "history of present illness:",
-    "brief_hospital_course": "brief hospital course:",
-}
+SECTION_LAYOUT = tuple(name.value for name in SectionName)
 
 
 def _sentence_pool(rng: random.Random, complaint: str) -> dict[str, list[str]]:
@@ -125,7 +108,7 @@ def _render_note(sections: dict[str, list[str]], order=SECTION_LAYOUT, trailer: 
     parts = []
     for name in order:
         if name in sections:
-            parts.append(_HEADERS[name])
+            parts.append(name.replace("_", " ") + ":")
             parts.append("")
             parts.append(" ".join(sections[name]))
             parts.append("")
@@ -134,14 +117,12 @@ def _render_note(sections: dict[str, list[str]], order=SECTION_LAYOUT, trailer: 
     return "\n".join(parts)
 
 
-def generate_notes(
-    n_encounters: int = 50, seed: int = 7, encounters_per_subject: int = 1
-) -> list[ClinicalNote]:
+def generate_notes(n_encounters: int = 50, seed: int = 7) -> list[ClinicalNote]:
     """Build a deterministic corpus of admission/progress/discharge notes."""
     rng = random.Random(seed)
     notes: list[ClinicalNote] = []
     for i in range(n_encounters):
-        subject_id = f"subj-{i // encounters_per_subject:04d}"
+        subject_id = f"subj-{i:04d}"
         encounter_id = f"enc-{i:04d}"
         day = (i % 27) + 1
         complaint = rng.choice(_COMPLAINTS)

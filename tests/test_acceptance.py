@@ -165,13 +165,7 @@ def test_criterion_6_chunk_merge_round_trip():
                 )
             segments = chunk_encounter(sents, ChunkConfig(max_tokens=1024), "enc")
             assert all(segment_token_count(seg) <= 1024 for seg in segments)
-            scores = {
-                seg.segment_id: [
-                    ScoredSentence(key, 1.0, text)
-                    for key, text in zip(seg.sentences, seg.texts)
-                ]
-                for seg in segments
-            }
+            scores = {seg.segment_id: {key: 1.0 for key in seg.sentences} for seg in segments}
             merged = merge_scores(segments, scores)
             assert [s.key for s in merged] == [s.key for s in sents]
         assert time.monotonic() - started < 5.0

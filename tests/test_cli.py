@@ -11,11 +11,17 @@ from pathlib import Path
 from statistics import fmean
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from encsum import cli, evaluate, labeling
 from encsum.cli import main
+from encsum.corpus import source_sentences
+from encsum.dataset import load_encounters
 from encsum.faithfulness import score_sets
 from encsum.jsonl import read_jsonl, write_jsonl
+from encsum.pipeline import (
+    ChunkConfig, chunk_encounter, merge_scores, read_merged, read_scores, read_segments,
+)
 from encsum.rouge import rouge_l, rouge_n
 from encsum.sections import SectionName
 from encsum.textproc import tokenize
@@ -23,6 +29,16 @@ from encsum.textproc import tokenize
 
 # Scores that merge-scores, sweep and cutoff must reject.
 BAD_SCORES = ["high", True, None, float("nan"), float("inf"), float("-inf")]
+
+# What the sentence-list fuzz puts in place of one sentence field.
+FUZZ_VALUES = [None, True, 0, -1, 1e30, float("nan"), "", [1], {"a": 1}]
+
+# The sentence fields of each sentence-list file.
+SENTENCE_FIELDS = {
+    "segments": ("sentences", ("doc", "sent", "text")),
+    "scores": ("scores", ("doc", "sent", "score")),
+    "merged": ("sentences", ("doc", "sent", "score", "text")),
+}
 
 
 def run(*argv):
@@ -528,7 +544,8 @@ class TestPipelineCommands:
         (lambda r: {k: v for k, v in r.items() if k != "sentences"},
          "not a segment record: field 'sentences'"),
         (lambda r: {**r, "sentences": [{"doc": 0, "sent": 0}]},
-         "not a segment record: sentences[0]: field 'text'"),
+         "not a segment record: segment enc-0011/0, sentences[0]: "
+         "field 'text' missing or not of type str"),
     ], ids=["list", "no sentences", "no text"])
     def test_malformed_segment_record_fatal(self, scored_pipeline, tmp_path, caplog,
                                             edit, message):
@@ -722,6 +739,72 @@ class TestPipelineCommands:
         assert exc.value.code == 2
         assert "--threshold" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_readers_round_trip(self, workspace, scored_pipeline):
+        # read_segments returns what chunk wrote, and read_merged what
+        # merge_scores made of the segment and score files.
+        encounters = load_encounters(workspace / "data")
+        by_encounter = {}
+        for segment in read_segments(scored_pipeline["segments"]):
+            by_encounter.setdefault(segment.encounter_id, []).append(segment)
+        for encounter_id, segments in by_encounter.items():
+            pool = source_sentences(encounters[encounter_id])
+            assert segments == chunk_encounter(pool, ChunkConfig(max_tokens=64), encounter_id)
+        scores = read_scores(scored_pipeline["scores"])
+        assert read_merged(scored_pipeline["merged"]) == {
+            encounter_id: merge_scores(segments, scores)
+            for encounter_id, segments in by_encounter.items()
+        }
+
+    # One field of one sentence of the first row replaced or deleted: the
+    # command succeeds, or fails with exit 1 and <file>:1: and no traceback.
+    # A doc or sent set to 0 is a valid key and may no longer match the other
+    # file's keys; that error names the score file and the segment instead.
+    @settings(max_examples=100, deadline=None)
+    @given(where=st.sampled_from(sorted(SENTENCE_FIELDS)), data=st.data())
+    def test_fuzzed_sentence_field(self, scored_pipeline, where, data):
+        root = scored_pipeline["root"] / "fuzz"
+        root.mkdir(exist_ok=True)
+        paths = {name: root / f"{name}.jsonl" for name in SENTENCE_FIELDS}
+        for name, path in paths.items():
+            shutil.copy(scored_pipeline[name], path)
+        list_field, fields = SENTENCE_FIELDS[where]
+        first = read_jsonl(paths[where])[0]
+        i = data.draw(st.integers(0, len(first[list_field]) - 1), label="sentence")
+        field = data.draw(st.sampled_from(fields), label="field")
+        value = data.draw(st.sampled_from(["delete", *FUZZ_VALUES]), label="value")
+        sentence = dict(first[list_field][i])
+        if value == "delete":
+            del sentence[field]
+        else:
+            sentence[field] = value
+        first[list_field][i] = sentence
+        _edit_first_record(paths[where], lambda r: first)
+        if where == "merged":
+            argv = ["cutoff", "--merged", paths["merged"], "--section", "past_medical_history",
+                    "--threshold", "0.5", "--out", root / "out.jsonl"]
+        else:
+            argv = ["merge-scores", "--segments", paths["segments"],
+                    "--scores", paths["scores"], "--out", root / "out.jsonl"]
+        errors = []
+        handler = logging.Handler(logging.ERROR)
+        handler.emit = lambda record: errors.append(record.getMessage())
+        logging.getLogger("encsum").addHandler(handler)
+        try:
+            # An exception that main does not catch, a traceback from the
+            # console script, fails the test here.
+            code = run("--quiet", *argv)
+        finally:
+            logging.getLogger("encsum").removeHandler(handler)
+        assert code in (0, 1)
+        assert len(errors) == code
+        uncovered = (f"{paths['scores']}: score list for segment {first.get('segment_id')} "
+                     "does not cover its sentences")
+        for message in errors:
+            if message.startswith(uncovered):
+                assert where != "merged" and field in ("doc", "sent") and value == 0
+            else:
+                assert message.startswith(f"{paths[where]}:1: "), message
 
     def test_merge_with_missing_scores_fatal(self, scored_pipeline, tmp_path):
         empty = tmp_path / "none.jsonl"
@@ -977,6 +1060,15 @@ class TestEvaluate:
         with open(report / "report.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert all(row["beta"] == "1.0" for row in rows)
+
+    # beta * beta overflows above about 1.3e154; --beta 1e200 used to exit 0
+    # with nan in fa_f_beta.
+    def test_overflowing_beta_writes_no_nan(self, workspace, evaluated, tmp_path):
+        report = tmp_path / "rep_beta"
+        assert run("--quiet", "evaluate", "--dataset", workspace / "data",
+                   "--systems", str(evaluated["root"] / "sys_*.jsonl"),
+                   "--split", "test", "--beta", "1e200", "--out", report) == 0
+        assert "nan" not in (report / "report.csv").read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("beta", ["nan", "inf", "-1", "0", "high"])
     def test_bad_beta_usage_error(self, workspace, evaluated, tmp_path, capsys, beta):

@@ -148,6 +148,13 @@ class TestFaithfulnessScores:
         assert f_beta(0.5, 0.0, 1e-200) == 0.0
         assert score_sets(*_sets({"a"}, {"b"}, {"a"}), beta=1e-200).fa_f_beta == 0.0
 
+    # beta * beta overflows to inf above about 1.3e154, and --beta accepts such
+    # a value: F_beta used to be inf / inf = nan whenever 0 < P != R.
+    def test_f_beta_overflowing_beta(self):
+        assert f_beta(0.5, 0.25, 1e200) == 0.25
+        assert f_beta(0.0, 0.25, 1e200) == 0.0
+        assert f_beta(0.5, 0.0, 1e200) == 0.0
+
     @given(entity_sets, entity_sets, entity_sets)
     def test_products_recover_counts(self, src, ref, sys_):
         scores = score_sets(*_sets(src, ref, sys_))
@@ -162,10 +169,14 @@ class TestFaithfulnessScores:
         if relevant:
             assert scores.fa_recall * relevant == pytest.approx(c, abs=1e-12)
 
-    @given(st.floats(0, 1), st.floats(0, 1))
-    def test_f_beta_within_p_r_envelope(self, p, r):
-        value = f_beta(p, r, 3.0)
-        assert min(p, r) - 1e-12 <= value <= max(p, r) + 1e-12
+    @given(st.floats(0, 1), st.floats(0, 1),
+           st.floats(0, exclude_min=True, allow_infinity=False))
+    @example(0.5, 0.25, 1e200)
+    @example(0.5, 0.0, 1e-200)
+    @example(0.75, 5e-324, 5e-324)  # P * R rounds up to R: the formula gives 1.0
+    @example(0.3, 1e-323, 3.1434555694052576e-162)  # beta^2 * P and P * R round up: 1/3
+    def test_f_beta_within_p_r_envelope(self, p, r, beta):
+        assert min(p, r) <= f_beta(p, r, beta) <= max(p, r)
 
     @given(st.floats(0.01, 1), st.floats(0, 1))
     def test_f_beta_approaches_recall(self, p, r):

@@ -10,6 +10,7 @@ from encsum.pipeline import (
     apply_cutoff,
     chunk_encounter,
     merge_scores,
+    read_segments,
     summary_text,
     sweep_threshold,
     write_sweep,
@@ -70,10 +71,16 @@ class TestChunk:
 
 
 def _identity_scores(segments):
-    return {
-        seg.segment_id: [ScoredSentence(key, 1.0, text) for key, text in zip(seg.sentences, seg.texts)]
-        for seg in segments
-    }
+    return {seg.segment_id: {key: 1.0 for key in seg.sentences} for seg in segments}
+
+
+def test_segment_file_round_trip(tmp_path):
+    sents = [_sent_of_tokens(n, 0, i) for i, n in enumerate((5, 40, 3, 9))]
+    segments = chunk_encounter(sents, ChunkConfig(max_tokens=16), "e1")
+    assert any(len(s.texts) > 1 for s in segments)  # some filled, some windowed
+    path = tmp_path / "segments.jsonl"
+    write_jsonl(path, (s.to_record() for s in segments))
+    assert read_segments(path) == segments
 
 
 class TestMerge:
@@ -88,8 +95,8 @@ class TestMerge:
         segments = chunk_encounter(sents, ChunkConfig(max_tokens=16), "e1")
         assert len(segments) == 2
         scores = {
-            segments[0].segment_id: [ScoredSentence((0, 0), 0.2, segments[0].texts[0])],
-            segments[1].segment_id: [ScoredSentence((0, 0), 0.7, segments[1].texts[0])],
+            segments[0].segment_id: {(0, 0): 0.2},
+            segments[1].segment_id: {(0, 0): 0.7},
         }
         merged = merge_scores(segments, scores)
         assert len(merged) == 1
@@ -99,19 +106,14 @@ class TestMerge:
     def test_missing_key_fatal(self):
         sents = [_sent_of_tokens(4, 0, 0), _sent_of_tokens(4, 0, 1)]
         segments = chunk_encounter(sents, ChunkConfig(max_tokens=100), "e1")
-        scores = {segments[0].segment_id: [ScoredSentence((0, 0), 0.5, "x")]}
+        scores = {segments[0].segment_id: {(0, 0): 0.5}}
         with pytest.raises(ValueError, match="e1/0"):
             merge_scores(segments, scores)
 
     def test_extra_key_fatal(self):
         sents = [_sent_of_tokens(4, 0, 0)]
         segments = chunk_encounter(sents, ChunkConfig(max_tokens=100), "e1")
-        scores = {
-            segments[0].segment_id: [
-                ScoredSentence((0, 0), 0.5, "x"),
-                ScoredSentence((9, 9), 0.5, "y"),
-            ]
-        }
+        scores = {segments[0].segment_id: {(0, 0): 0.5, (9, 9): 0.5}}
         with pytest.raises(ValueError):
             merge_scores(segments, scores)
 
