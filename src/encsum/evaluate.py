@@ -118,8 +118,9 @@ def score_section(
         for system in systems:
             text = summaries.get((instance.encounter_id, section.value, system), "")
             cand = tokenize(text, mask_deid=mask_deid)
-            unigrams = sum((ngrams(cand, 1) & ref_unigrams).values())
-            bigrams = sum((ngrams(cand, 2) & ref_bigrams).values())
+            # Counter's & would call __missing__ for each n-gram the reference lacks.
+            unigrams = sum(min(c, ref_unigrams.get(g, 0)) for g, c in ngrams(cand, 1).items())
+            bigrams = sum(min(c, ref_bigrams.get(g, 0)) for g, c in ngrams(cand, 2).items())
             [lcs] = ref_pool.lcs(ref_pool.masks_of(cand))
             sys_set = entities(f"{prefix}:sys:{system}", (text,), None if mask_deid else (cand,))
             fa = score_sets(source_set, ref_set, sys_set, beta)

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -111,24 +112,23 @@ def match_gazetteer(tokens: Sequence[str], gaz: Gazetteer) -> frozenset[str]:
     """Greedy leftmost-longest scan of the token stream against the gazetteer.
 
     At each position the longest term starting there is taken and the scan
-    resumes after it; only the lengths of the terms that start with the
-    position's token are tried.
+    resumes after it. Only the positions whose token starts a term are
+    visited, and only the lengths of the terms that it starts are tried.
     """
     lengths_by_first, terms = gaz.lengths_by_first_token, gaz.terms
     found: set[str] = set()
-    i = 0
-    n = len(tokens)
-    while i < n:
-        step = 1
-        for length in lengths_by_first.get(tokens[i], ()):
+    resume = 0
+    for i in compress(range(len(tokens)), map(lengths_by_first.__contains__, tokens)):
+        if i < resume:
+            continue
+        for length in lengths_by_first[tokens[i]]:
             # A slice cut short by the end of the stream is the longest
             # candidate that fits, so matching it is still longest-first.
             candidate = tuple(tokens[i:i + length])
             if candidate in terms:
                 found.add(" ".join(candidate))
-                step = len(candidate)
+                resume = i + len(candidate)
                 break
-        i += step
     return frozenset(found)
 
 

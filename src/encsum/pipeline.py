@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import json
 import logging
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate
 from pathlib import Path
 from statistics import fmean
-from typing import Iterable, Mapping, Sequence, TypeVar
+from typing import Mapping, Sequence
 
 from .corpus import check_fields, check_finite, source_sentences
 from .dataset import load_encounters, load_section_instances, load_splits, summary_record
@@ -151,6 +152,17 @@ def chunk_encounter(
     return segments
 
 
+def _check_covers(segment: Segment, scores: Mapping[tuple[int, int], float]) -> None:
+    """A segment's scores must be over exactly its sentence keys."""
+    expected = set(segment.sentences)
+    if scores.keys() != expected:
+        raise ValueError(
+            f"score list for segment {segment.segment_id} does not cover its sentences "
+            f"(missing {sorted(expected - scores.keys())}, "
+            f"extra {sorted(scores.keys() - expected)})"
+        )
+
+
 def merge_scores(
     segments: Sequence[Segment],
     per_segment_scores: Mapping[str, Mapping[tuple[int, int], float]],
@@ -168,13 +180,7 @@ def merge_scores(
         scores = per_segment_scores.get(segment.segment_id)
         if scores is None:
             raise ValueError(f"no score list for segment {segment.segment_id}")
-        expected = set(segment.sentences)
-        if scores.keys() != expected:
-            raise ValueError(
-                f"score list for segment {segment.segment_id} does not cover its sentences "
-                f"(missing {sorted(expected - scores.keys())}, "
-                f"extra {sorted(scores.keys() - expected)})"
-            )
+        _check_covers(segment, scores)
         for key, text in zip(segment.sentences, segment.texts):
             score = scores[key]
             if key in merged_score:
@@ -189,32 +195,22 @@ def merge_scores(
     ]
 
 
-# Anything with a ``score`` and a ``dedup_key``.
-_Kept = TypeVar("_Kept")
+def summary_text(sentences: Sequence[ScoredSentence]) -> str:
+    return "\n".join(s.text for s in sentences)
 
 
-def _cutoff(sentences: Iterable[_Kept], threshold: float) -> list[_Kept]:
-    """The one cutoff-and-dedup rule: in order, the sentences scoring at or
-    above ``threshold``, less each whose ``dedup_key`` an earlier kept
-    sentence has."""
+def apply_cutoff(scored: Sequence[ScoredSentence], threshold: float) -> list[ScoredSentence]:
+    """Keep sentences scoring at or above ``threshold``, in order, less each
+    whose ``dedup_key`` an earlier kept sentence has."""
     seen: set[str] = set()
     out = []
-    for sent in sentences:
+    for sent in scored:
         if sent.score >= threshold:
             key = sent.dedup_key
             if key not in seen:
                 seen.add(key)
                 out.append(sent)
     return out
-
-
-def summary_text(sentences: Sequence[ScoredSentence]) -> str:
-    return "\n".join(s.text for s in sentences)
-
-
-def apply_cutoff(scored: Sequence[ScoredSentence], threshold: float) -> list[ScoredSentence]:
-    """Keep sentences scoring at or above ``threshold``, in order, deduplicated."""
-    return _cutoff(scored, threshold)
 
 
 def _quantile_grid(scores: Sequence[float]) -> list[float]:
@@ -230,56 +226,76 @@ def _quantile_grid(scores: Sequence[float]) -> list[float]:
     return sorted(set(grid))
 
 
-class _SweepSentence:
-    """A scored sentence as the sweep sees it: its dedup key, and its tokens
-    as match masks of the reference's ``LcsPool`` plus their count."""
+def _keep_intervals(
+    scored: Sequence[ScoredSentence], thresholds: Sequence[float]
+) -> list[tuple[int, int]]:
+    """For each sentence, the range [a, b) of the indices of the ascending
+    ``thresholds`` at which ``apply_cutoff`` keeps it.
 
-    __slots__ = ("score", "text", "dedup_key", "masks", "length")
+    A sentence is kept at t when its score is at least t and no earlier
+    sentence with its ``dedup_key`` scores at least t: for t above the
+    highest earlier score of its key, up to its own score.
+    """
+    dedup_keys: dict[str, str] = {}  # each distinct text is normalised once
+    highest: dict[str, float] = {}
+    intervals = []
+    for sent in scored:
+        if sent.text not in dedup_keys:
+            dedup_keys[sent.text] = sent.dedup_key
+        key = dedup_keys[sent.text]
+        earlier = highest.get(key)
+        a = 0 if earlier is None else bisect_right(thresholds, earlier)
+        intervals.append((a, bisect_right(thresholds, sent.score)))
+        if earlier is None or sent.score > earlier:
+            highest[key] = sent.score
+    return intervals
 
-    def __init__(self, score: float, text: str, dedup_key: str, masks: list[int], length: int):
-        self.score = score
-        self.text = text
-        self.dedup_key = dedup_key
-        self.masks = masks
-        self.length = length
 
+def _rouge_l_f1s(
+    scored: Sequence[ScoredSentence], reference: Sequence[str], thresholds: Sequence[float],
+    mask_deid: bool,
+) -> list[float]:
+    """ROUGE-L F1 of the summary that cuts off at each of the ascending
+    ``thresholds``, from one LCS pass.
 
-class _SweepInstance:
-    """One validation instance, encoded once for every threshold.
-
-    A candidate summary's tokens are its kept sentences' tokens
-    concatenated, which equals tokenising their ``"\\n"`` join unless a
+    The pool holds one copy of the reference per threshold, its lane. A
+    candidate's tokens are its kept sentences' tokens concatenated, so each
+    sentence's tokens are queried once, masked to the lanes that keep it.
+    That equals tokenising the kept sentences' ``"\\n"`` join unless a
     de-identification placeholder spans a join. That needs a text whose last
     bracket is an unclosed ``[``, as when "Seen by [ Dr. Smith ] today." is
-    segmented after "Dr."; for such an instance (masking only) the joined
-    text is tokenised instead.
+    segmented after "Dr."; for such an instance (masking only) each lane's
+    joined text is tokenised and queried instead, masked to its lane.
     """
+    lanes = len(thresholds)
+    pool = LcsPool.tiled(reference, lanes)
+    intervals = _keep_intervals(scored, thresholds)
 
-    def __init__(
-        self, scored: Sequence[ScoredSentence], reference: Sequence[str], mask_deid: bool
-    ):
-        self.pool = LcsPool((reference,))
-        self.reference_length = len(reference)
-        self.mask_deid = mask_deid
-        texts = dict.fromkeys(s.text for s in scored)
-        self.join_first = mask_deid and any(t.rfind("[") > t.rfind("]") for t in texts)
-        encoded = {text: self._encode(text) for text in texts}
-        self.sentences = [_SweepSentence(s.score, s.text, *encoded[s.text]) for s in scored]
+    def encode(text: str) -> tuple[int, list[int]]:
+        tokens = tokenize(text, mask_deid=mask_deid)
+        return len(tokens), pool.masks_of(tokens)
 
-    def _encode(self, text: str) -> tuple[str, list[int], int]:
-        tokens = [] if self.join_first else tokenize(text, mask_deid=self.mask_deid)
-        return normalize(text), self.pool.masks_of(tokens), len(tokens)
-
-    def rouge_l_f1(self, threshold: float) -> float:
-        """ROUGE-L F1 of the summary that cuts off at ``threshold``."""
-        kept = _cutoff(self.sentences, threshold)
-        if self.join_first:
-            tokens = tokenize(summary_text(kept), mask_deid=self.mask_deid)
-            masks, length = self.pool.masks_of(tokens), len(tokens)
-        else:
-            masks = chain.from_iterable(s.masks for s in kept)
-            length = sum(s.length for s in kept)
-        return prf(self.pool.lcs(masks)[0], length, self.reference_length)[2]
+    texts = dict.fromkeys(s.text for s in scored)
+    if mask_deid and any(t.rfind("[") > t.rfind("]") for t in texts):
+        runs = []
+        for lane in range(lanes):
+            kept = [s for s, (a, b) in zip(scored, intervals) if a <= lane < b]
+            runs.append((lane, lane + 1, *encode(summary_text(kept))))
+    else:
+        encoded = {text: encode(text) for text in texts}
+        runs = [(a, b, *encoded[s.text]) for s, (a, b) in zip(scored, intervals) if a < b]
+    # Kept lengths by lane, as a difference array; and the one query.
+    lengths = [0] * (lanes + 1)
+    query: list[int] = []
+    for a, b, length, masks in runs:
+        lengths[a] += length
+        lengths[b] -= length
+        window = pool.window(a, b)
+        query += [mask & window for mask in masks]
+    return [
+        prf(lcs, length, len(reference))[2]
+        for lcs, length in zip(pool.lcs(query), accumulate(lengths))
+    ]
 
 
 def sweep_threshold(
@@ -298,9 +314,9 @@ def sweep_threshold(
     pooled = [s.score for scored, _ in validation for s in scored]
     if not pooled:
         raise ValueError("no sentence scores in the validation set")
-    instances = [_SweepInstance(scored, ref, mask_deid) for scored, ref in validation]
     thresholds = _quantile_grid(pooled)
-    means = [fmean([inst.rouge_l_f1(t) for inst in instances]) for t in thresholds]
+    per_instance = [_rouge_l_f1s(scored, ref, thresholds, mask_deid) for scored, ref in validation]
+    means = [fmean(f1s) for f1s in zip(*per_instance)]
     best = 0
     for i in range(1, len(thresholds)):
         if means[i] > means[best]:
@@ -428,21 +444,27 @@ def write_merged_scores(
     """Merge a score file over its segment file into a merged-scores file,
     one record per encounter; returns the encounter count.
 
-    A score row for a segment the segment file lacks is fatal, as is a
-    segment without a complete score row (``merge_scores``); both errors name
-    the score file.
+    A score row for a segment the segment file lacks, or one that does not
+    score exactly its segment's sentences, is fatal with the score file and
+    the row's line; a segment without a score row is fatal with the score
+    file (``merge_scores``).
     """
     segments = read_segments(segments_path)
-    per_segment = read_scores(scores_path)
+    by_id = {segment.segment_id: segment for segment in segments}
+
+    def score_row(record) -> tuple[str, dict[tuple[int, int], float]]:
+        segment_id, scores = _score_row(record)
+        if segment_id not in by_id:
+            raise ValueError(
+                f"score row for segment {segment_id!r}, which {segments_path} does not hold"
+            )
+        _check_covers(by_id[segment_id], scores)
+        return segment_id, scores
+
+    per_segment = read_jsonl_keyed(scores_path, score_row, "segment_id")
     by_encounter: dict[str, list[Segment]] = {}
     for segment in segments:
         by_encounter.setdefault(segment.encounter_id, []).append(segment)
-    orphans = per_segment.keys() - {segment.segment_id for segment in segments}
-    if orphans:
-        raise ValueError(
-            f"{scores_path}: score row for segment {min(orphans)!r}, "
-            f"which {segments_path} does not hold"
-        )
     rows = []
     for encounter_id in sorted(by_encounter):
         try:

@@ -91,6 +91,37 @@ class LcsPool:
         self._full = full
         self._spans = spans
 
+    @classmethod
+    def tiled(cls, sequence: Sequence[str], copies: int) -> LcsPool:
+        """``LcsPool([sequence] * copies)``, built from one copy's masks.
+
+        Copy j lies at ``j * stride``, ``stride = len(sequence) + 1``, so each
+        of its masks is one copy's mask times the repunit of ``copies`` ones
+        at that stride: one multiply per distinct token.
+        """
+        pool = cls((sequence,))
+        [(_, n, ones)] = pool._spans
+        stride = n + 1
+        repunit = ((1 << stride * copies) - 1) // ((1 << stride) - 1)
+        pool._masks = {token: mask * repunit for token, mask in pool._masks.items()}
+        pool._full *= repunit
+        pool._spans = [(offset, n, ones) for offset in range(0, stride * copies, stride)]
+        return pool
+
+    def window(self, first: int, stop: int) -> int:
+        """The bits of pooled sequences ``first`` to ``stop - 1``; 0 when
+        ``stop <= first``.
+
+        A query mask ANDed with it matches nothing in the other sequences,
+        and a zero match leaves a sequence's row as it was, so the query
+        token counts only for the sequences in the window.
+        """
+        if stop <= first:
+            return 0
+        low = self._spans[first][0]
+        offset, n, _ = self._spans[stop - 1]
+        return ((1 << (offset + n)) - (1 << low)) & self._full
+
     def masks_of(self, tokens: Iterable[str]) -> list[int]:
         """The query's match masks; tokens the pool lacks are dropped, as
         they never change the row vector."""

@@ -617,7 +617,7 @@ class TestPipelineCommands:
 
     def test_uncovered_segment_names_score_file(self, scored_pipeline, tmp_path):
         rows = read_jsonl(scored_pipeline["scores"])
-        row = next(r for r in rows if len(r["scores"]) > 1)
+        line, row = next((i, r) for i, r in enumerate(rows, 1) if len(r["scores"]) > 1)
         missing = row["scores"].pop()
         scores = tmp_path / "scores.jsonl"
         write_jsonl(scores, rows)
@@ -629,7 +629,7 @@ class TestPipelineCommands:
         )
         assert proc.returncode == 1
         assert (
-            f"{scores}: score list for segment {row['segment_id']} does not cover its "
+            f"{scores}:{line}: score list for segment {row['segment_id']} does not cover its "
             f"sentences (missing [({missing['doc']}, {missing['sent']})], extra [])"
         ) in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -668,7 +668,10 @@ class TestPipelineCommands:
             )
         else:
             extra = {**rows[0], "segment_id": "no-such-encounter/0"}
-            expected = "scores.jsonl: score row for segment 'no-such-encounter/0', which "
+            expected = (
+                f"scores.jsonl:{len(rows) + 1}: score row for segment 'no-such-encounter/0', "
+                f"which {scored_pipeline['segments']} does not hold"
+            )
         scores = tmp_path / "scores.jsonl"
         write_jsonl(scores, rows + [extra])
         with caplog.at_level(logging.ERROR, logger="encsum"):
@@ -798,7 +801,7 @@ class TestPipelineCommands:
             logging.getLogger("encsum").removeHandler(handler)
         assert code in (0, 1)
         assert len(errors) == code
-        uncovered = (f"{paths['scores']}: score list for segment {first.get('segment_id')} "
+        uncovered = (f"{paths['scores']}:1: score list for segment {first.get('segment_id')} "
                      "does not cover its sentences")
         for message in errors:
             if message.startswith(uncovered):

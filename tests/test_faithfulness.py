@@ -12,6 +12,7 @@ from encsum.faithfulness import (
     f_beta,
     ingest_entity_annotations,
     load_default_gazetteer,
+    match_gazetteer,
     score_sets,
 )
 from encsum.sections import SectionInstance, SectionName
@@ -208,6 +209,25 @@ def greedy_scan_oracle(text, gaz):
     return frozenset(found)
 
 
+def position_scan_oracle(tokens, gaz):
+    """The indexed scan that visits every position, not only those whose
+    token starts a term."""
+    lengths_by_first, terms = gaz.lengths_by_first_token, gaz.terms
+    found = set()
+    i = 0
+    n = len(tokens)
+    while i < n:
+        step = 1
+        for length in lengths_by_first.get(tokens[i], ()):
+            candidate = tuple(tokens[i:i + length])
+            if candidate in terms:
+                found.add(" ".join(candidate))
+                step = len(candidate)
+                break
+        i += step
+    return frozenset(found)
+
+
 # A small vocabulary, so terms that share a first token, terms that are
 # prefixes of others, punctuation terms and overlapping matches are common.
 _STREAM_VOCAB = ["chest", "pain", "at", "rest", "htn", ".", ",", "-"]
@@ -262,6 +282,13 @@ class TestGazetteer:
         gaz = Gazetteer.from_terms(terms)
         text = " ".join(stream)
         assert extract_entities_gazetteer(text, gaz) == greedy_scan_oracle(text, gaz)
+
+    @given(gazetteer_terms, st.lists(st.sampled_from([*_STREAM_VOCAB, "x"]), max_size=40))
+    @example(["chest pain at", "at rest"], "x chest pain at rest at rest".split())
+    @example(["pain", "pain pain"], "pain pain pain".split())
+    def test_first_token_positions_equal_every_position(self, terms, stream):
+        gaz = Gazetteer.from_terms(terms)
+        assert match_gazetteer(stream, gaz) == position_scan_oracle(stream, gaz)
 
 
 class TestAnnotations:

@@ -7,6 +7,8 @@ from encsum.pipeline import (
     ChunkConfig,
     ScoredSentence,
     ThresholdSweepResult,
+    _keep_intervals,
+    _quantile_grid,
     apply_cutoff,
     chunk_encounter,
     merge_scores,
@@ -214,12 +216,20 @@ _SWEEP_WORDS = [
     "a", "B", "b", "pain", "Dr.", "[", "]", "[ Dr.", "Smith 12 ]", "[ x ]", "x]", "[y", "**",
 ]
 _sweep_text = st.lists(st.sampled_from(_SWEEP_WORDS), min_size=1, max_size=6).map(" ".join)
+# Scores on a coarse grid often equal a threshold, which tests the inclusive
+# cutoff; free floats make enough distinct scores that the quantile grid
+# interpolates between them, up to its 101 points.
+_sweep_score = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0, 1))
+# Texts drawn from a few per instance, so a later duplicate (the same text or
+# the same dedup key) often scores higher or lower than an earlier one.
+_sweep_sentences = st.lists(_sweep_text, min_size=1, max_size=3).flatmap(
+    lambda texts: st.lists(
+        st.tuples(st.one_of(st.sampled_from(texts), _sweep_text), _sweep_score),
+        min_size=1, max_size=8,
+    )
+)
 _sweep_instances = st.lists(
-    st.tuples(
-        st.lists(st.tuples(_sweep_text, st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])),
-                 min_size=1, max_size=8),
-        _sweep_text,
-    ),
+    st.tuples(_sweep_sentences, st.one_of(st.just(""), _sweep_text)),
     min_size=1,
     max_size=4,
 )
@@ -308,6 +318,33 @@ class TestSweep:
         tokens = tokenize(reference, mask_deid=True)
         assert rouge_l(tokens, tokens).f1 == 1.0
         assert max(result.mean_scores) == 1.0
+
+    @given(_sweep_instances)
+    @example([([("a b", 0.25), ("A  b", 0.75), ("a b", 0.5), ("c", 0.5)], "")])
+    def test_keep_intervals_equal_apply_cutoff(self, instances):
+        validation = [
+            [ScoredSentence((0, i), score, text) for i, (text, score) in enumerate(sents)]
+            for sents, _ in instances
+        ]
+        thresholds = _quantile_grid([s.score for scored in validation for s in scored])
+        for scored in validation:
+            intervals = _keep_intervals(scored, thresholds)
+            for lane, t in enumerate(thresholds):
+                kept = [s for s, (a, b) in zip(scored, intervals) if a <= lane < b]
+                assert kept == apply_cutoff(scored, t)
+
+    # A later duplicate scoring higher and lower; an empty reference.
+    @pytest.mark.parametrize("mask_deid", [False, True])
+    @pytest.mark.parametrize("sent_scores, reference", [
+        ([("a b", 0.25), ("A  b", 0.75), ("a b", 0.5), ("c [ x", 0.5), ("c", 1.0)], "a b c"),
+        ([("a b", 0.5), ("c", 0.25)], ""),
+    ], ids=["duplicates", "empty reference"])
+    def test_duplicates_and_empty_reference(self, sent_scores, reference, mask_deid):
+        validation = [_sweep_instance(sent_scores, reference)]
+        result = sweep_threshold(validation, mask_deid=mask_deid)
+        assert list(result.mean_scores) == reevaluate_grid(
+            validation, result.thresholds, mask_deid=mask_deid
+        )
 
     def test_empty_validation_fatal(self):
         with pytest.raises(ValueError):

@@ -184,6 +184,37 @@ class TestLcsPool:
         assert pool.masks_of(["z", "b", "y", "a"]) == [0b1010, 0b0001]
         assert pool.lcs([]) == [0, 0]
 
+    @settings(max_examples=150, deadline=None)
+    @given(_sequences(_BINARY), st.integers(0, 12), st.data())
+    def test_tiled_lanes_equal_separate_pools(self, reference, copies, data):
+        """Lane j of a tiled pool sees only the query tokens whose window
+        [a, b) holds j; every window, empty ones included, is drawn."""
+        window = st.tuples(st.integers(0, copies), st.integers(0, copies))
+        query = data.draw(
+            st.lists(st.tuples(st.sampled_from(_BINARY + ["absent"]), window), max_size=60)
+        )
+        pool = LcsPool.tiled(reference, copies)
+        masks = [
+            mask & pool.window(a, b) for token, (a, b) in query for mask in pool.masks_of([token])
+        ]
+        single = LcsPool((reference,))
+        assert pool.lcs(masks) == [
+            single.lcs(single.masks_of([t for t, (a, b) in query if a <= lane < b]))[0]
+            for lane in range(copies)
+        ]
+
+    @settings(deadline=None)
+    @given(_sequences(_BINARY), st.integers(0, 12), _sequences(_BINARY))
+    @example(["x"] * 30, 3, ["x"] * 40)
+    @example([], 4, ["x"])
+    def test_tiled_equals_repeated_pool(self, reference, copies, query):
+        tiled, repeated = LcsPool.tiled(reference, copies), LcsPool([reference] * copies)
+        masks = tiled.masks_of(query)
+        assert masks == repeated.masks_of(query)
+        assert tiled.lcs(masks) == repeated.lcs(masks)
+        everywhere = tiled.window(0, copies)
+        assert [mask & everywhere for mask in masks] == masks
+
 
 # Words with repeats, a sentence end and de-identification placeholders, which
 # --mask-deid turns into one token each.
