@@ -47,7 +47,7 @@ def main(argv: list[str] | None = None) -> int:
     command = globals()[f"_cmd_{args.command.replace('-', '_')}"]
     try:
         return command(args)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         logger.error("%s", exc)
         return 1
     finally:

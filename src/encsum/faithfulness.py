@@ -93,8 +93,13 @@ class Gazetteer:
 
     @staticmethod
     def from_file(path: str | Path) -> "Gazetteer":
-        lines = Path(path).read_text("utf-8").splitlines()
-        return Gazetteer.from_terms(line for line in lines if line.strip())
+        """The terms of a UTF-8 text file, one per line; a file that is not
+        UTF-8 or has no usable term is a ValueError naming it."""
+        try:
+            lines = Path(path).read_text("utf-8").splitlines()
+            return Gazetteer.from_terms(line for line in lines if line.strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def load_default_gazetteer() -> Gazetteer:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Hashable, Iterable, Iterator, TextIO
@@ -50,11 +51,20 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
             fh.write("\n")
 
 
+# What the surrogateescape error handler decodes a byte that is not UTF-8 to.
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+
+
 def iter_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:
-    """Yield (1-based line number, parsed object); parse errors yield (lineno, None)."""
-    with Path(path).open("r", encoding="utf-8") as fh:
+    """Yield (1-based line number, parsed object) for each non-blank line, as
+    universal newlines split them; a line that is not UTF-8, or not JSON,
+    yields (lineno, None)."""
+    with Path(path).open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
+                continue
+            if not line.isascii() and _UNDECODABLE.search(line):
+                yield lineno, None
                 continue
             try:
                 yield lineno, json.loads(line)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -111,45 +112,25 @@ def chunk_encounter(
     token slices, each its own segment carrying the same sentence key.
     Concatenating all segments reproduces the source sentence order.
     """
-    segments: list[Segment] = []
-    current: list[Sentence] = []
-    current_tokens = 0
-
-    def flush():
-        nonlocal current, current_tokens
-        if current:
-            segments.append(
-                Segment(
-                    segment_id=f"{encounter_id}/{len(segments)}",
-                    encounter_id=encounter_id,
-                    sentences=tuple(s.key for s in current),
-                    texts=tuple(s.raw_text for s in current),
-                )
-            )
-            current = []
-            current_tokens = 0
-
+    budget = cfg.max_tokens
+    pieces: list[list[tuple[tuple[int, int], str]]] = []  # each segment's (key, text) pairs
+    filled = math.inf  # tokens in pieces[-1]; inf when it takes no more sentences
     for sent in source_sents:
         n = len(sent.tokens)
-        if n > cfg.max_tokens:
-            flush()
-            for w in range(0, n, cfg.max_tokens):
-                window = sent.tokens[w:w + cfg.max_tokens]
-                segments.append(
-                    Segment(
-                        segment_id=f"{encounter_id}/{len(segments)}",
-                        encounter_id=encounter_id,
-                        sentences=(sent.key,),
-                        texts=(" ".join(window),),
-                    )
-                )
-            continue
-        if current_tokens + n > cfg.max_tokens:
-            flush()
-        current.append(sent)
-        current_tokens += n
-    flush()
-    return segments
+        if n > budget:
+            pieces += (
+                [(sent.key, " ".join(sent.tokens[w:w + budget]))] for w in range(0, n, budget)
+            )
+            filled = math.inf
+        elif filled + n > budget:
+            pieces.append([(sent.key, sent.raw_text)])
+            filled = n
+        else:
+            pieces[-1].append((sent.key, sent.raw_text))
+            filled += n
+    return [
+        Segment(f"{encounter_id}/{i}", encounter_id, *zip(*piece)) for i, piece in enumerate(pieces)
+    ]
 
 
 def _check_covers(segment: Segment, scores: Mapping[tuple[int, int], float]) -> None:
@@ -214,6 +195,8 @@ def apply_cutoff(scored: Sequence[ScoredSentence], threshold: float) -> list[Sco
 
 
 def _quantile_grid(scores: Sequence[float]) -> list[float]:
+    """Up to 101 distinct quantiles of finite ``scores``, ascending, each
+    finite and within [min, max] of ``scores``."""
     ordered = sorted(scores)
     m = len(ordered)
     n = MAX_THRESHOLD_CANDIDATES
@@ -221,8 +204,14 @@ def _quantile_grid(scores: Sequence[float]) -> list[float]:
     for k in range(n):
         pos = (k / (n - 1)) * (m - 1)
         lo = int(pos)
-        hi = min(lo + 1, m - 1)
-        grid.append(ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo))
+        a, b = ordered[lo], ordered[min(lo + 1, m - 1)]
+        f = pos - lo
+        if math.isfinite(b - a):
+            point = a + (b - a) * f
+        else:
+            # b - a overflows only when a < 0 < b, and then this sum cannot.
+            point = a * (1 - f) + b * f
+        grid.append(min(max(point, a), b))
     return sorted(set(grid))
 
 
@@ -324,17 +313,37 @@ def sweep_threshold(
     return ThresholdSweepResult(tuple(thresholds), tuple(means), thresholds[best])
 
 
-def read_segments(path: str | Path) -> list[Segment]:
-    """The segments of a segment file, in file order; a repeated segment_id is fatal."""
-    return list(read_jsonl_keyed(path, _segment_row, "segment_id").values())
+def read_segments(path: str | Path) -> dict[str, Segment]:
+    """Map segment_id -> segment, in file order, from a segment file; a
+    repeated segment_id is fatal."""
+    return read_jsonl_keyed(path, _segment_row, "segment_id")
 
 
-def read_scores(path: str | Path) -> dict[str, dict[tuple[int, int], float]]:
-    """Map segment_id -> its scores by sentence key, in file order, from a score file.
+def read_scores(
+    path: str | Path, segments: Mapping[str, Segment], segments_path: str | Path
+) -> dict[str, dict[tuple[int, int], float]]:
+    """Map segment_id -> its scores by sentence key, in file order, from a
+    score file over ``segments``, the map ``read_segments`` made of
+    ``segments_path``.
 
-    A repeated segment_id, or a sentence key repeated within one row, is fatal.
+    A row for a segment not in ``segments``, a row that does not score
+    exactly its segment's sentences, a repeated segment_id, or a sentence key
+    repeated within one row, is fatal with ``<path>:<line>``.
     """
-    return read_jsonl_keyed(path, _score_row, "segment_id")
+
+    def row(record) -> tuple[str, dict[tuple[int, int], float]]:
+        segment_id, sentences = _sentence_list(
+            record, "a scores", "segment_id", "scores", _KEY_FIELDS
+        )
+        if segment_id not in segments:
+            raise ValueError(
+                f"score row for segment {segment_id!r}, which {segments_path} does not hold"
+            )
+        scores = {key: s["score"] for key, s in sentences.items()}
+        _check_covers(segments[segment_id], scores)
+        return segment_id, scores
+
+    return read_jsonl_keyed(path, row, "segment_id")
 
 
 def read_merged(path: str | Path) -> dict[str, list[ScoredSentence]]:
@@ -370,11 +379,6 @@ def _segment_row(record) -> tuple[str, Segment]:
     )
     texts = tuple(s["text"] for s in sentences.values())
     return segment_id, Segment(segment_id, record["encounter_id"], tuple(sentences), texts)
-
-
-def _score_row(record) -> tuple[str, dict[tuple[int, int], float]]:
-    segment_id, sentences = _sentence_list(record, "a scores", "segment_id", "scores", _KEY_FIELDS)
-    return segment_id, {key: s["score"] for key, s in sentences.items()}
 
 
 def _merged_row(record) -> tuple[str, list[ScoredSentence]]:
@@ -450,20 +454,9 @@ def write_merged_scores(
     file (``merge_scores``).
     """
     segments = read_segments(segments_path)
-    by_id = {segment.segment_id: segment for segment in segments}
-
-    def score_row(record) -> tuple[str, dict[tuple[int, int], float]]:
-        segment_id, scores = _score_row(record)
-        if segment_id not in by_id:
-            raise ValueError(
-                f"score row for segment {segment_id!r}, which {segments_path} does not hold"
-            )
-        _check_covers(by_id[segment_id], scores)
-        return segment_id, scores
-
-    per_segment = read_jsonl_keyed(scores_path, score_row, "segment_id")
+    per_segment = read_scores(scores_path, segments, segments_path)
     by_encounter: dict[str, list[Segment]] = {}
-    for segment in segments:
+    for segment in segments.values():
         by_encounter.setdefault(segment.encounter_id, []).append(segment)
     rows = []
     for encounter_id in sorted(by_encounter):

@@ -138,7 +138,10 @@ def load_rules(path: str | Path | None = None) -> HeaderRuleSet:
         text = resources.files("encsum").joinpath("data/section_headers.json").read_text("utf-8")
     else:
         source = str(path)
-        text = Path(path).read_text("utf-8")
+        try:
+            text = Path(path).read_text("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{source}: not UTF-8 text ({exc})") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

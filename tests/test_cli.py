@@ -747,13 +747,14 @@ class TestPipelineCommands:
         # read_segments returns what chunk wrote, and read_merged what
         # merge_scores made of the segment and score files.
         encounters = load_encounters(workspace / "data")
+        segments_by_id = read_segments(scored_pipeline["segments"])
         by_encounter = {}
-        for segment in read_segments(scored_pipeline["segments"]):
+        for segment in segments_by_id.values():
             by_encounter.setdefault(segment.encounter_id, []).append(segment)
         for encounter_id, segments in by_encounter.items():
             pool = source_sentences(encounters[encounter_id])
             assert segments == chunk_encounter(pool, ChunkConfig(max_tokens=64), encounter_id)
-        scores = read_scores(scored_pipeline["scores"])
+        scores = read_scores(scored_pipeline["scores"], segments_by_id, scored_pipeline["segments"])
         assert read_merged(scored_pipeline["merged"]) == {
             encounter_id: merge_scores(segments, scores)
             for encounter_id, segments in by_encounter.items()

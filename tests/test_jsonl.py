@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from encsum.jsonl import read_jsonl, write_json, write_jsonl, write_text
+from encsum.jsonl import iter_jsonl, read_jsonl, write_json, write_jsonl, write_text
 
 
 def _failing_records():
@@ -69,3 +69,19 @@ class TestRead:
 
         with pytest.raises(ValueError, match=r"a\.jsonl:3: bad n$"):
             read_jsonl(path, add)
+
+    # A byte that is not UTF-8 used to raise the decoder's error, whose
+    # position is an offset into a read buffer, from the whole file.
+    def test_line_that_is_not_utf8_is_malformed(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        path.write_bytes(
+            b'{"t": "caf\xc3\xa9"}\r'  # UTF-8, then a lone \r
+            b'{"t": "caf\xe9"}\r\n'  # Latin-1
+            b'{"t": "\\ud83d\\ude00"}\n'  # an escaped surrogate pair
+            b'\xff\n'
+        )
+        assert list(iter_jsonl(path)) == [
+            (1, {"t": "café"}), (2, None), (3, {"t": "\U0001F600"}), (4, None),
+        ]
+        with pytest.raises(ValueError, match=r"a\.jsonl:2: not a JSON record$"):
+            read_jsonl(path)

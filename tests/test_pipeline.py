@@ -1,3 +1,5 @@
+import math
+import sys
 from statistics import fmean
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import example, given, strategies as st
 from encsum.pipeline import (
     ChunkConfig,
     ScoredSentence,
+    Segment,
     ThresholdSweepResult,
     _keep_intervals,
     _quantile_grid,
@@ -72,6 +75,74 @@ class TestChunk:
             assert segment_token_count(segment) <= budget
 
 
+def reference_chunk_encounter(source_sents, cfg, encounter_id=""):
+    """The chunker as it was before it built every segment in one place."""
+    segments = []
+    current = []
+    current_tokens = 0
+
+    def flush():
+        nonlocal current, current_tokens
+        if current:
+            segments.append(
+                Segment(
+                    segment_id=f"{encounter_id}/{len(segments)}",
+                    encounter_id=encounter_id,
+                    sentences=tuple(s.key for s in current),
+                    texts=tuple(s.raw_text for s in current),
+                )
+            )
+            current = []
+            current_tokens = 0
+
+    for sent in source_sents:
+        n = len(sent.tokens)
+        if n > cfg.max_tokens:
+            flush()
+            for w in range(0, n, cfg.max_tokens):
+                window = sent.tokens[w:w + cfg.max_tokens]
+                segments.append(
+                    Segment(
+                        segment_id=f"{encounter_id}/{len(segments)}",
+                        encounter_id=encounter_id,
+                        sentences=(sent.key,),
+                        texts=(" ".join(window),),
+                    )
+                )
+            continue
+        if current_tokens + n > cfg.max_tokens:
+            flush()
+        current.append(sent)
+        current_tokens += n
+    flush()
+    return segments
+
+
+class TestChunkExact:
+    """The whole segment list, ids included, against the reference chunker."""
+
+    @given(st.lists(st.integers(1, 80), max_size=40), st.integers(1, 64))
+    # An oversize sentence right after a partly filled segment; exact fills,
+    # then one more token; an empty pool; a budget of one token.
+    @example([3, 20, 2], 8)
+    @example([4, 4, 8, 1, 7, 9], 8)
+    @example([], 5)
+    @example([1, 2, 1], 1)
+    def test_equals_reference(self, lengths, budget):
+        sents = [_sent_of_tokens(n, i % 3, i) for i, n in enumerate(lengths)]
+        cfg = ChunkConfig(max_tokens=budget)
+        segments = chunk_encounter(sents, cfg, "enc-7")
+        assert segments == reference_chunk_encounter(sents, cfg, "enc-7")
+        assert [s.segment_id for s in segments] == [f"enc-7/{i}" for i in range(len(segments))]
+        # Greedy fill is maximal: a filled segment could not take the
+        # sentence that starts the next one.
+        sizes = {s.key: n for s, n in zip(sents, lengths)}
+        for segment, after in zip(segments, segments[1:]):
+            if sizes[segment.sentences[-1]] <= budget and sizes[after.sentences[0]] <= budget:
+                filled = sum(sizes[key] for key in segment.sentences)
+                assert filled <= budget < filled + sizes[after.sentences[0]]
+
+
 def _identity_scores(segments):
     return {seg.segment_id: {key: 1.0 for key in seg.sentences} for seg in segments}
 
@@ -82,7 +153,7 @@ def test_segment_file_round_trip(tmp_path):
     assert any(len(s.texts) > 1 for s in segments)  # some filled, some windowed
     path = tmp_path / "segments.jsonl"
     write_jsonl(path, (s.to_record() for s in segments))
-    assert read_segments(path) == segments
+    assert read_segments(path) == {s.segment_id: s for s in segments}
 
 
 class TestMerge:
@@ -345,6 +416,44 @@ class TestSweep:
         assert list(result.mean_scores) == reevaluate_grid(
             validation, result.thresholds, mask_deid=mask_deid
         )
+
+    # The grid interpolated a + (b - a) * f, and b - a overflowed to inf
+    # here: at f = 0 it made a NaN threshold, which the sweep chose.
+    @pytest.mark.parametrize("scores", [
+        (-1e308, 1e308),
+        (-sys.float_info.max, sys.float_info.max),
+        (sys.float_info.max / 3, sys.float_info.max),
+        (-sys.float_info.max, -sys.float_info.max / 3),
+    ])
+    def test_overflowing_score_range(self, scores):
+        grid = _quantile_grid(scores)
+        assert grid == sorted(set(grid))
+        assert all(math.isfinite(t) and min(scores) <= t <= max(scores) for t in grid)
+        validation = [_sweep_instance([("a b.", scores[0]), ("c d.", scores[1])], "c d.")]
+        result = sweep_threshold(validation)
+        assert result.thresholds == tuple(grid)
+        # The smallest threshold that drops the low sentence.
+        assert result.chosen_threshold == grid[1]
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=30))
+    @example([-sys.float_info.max, 0.0, sys.float_info.max])
+    def test_grid_finite_within_scores(self, scores):
+        grid = _quantile_grid(scores)
+        assert 1 <= len(grid) <= 101 and grid == sorted(set(grid))
+        assert all(math.isfinite(t) and min(scores) <= t <= max(scores) for t in grid)
+
+    # Where b - a is finite the grid is a + (b - a) * f, as it always was.
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=30))
+    def test_grid_formula_kept(self, scores):
+        ordered = sorted(scores)
+        m = len(ordered)
+        expected = set()
+        for k in range(101):
+            pos = (k / 100) * (m - 1)
+            lo = int(pos)
+            hi = min(lo + 1, m - 1)
+            expected.add(ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo))
+        assert _quantile_grid(scores) == sorted(expected)
 
     def test_empty_validation_fatal(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,226 @@
+"""Malformed wire-format inputs end in exit 0 or 1, never in a traceback.
+
+For notes, ``encounters.jsonl``, ``splits.jsonl``, a section file, system
+summaries, entity annotations and the sweep file, one field of one record is
+replaced or deleted, or one line gets a byte that is not UTF-8, and the
+command that reads the file runs in-process. An exception that ``main`` does
+not catch fails the test. A command that fails logs one error, naming the
+file, and the line when one record is at fault.
+"""
+
+from __future__ import annotations
+
+import json
+import logging
+import shutil
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from encsum.cli import main
+from encsum.corpus import NOTE_FIELDS
+from encsum.jsonl import read_jsonl, write_jsonl
+
+# What the fuzz puts in place of one field.
+FUZZ_VALUES = [None, True, 0, -1, 1e30, float("nan"), "", "Ünïcødé ✓", [1], {"a": 1}]
+
+NOTE_PATHS = tuple((name,) for name in NOTE_FIELDS)
+ENCOUNTER_PATHS = (
+    ("subject_id",), ("encounter_id",), ("prior_notes",), ("discharge_summary",),
+    *(("prior_notes", 0, name) for name in NOTE_FIELDS),
+    *(("discharge_summary", name) for name in NOTE_FIELDS),
+)
+SECTION = "chief_complaint"
+
+# name: (the file, relative to the workspace; its field paths; the command
+# that reads it; whether the reader skips a bad line with a warning)
+TARGETS = {
+    "notes": ("notes.jsonl", NOTE_PATHS, (
+        "build-dataset", "--notes", "{file}", "--out", "{out}", "--seed", "11",
+        "--require-admission",
+    ), True),
+    "encounters": ("data/encounters.jsonl", ENCOUNTER_PATHS, (
+        "chunk", "--dataset", "{data}", "--split", "train", "--out", "{out}",
+    ), False),
+    "splits": ("data/splits.jsonl", (("subject_id",), ("split",)), (
+        "chunk", "--dataset", "{data}", "--split", "train", "--out", "{out}",
+    ), False),
+    "sections": (
+        f"data/sections/{SECTION}__train.jsonl",
+        tuple((name,) for name in ("encounter_id", "section", "text", "start", "end")),
+        ("rule-baseline", "--dataset", "{data}", "--section", SECTION, "--split", "train",
+         "--out", "{out}"),
+        False,
+    ),
+    "summaries": (
+        "sys_oracle.jsonl",
+        tuple((name,) for name in ("encounter_id", "section", "system", "text")),
+        ("evaluate", "--dataset", "{data}", "--systems", "{file}", "--split", "test",
+         "--out", "{out}"),
+        False,
+    ),
+    "annotations": ("annotations.jsonl", (("key",), ("entities",)), (
+        "evaluate", "--dataset", "{data}", "--systems", "{root}/sys_oracle.jsonl",
+        "--split", "test", "--annotations", "{file}", "--out", "{out}",
+    ), True),
+    "sweep": (
+        "sweep.json",
+        tuple((name,) for name in ("section", "thresholds", "mean_rouge_l_f1",
+                                   "chosen_threshold")),
+        ("cutoff", "--merged", "{root}/merged.jsonl", "--section", SECTION,
+         "--sweep", "{file}", "--out", "{out}"),
+        False,
+    ),
+}
+
+# Messages that name the file but no line, because no one record is at
+# fault: a subject whose split record was changed away has none.
+NO_LINE = {"splits": ("no split record for subject",)}
+
+
+def run(*argv) -> tuple[int, list[str]]:
+    """``main``'s exit code (2 for a usage error) and the errors it logged."""
+    errors: list[str] = []
+    handler = logging.Handler(logging.ERROR)
+    handler.emit = lambda record: errors.append(record.getMessage())
+    logging.getLogger("encsum").addHandler(handler)
+    try:
+        return main(["--quiet", *map(str, argv)]), errors
+    except SystemExit as exc:
+        return exc.code, errors
+    finally:
+        logging.getLogger("encsum").removeHandler(handler)
+
+
+@pytest.fixture(scope="module")
+def workspace(tmp_path_factory):
+    """A 12-stay dataset with an oracle system on its test split, entity
+    annotations for it, and a sweep over scored validation segments."""
+    root = tmp_path_factory.mktemp("fuzz")
+    data = root / "data"
+    assert run("synth-corpus", "--out", root / "notes.jsonl", "--encounters", 12,
+               "--seed", 3) == (0, [])
+    assert run("build-dataset", "--notes", root / "notes.jsonl", "--out", data,
+               "--seed", 11, "--require-admission") == (0, [])
+    assert run("oracle", "--dataset", data, "--split", "test",
+               "--out", root / "sys_oracle.jsonl") == (0, [])
+    summaries = read_jsonl(root / "sys_oracle.jsonl")
+    keys = sorted({f"enc:{r['encounter_id']}:src" for r in summaries}) + [
+        f"enc:{r['encounter_id']}:{r['section']}:sys:{r['system']}" for r in summaries
+    ]
+    write_jsonl(root / "annotations.jsonl", (
+        {"key": key, "entities": ["chest pain", "htn"][:1 + i % 2]} for i, key in enumerate(keys)
+    ))
+    segments = root / "segments.jsonl"
+    assert run("chunk", "--dataset", data, "--split", "validation", "--max-tokens", 32,
+               "--out", segments) == (0, [])
+    write_jsonl(root / "scores.jsonl", (
+        {"segment_id": row["segment_id"], "scores": [
+            {"doc": s["doc"], "sent": s["sent"], "score": (3 * s["doc"] + s["sent"]) % 5 / 4}
+            for s in row["sentences"]
+        ]}
+        for row in read_jsonl(segments)
+    ))
+    assert run("merge-scores", "--segments", segments, "--scores", root / "scores.jsonl",
+               "--out", root / "merged.jsonl") == (0, [])
+    assert run("sweep", "--dataset", data, "--section", SECTION, "--split", "validation",
+               "--merged", root / "merged.jsonl", "--out", root / "sweep.json") == (0, [])
+    return root
+
+
+def _fresh_copy(workspace, name):
+    """A copy of the target's file (within a copy of the dataset, for a
+    dataset file), its argv, and the copy's parsed records."""
+    relative, _, argv, _ = TARGETS[name]
+    trial = workspace / "trial"
+    shutil.rmtree(trial, ignore_errors=True)
+    shutil.copytree(workspace / "data", trial / "data")
+    path = trial / relative
+    if not path.exists():
+        shutil.copy(workspace / relative, path)
+    fill = {"file": path, "data": trial / "data", "root": workspace, "out": trial / "out"}
+    argv = [arg.format(**fill) for arg in argv]
+    if name == "sweep":
+        return path, argv, [json.loads(path.read_text("utf-8"))]
+    return path, argv, read_jsonl(path)
+
+
+def _check(name, path, line, code, errors):
+    assert code in (0, 1, 2)
+    assert len(errors) == (code == 1), errors
+    for message in errors:
+        if name == "sweep":
+            assert message.startswith(f"{path}: "), message
+        elif not message.startswith(f"{path}:{line}: "):
+            assert any(message.startswith(f"{path}: {text}") for text in NO_LINE.get(name, ())), (
+                message
+            )
+
+
+@pytest.mark.parametrize("name", sorted(TARGETS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzzed_field(workspace, name, data):
+    path, argv, records = _fresh_copy(workspace, name)
+    index = data.draw(st.integers(0, len(records) - 1), label="record")
+    field = data.draw(st.sampled_from(TARGETS[name][1]), label="field")
+    value = data.draw(st.sampled_from(["delete", *FUZZ_VALUES]), label="value")
+    owner = records[index]
+    for step in field[:-1]:
+        owner = owner[step]
+    if value == "delete":
+        del owner[field[-1]]
+    else:
+        owner[field[-1]] = value
+    text = "".join(json.dumps(record) + "\n" for record in records)
+    path.write_text(text, encoding="utf-8")
+    code, errors = run(*argv)
+    _check(name, path, index + 1, code, errors)
+
+
+# A line with a byte that is not UTF-8 used to end every command with the
+# decoder's message, whose position is an offset into a read buffer, and no
+# file or line. Notes and annotations skip the line with a warning.
+@pytest.mark.parametrize("name", sorted(set(TARGETS) - {"sweep"}))
+def test_undecodable_line(workspace, name, caplog):
+    path, argv, records = _fresh_copy(workspace, name)
+    lines = path.read_bytes().splitlines(keepends=True)
+    line = len(lines) // 2 + 1
+    lines[line - 1] = lines[line - 1].replace(b'"', b'"\xff', 1)
+    path.write_bytes(b"".join(lines))
+    with caplog.at_level(logging.WARNING, logger="encsum"):
+        code, errors = run(*argv)
+    skips = TARGETS[name][3]
+    assert code == (0 if skips else 1)
+    if skips:
+        assert f"{path}:{line}: skipping" in caplog.text
+    else:
+        assert errors == [f"{path}:{line}: not a JSON record"]
+
+
+def test_undecodable_notes_line_counted(workspace, tmp_path):
+    notes = tmp_path / "notes.jsonl"
+    lines = (workspace / "notes.jsonl").read_bytes().splitlines(keepends=True)
+    lines[3] = b"\xff" + lines[3]
+    notes.write_bytes(b"".join(lines))
+    assert run("build-dataset", "--notes", notes, "--out", tmp_path / "data", "--seed", 11,
+               "--require-admission") == (0, [])
+    manifest = json.loads((tmp_path / "data" / "manifest.json").read_text("utf-8"))
+    assert manifest["notes_skipped"] == 1
+    assert manifest["notes_ingested"] == len(lines) - 1
+
+
+@pytest.mark.parametrize("option", ["--rules", "--gazetteer"])
+def test_undecodable_rules_or_gazetteer_names_file(workspace, tmp_path, option):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b'{"chief_complaint": ["CC\xff:"]}' if option == "--rules" else b"htn\n\xff\n")
+    if option == "--rules":
+        argv = ["build-dataset", "--notes", workspace / "notes.jsonl", "--rules", bad,
+                "--out", tmp_path / "data"]
+    else:
+        argv = ["evaluate", "--dataset", workspace / "data", "--systems",
+                workspace / "sys_oracle.jsonl", "--gazetteer", bad, "--out", tmp_path / "r"]
+    code, errors = run(*argv)
+    assert code == 1
+    [message] = errors
+    assert message.startswith(f"{bad}: ") and "can't decode byte 0xff" in message
