@@ -42,23 +42,32 @@ def write_json(path: str | Path, obj: Any) -> None:
     write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+# One encoder for every JSON line: ``json.dumps`` with options builds a new
+# one per call.
+_encode_line = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+
+
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
     """Write one JSON line per record, atomically: if ``records`` raises, the
     file at ``path`` is left as it was."""
     with _atomic_open(path) as fh:
         for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True))
+            fh.write(_encode_line(record))
             fh.write("\n")
 
 
 # What the surrogateescape error handler decodes a byte that is not UTF-8 to.
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
+# A JSON escape of a surrogate, U+D800 to U+DFFF: only such an escape can put
+# one in a parsed string, as the line itself was decoded as UTF-8.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 def iter_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:
     """Yield (1-based line number, parsed object) for each non-blank line, as
-    universal newlines split them; a line that is not UTF-8, or not JSON,
-    yields (lineno, None)."""
+    universal newlines split them; a line that is not UTF-8, not JSON, or
+    whose strings escape an unpaired surrogate (``"\\ud800"``, which UTF-8
+    cannot encode) yields (lineno, None)."""
     with Path(path).open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -67,9 +76,21 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:
                 yield lineno, None
                 continue
             try:
-                yield lineno, json.loads(line)
+                obj = json.loads(line)
             except json.JSONDecodeError:
                 yield lineno, None
+                continue
+            if _SURROGATE_ESCAPE.search(line) and not _encodable(obj):
+                obj = None
+            yield lineno, obj
+
+
+def _encodable(obj: Any) -> bool:
+    try:
+        _encode_line(obj).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def read_jsonl(path: str | Path, add: Callable[[Any], None] | None = None) -> list:

@@ -399,16 +399,20 @@ def _sentence_list(
     check_fields(record, kind, ((id_field, str), *row_fields, (list_field, list)))
     owner = f"{id_field.removesuffix('_id')} {record[id_field]}"
     sentences: dict[tuple[int, int], dict] = {}
+    # Each message says where the sentence is; it is built only once a check fails.
     for i, item in enumerate(record[list_field]):
-        where = f"{owner}, {list_field}[{i}]"
-        check_fields(item, kind, sentence_fields, where)
+        try:
+            check_fields(item, kind, sentence_fields)
+        except ValueError:
+            check_fields(item, kind, sentence_fields, f"{owner}, {list_field}[{i}]")
         key = (item["doc"], item["sent"])
         try:
             if key[0] < 0 or key[1] < 0:
-                raise ValueError(f"sentence {key}: doc and sent must be at least 0")
+                raise ValueError("doc and sent must be at least 0")
             if scored:
-                check_finite(item.get("score"), f"sentence {key}: score")
+                check_finite(item.get("score"), "score")
         except ValueError as exc:
+            where = f"{owner}, {list_field}[{i}]: sentence {key}"
             raise ValueError(f"not {kind} record: {where}: {exc}") from None
         if key in sentences:
             raise ValueError(f"not {kind} record: {owner}: sentence {key} repeated")

@@ -10,6 +10,7 @@ to prior notes instead of the discharge summary.
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -69,14 +70,38 @@ class HeaderRuleSet:
     @cached_property
     def _matcher(self) -> tuple[re.Pattern, dict[str, SectionName | None]]:
         # A line break, at most three spaces or tabs not followed by another,
-        # then a pattern as group 1. Alternatives longest first, so the first
-        # that matches is the longest; a pattern listed twice keeps its first
-        # owner in all_patterns() order.
+        # then a pattern as group 1, compiled from a prefix trie of the
+        # patterns (see _trie_regex), so the longest matching pattern wins; a
+        # pattern listed twice keeps its first owner in all_patterns() order.
         owners: dict[str, SectionName | None] = {}
         for pattern, section in self.all_patterns():
             owners.setdefault(pattern, section)
-        alternation = "|".join(map(re.escape, sorted(owners, key=len, reverse=True)))
-        return re.compile(f"[{_LINE_BREAKS}][ \t]{{0,3}}(?![ \t])({alternation})"), owners
+        trie = _trie_regex(owners)
+        return re.compile(f"[{_LINE_BREAKS}][ \t]{{0,3}}(?![ \t])({trie})"), owners
+
+
+def _trie_regex(patterns) -> str:
+    """A regex matching the longest of the distinct literal ``patterns`` that
+    prefixes the text, built as a prefix trie.
+
+    Patterns sharing a first character share one branch, so the scan reads
+    each character of a line once; a run of characters with no fork becomes
+    one literal. The empty pattern, where one pattern ends inside another, is
+    the last alternative: every branch is tried before it, so a longer
+    pattern wins over its prefix.
+    """
+    by_first: dict[str, list[str]] = {}
+    for pattern in patterns:
+        if pattern:
+            by_first.setdefault(pattern[0], []).append(pattern)
+    branches = []
+    for group in by_first.values():
+        shared = os.path.commonprefix(group)
+        rest = _trie_regex([p[len(shared):] for p in group])
+        branches.append(re.escape(shared) + (f"(?:{rest})" if rest else ""))
+    if "" in patterns:
+        branches.append("")
+    return "|".join(branches)
 
 
 def _has_line_break(pattern: str) -> bool:

@@ -12,8 +12,11 @@ reproducible within the toolkit:
   ``-`` after whitespace, or a numbered marker (``str.isdigit`` digits, ``.``,
   then whitespace) at the start of a line indented by at most three spaces or
   tabs. The period of a number such as ``1.`` at the head of a sentence does
-  not end it. One compiled regex finds the candidate boundaries, and a loop
-  over its matches applies these rules;
+  not end it. One compiled regex finds the candidate boundaries: it fires at
+  a line start only where a word, ``.`` and whitespace follow, and captures
+  that word, so that a line not opening with such a marker (a lab-table
+  row, say) costs the loop nothing. A loop over the matches applies these
+  rules, checking that a captured marker is a number;
 * bracketed de-identification placeholders such as ``[ country 4952 ]``
   are kept verbatim unless masking is requested.
 
@@ -26,7 +29,7 @@ from __future__ import annotations
 import re
 import string
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 _PUNCT = re.escape(string.punctuation)
 _TOKEN_RE = re.compile(rf"[^\s{_PUNCT}](?:\S*[^\s{_PUNCT}])?|[{_PUNCT}]")
@@ -35,14 +38,18 @@ DEID_MASK_TOKEN = "xxdeid"
 
 # Sentence-boundary events, in text order: ``.``/``!``/``?`` before
 # whitespace or the end; a blank line; a line start after at most three spaces
-# or tabs, where a numbered marker may begin; ``#`` or ``-`` after whitespace.
-# The leading lookahead lets the scan reject most characters at once.
-_EVENT_RE = re.compile(r"(?=[.!?\n#-])(?:[.!?](?!\S)|\n[ \t\r]*\n|\n[ \t]{0,3}|(?<=\s)[#-])")
-_NUMBERED_RE = re.compile(r"(\w+)\.(?!\S)")
+# or tabs where a word, ``.`` and whitespace follow, with the word as group 1
+# (the loop checks that it is a number); ``#`` or ``-`` after whitespace. Each
+# event starts with one of ``.!?\n#-``, so the regex opens with that class
+# and a lookbehind picks the event's rule: the regex engine's search then
+# skips every other character without starting a match there.
+_EVENT_RE = re.compile(
+    r"[.!?\n#-](?:(?<=[.!?])(?!\S)|(?<=\n)[ \t\r]*\n"
+    r"|(?<=\n)[ \t]{0,3}(?=(\w+)\.(?!\S))|(?<=\s[#-]))"
+)
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(NamedTuple):
     """A segmented sentence; (doc_index, sent_index) keys it within an encounter."""
 
     tokens: tuple[str, ...]
@@ -111,16 +118,12 @@ def _sentence_spans(text: str) -> list[tuple[int, int]]:
         i, end = m.span()
         c = text[i]
         if c == "\n":
-            if end - i > 1 and text[end - 1] == "\n":
+            if m[1] is None:  # a blank line
                 spans.append((start, i))
                 start = end
             # A numbered marker: str.isdigit digits, "." and whitespace. The
             # regex takes the whole word, as ``\d`` misses digits such as "²".
-            elif (
-                end > start
-                and (number := _NUMBERED_RE.match(text, end))
-                and number[1].isdigit()
-            ):
+            elif end > start and m[1].isdigit():
                 spans.append((start, end))
                 start = end
         elif c in "#-":

@@ -85,3 +85,23 @@ class TestRead:
         ]
         with pytest.raises(ValueError, match=r"a\.jsonl:2: not a JSON record$"):
             read_jsonl(path)
+
+    # A string escaping an unpaired surrogate, which UTF-8 cannot encode, used
+    # to be read as it was; writing it out then failed, naming no file or line.
+    @pytest.mark.parametrize("line, parsed", [
+        ('{"t": "a\\ud800"}', None),  # a lone high surrogate
+        ('{"t": "\\udc00b"}', None),  # a lone low surrogate
+        ('{"t": "\\uDFFF"}', None),  # upper-case hex digits
+        ('{"t": ["x", {"\\udbff": 1}]}', None),  # one in a nested key
+        ('{"t": "\\ude00\\ud83d"}', None),  # a pair in the wrong order
+        ('{"t": "\\ud83d\\ude00"}', {"t": "\U0001F600"}),  # a valid pair
+        ('{"t": "caf\\u00e9 \\\\ud800"}', {"t": "café \\ud800"}),  # an escaped backslash
+    ], ids=["high", "low", "upper case", "nested key", "reversed pair", "pair",
+            "escaped backslash"])
+    def test_unpaired_surrogate_is_malformed(self, tmp_path, line, parsed):
+        path = tmp_path / "a.jsonl"
+        path.write_text(f'{{"n": 1}}\n{line}\n', encoding="utf-8")
+        assert list(iter_jsonl(path)) == [(1, {"n": 1}), (2, parsed)]
+        if parsed is None:
+            with pytest.raises(ValueError, match=r"a\.jsonl:2: not a JSON record$"):
+                read_jsonl(path)

@@ -244,6 +244,87 @@ class TestFindHeadersMatchesReference:
         assert extract_section(doc, SectionName.SOCIAL_HISTORY, rules) is None
 
 
+def trie_rules(section_patterns=(), terminators=()):
+    """Rules where each section has its spelled-out variant, plus each
+    (section, pattern) of ``section_patterns``."""
+    variants = {s: [f"{spelled(s)}:"] for s in SectionName}
+    for section, pattern in section_patterns:
+        variants[section].append(pattern)
+    return HeaderRuleSet({s: tuple(v) for s, v in variants.items()}, tuple(terminators))
+
+
+def headers_found(doc, rules):
+    """Each header's text and owner, once ``find_headers`` agrees with the reference."""
+    got = find_headers(doc, rules)
+    assert got == reference_find_headers(doc, rules)
+    return [(doc[m.start:m.end], m.section) for m in got]
+
+
+class TestTrieMatcher:
+    """The header regex is a prefix trie of the patterns. These are the cases
+    where a trie could pick another pattern than the line-by-line scan."""
+
+    def test_pattern_that_prefixes_another(self):
+        rules = trie_rules([(SectionName.BRIEF_HOSPITAL_COURSE, "hospital course:")],
+                           ["hospital course: day"])
+        doc = ("Hospital Course: Day 3 walked\nhospital course: dawn\n"
+               "  HOSPITAL COURSE:\nhospital course: da\nhospital course day:\n")
+        course = SectionName.BRIEF_HOSPITAL_COURSE
+        assert headers_found(doc, rules) == [
+            ("Hospital Course: Day", None),
+            ("hospital course:", course),
+            ("HOSPITAL COURSE:", course),
+            ("hospital course:", course),
+        ]
+
+    @pytest.mark.parametrize("in_terminators", [False, True])
+    def test_shared_pattern_keeps_first_owner(self, in_terminators):
+        # "relatives:" is listed by social history, then by family history,
+        # which comes first in all_patterns() order, and in one case by the
+        # terminators too; "rel:" by a section and the terminators.
+        rules = trie_rules(
+            [(SectionName.SOCIAL_HISTORY, "relatives:"),
+             (SectionName.FAMILY_HISTORY, "relatives:"),
+             (SectionName.CHIEF_COMPLAINT, "RELATIVES: none"),
+             (SectionName.PAST_MEDICAL_HISTORY, "rel:")],
+            ("relatives:", "rel:") if in_terminators else ("rel:",),
+        )
+        doc = "relatives: mother\nRelatives: None known\nrel: x\nrelative: y\n"
+        assert headers_found(doc, rules) == [
+            ("relatives:", SectionName.FAMILY_HISTORY),
+            ("Relatives: None", SectionName.CHIEF_COMPLAINT),
+            ("rel:", SectionName.PAST_MEDICAL_HISTORY),
+        ]
+
+    def test_regex_metacharacters_are_literal(self):
+        rules = trie_rules(
+            [(SectionName.CHIEF_COMPLAINT, "a+b (c):"),
+             (SectionName.SOCIAL_HISTORY, "a+b (c)|x:")],
+            ["a.b:", "[x]*:", "^a\\d$:"],
+        )
+        doc = ("A+B (C): fever\naab (c): no\nab c: no\na+b (c)|x: lives alone\n"
+               "axb: no\na.b: yes\n[X]*: yes\nxx: no\n^A\\d$: yes\n")
+        assert headers_found(doc, rules) == [
+            ("A+B (C):", SectionName.CHIEF_COMPLAINT),
+            ("a+b (c)|x:", SectionName.SOCIAL_HISTORY),
+            ("a.b:", None),
+            ("[X]*:", None),
+            ("^A\\d$:", None),
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_pattern_sets(self, data):
+        # Short patterns over a few characters share prefixes, end inside one
+        # another and repeat across owners.
+        pattern = st.text(alphabet="ab: +(|.", min_size=1, max_size=5).filter(str.strip)
+        variants = {s: tuple(data.draw(st.lists(pattern, min_size=1, max_size=3)))
+                    for s in SectionName}
+        rules = HeaderRuleSet(variants, tuple(data.draw(st.lists(pattern, max_size=4))))
+        doc = data.draw(header_documents(rules))
+        assert find_headers(doc, rules) == reference_find_headers(doc, rules)
+
+
 class TestExtractSectionsMatchesExtractSection:
     @pytest.mark.parametrize("rule_set", list(RULE_SETS))
     @settings(max_examples=100, deadline=None)

@@ -324,6 +324,26 @@ class TestAgainstReference:
         assert split_sentences(text) == reference_split_sentences(text)
         assert count_sentences(text) == len(reference_split_sentences(text))
 
+    # A line start is an event only where a word, "." and whitespace follow;
+    # the loop then checks that the word is a number.
+    @pytest.mark.parametrize("text, expected", [
+        ("labs:\nphos 104.6 ref 1 to 98\nna 140 ref 135 to 145\n  k 4.1 ref 3.5",
+         ["labs:\nphos 104.6 ref 1 to 98\nna 140 ref 135 to 145\n  k 4.1 ref 3.5"]),
+        ("meds\n   3. x", ["meds", "3. x"]),
+        # The period still ends the sentence, but no break comes before "3".
+        ("meds\n    3. x", ["meds\n    3.", "x"]),
+        # "²".isdigit() holds, though ``\d`` misses it; "½".isdigit() does not.
+        ("meds\n\t². x\n½. y", ["meds", "². x\n½.", "y"]),
+        ("dose\n1.5 mg\n2.\tb", ["dose\n1.5 mg", "2.\tb"]),
+        ("a\nb. c\n12a. d", ["a\nb.", "c\n12a.", "d"]),
+    ], ids=["lab table", "3-space indent", "4-space indent", "superscript two", "decimal",
+            "word markers"])
+    def test_line_start_markers(self, text, expected):
+        sentences = split_sentences(text)
+        assert sentences == reference_split_sentences(text)
+        assert [s.raw_text for s in sentences] == expected
+        assert count_sentences(text) == len(expected)
+
     def test_count_sentences_examples(self):
         assert count_sentences("") == 0
         assert count_sentences(" \n\n \n") == 0

@@ -198,6 +198,40 @@ def test_undecodable_line(workspace, name, caplog):
         assert errors == [f"{path}:{line}: not a JSON record"]
 
 
+# A string escaping an unpaired surrogate ("\\ud800") used to be read; the
+# first command to write it out as UTF-8 then failed, naming no input file or
+# line. Such a line is now malformed, as one that is not UTF-8 is.
+@pytest.mark.parametrize("name", sorted(set(TARGETS) - {"sweep"}))
+def test_unpaired_surrogate_line(workspace, name, caplog):
+    path, argv, records = _fresh_copy(workspace, name)
+    line = len(records) // 2 + 1
+    record = records[line - 1]
+    field = next(f for (f, *rest) in TARGETS[name][1] if not rest and type(record.get(f)) is str)
+    record[field] += "\ud800"
+    # json.dumps escapes every non-ASCII character, so each line holds a \u escape.
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    with caplog.at_level(logging.WARNING, logger="encsum"):
+        code, errors = run(*argv)
+    skips = TARGETS[name][3]
+    assert code == (0 if skips else 1)
+    if skips:
+        assert f"{path}:{line}: skipping" in caplog.text
+    else:
+        assert errors == [f"{path}:{line}: not a JSON record"]
+
+
+def test_unpaired_surrogate_notes_line_counted(workspace, tmp_path):
+    notes = tmp_path / "notes.jsonl"
+    records = read_jsonl(workspace / "notes.jsonl")
+    records[0]["text"] += "\ud800"
+    notes.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    assert run("build-dataset", "--notes", notes, "--out", tmp_path / "data", "--seed", 11,
+               "--require-admission") == (0, [])
+    manifest = json.loads((tmp_path / "data" / "manifest.json").read_text("utf-8"))
+    assert manifest["notes_skipped"] == 1
+    assert manifest["notes_ingested"] == len(records) - 1
+
+
 def test_undecodable_notes_line_counted(workspace, tmp_path):
     notes = tmp_path / "notes.jsonl"
     lines = (workspace / "notes.jsonl").read_bytes().splitlines(keepends=True)
