@@ -243,7 +243,8 @@ def _cmd_sweep(args) -> int:
         args.dataset, args.section, args.split, args.merged, args.out, mask_deid=args.mask_deid
     )
     logger.info(
-        "chose threshold %.6f over %d candidates", result.chosen_threshold, len(result.thresholds)
+        "chose threshold %.6f over %d candidates",
+        result["chosen_threshold"], len(result["thresholds"]),
     )
     return 0
 
@@ -252,7 +253,7 @@ def _cmd_cutoff(args) -> int:
     if args.threshold is not None:
         threshold = args.threshold
     else:
-        threshold = read_sweep_threshold(args.sweep_file)
+        threshold = read_sweep_threshold(args.sweep_file, args.section)
     count = write_cutoff_summaries(args.merged, args.section, args.system, threshold, args.out)
     logger.info("wrote %d cutoff summaries (threshold %.6f) to %s", count, threshold, args.out)
     return 0

@@ -18,7 +18,7 @@ import logging
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
-from typing import Container, Iterable, Iterator, Sequence
+from typing import Container, Iterable
 
 from .corpus import (
     SPLIT_NAMES,
@@ -164,20 +164,6 @@ def load_section_instances(
         return instance.encounter_id, instance
 
     return list(read_jsonl_keyed(path, keyed, "encounter_id").values())
-
-
-def iter_instances(
-    dataset_dir: str | Path, sections: Sequence[SectionName], split: str
-) -> Iterator[tuple[Encounter, SectionInstance]]:
-    """Yield (encounter, instance) for each section's instances in one split.
-
-    An instance whose encounter has no record in ``encounters.jsonl`` is
-    fatal with ``<section file>:<line>``.
-    """
-    encounters = load_encounters(dataset_dir)
-    for section in sections:
-        for instance in load_section_instances(dataset_dir, section, split, encounters):
-            yield encounters[instance.encounter_id], instance
 
 
 _SUMMARY_FIELDS = tuple((name, str) for name in ("encounter_id", "section", "system", "text"))

@@ -25,13 +25,13 @@ from pathlib import Path
 from statistics import fmean
 from typing import Callable, Mapping, Sequence
 
-from .dataset import iter_instances, read_system_summaries
+from .dataset import load_encounters, load_section_instances, read_system_summaries
 from .faithfulness import (
     DEFAULT_BETA,
     Gazetteer,
     extract_entities_gazetteer,
     ingest_entity_annotations,
-    load_default_gazetteer,
+    load_gazetteer,
     match_gazetteer,
     score_sets,
 )
@@ -161,12 +161,12 @@ def write_evaluation(
     instances in ``split`` and write the report into ``out``; returns its number
     of (section, system) rows.
 
-    Entity sets come from the ``annotations`` file if given, else from the
-    ``gazetteer`` term file, else from the packaged gazetteer. A section with
-    no instances is skipped with a warning. Summaries that match no scored
-    (encounter, section) are ignored with one warning per system counting
-    them; a system none of whose summaries match is fatal. Annotation keys
-    that no scored set looks up are ignored with one warning counting them.
+    Entity sets come from the ``annotations`` file if given, else from
+    ``load_gazetteer(gazetteer)``. A section with no instances is skipped
+    with a warning. Summaries that match no scored (encounter, section) are
+    ignored with one warning per system counting them; a system none of whose
+    summaries match is fatal. Annotation keys that no scored set looks up are
+    ignored with one warning counting them.
     """
     summary_files = sorted(glob.glob(systems))
     if not summary_files:
@@ -177,28 +177,26 @@ def write_evaluation(
     if annotations is not None:
         annotated = ingest_entity_annotations(annotations)
         entities = annotated_entities(annotated, looked_up)
-    elif gazetteer is not None:
-        entities = gazetteer_entities(Gazetteer.from_file(gazetteer))
     else:
-        entities = gazetteer_entities(load_default_gazetteer())
-    instances: dict[SectionName, list[SectionInstance]] = {section: [] for section in sections}
-    encounters = {}
-    for encounter, instance in iter_instances(dataset_dir, sections, split):
-        instances[instance.section].append(instance)
-        encounters[encounter.encounter_id] = encounter
-    for section in list(instances):
-        if not instances[section]:
+        entities = gazetteer_entities(load_gazetteer(gazetteer))
+    encounters = load_encounters(dataset_dir)
+    instances: dict[SectionName, list[SectionInstance]] = {}
+    for section in sections:
+        found = load_section_instances(dataset_dir, section, split, encounters)
+        if found:
+            instances[section] = found
+        else:
             logger.warning("no %s instances in split %s", section.value, split)
-            del instances[section]
     if not instances:
         raise ValueError("nothing to evaluate: no instances in the requested sections/split")
     _check_matched(summaries, instances, split)
     # An encounter's source set is drawn once and shared by its sections and systems.
+    scored = dict.fromkeys(i.encounter_id for found in instances.values() for i in found)
     sources = {
         encounter_id: entities(
-            f"enc:{encounter_id}:src", [note.text for note in encounter.prior_notes]
+            f"enc:{encounter_id}:src", [note.text for note in encounters[encounter_id].prior_notes]
         )
-        for encounter_id, encounter in encounters.items()
+        for encounter_id in scored
     }
     rows = []
     for found in instances.values():

@@ -91,21 +91,21 @@ class Gazetteer:
             lengths.setdefault(term[0], set()).add(len(term))
         return {first: tuple(sorted(found, reverse=True)) for first, found in lengths.items()}
 
-    @staticmethod
-    def from_file(path: str | Path) -> "Gazetteer":
-        """The terms of a UTF-8 text file, one per line; a file that is not
-        UTF-8 or has no usable term is a ValueError naming it."""
-        try:
-            lines = Path(path).read_text("utf-8").splitlines()
-            return Gazetteer.from_terms(line for line in lines if line.strip())
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
 
-
-def load_default_gazetteer() -> Gazetteer:
-    """The packaged general-purpose clinical term list."""
-    text = resources.files("encsum").joinpath("data/gazetteer.txt").read_text("utf-8")
-    return Gazetteer.from_terms(line for line in text.splitlines() if line.strip())
+def load_gazetteer(path: str | Path | None = None) -> Gazetteer:
+    """Load a UTF-8 term file, one term per line, with any byte-order mark
+    ignored; with no path, the packaged general-purpose clinical term list. A
+    file that is not UTF-8 or has no usable term is a ValueError naming it."""
+    if path is None:
+        source = "packaged data/gazetteer.txt"
+        file = resources.files("encsum").joinpath("data/gazetteer.txt")
+    else:
+        source, file = str(path), Path(path)
+    try:
+        lines = file.read_text("utf-8-sig").splitlines()
+        return Gazetteer.from_terms(line for line in lines if line.strip())
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def extract_entities_gazetteer(text: str, gaz: Gazetteer) -> frozenset[str]:

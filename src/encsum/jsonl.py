@@ -1,5 +1,5 @@
-"""JSON and JSON Lines helpers shared by the corpus, dataset and pipeline wire
-formats, and the atomic writer behind every output file."""
+"""JSON and JSON Lines helpers shared by the wire formats, and the atomic
+writer behind every output file."""
 
 from __future__ import annotations
 
@@ -91,6 +91,26 @@ def _encodable(obj: Any) -> bool:
     except UnicodeEncodeError:
         return False
     return True
+
+
+def parse_json(text: str) -> Any:
+    """Parse a whole JSON file's text, as ``json.loads`` does, and reject two
+    things it lets pass: a key repeated within one object, where the later
+    value would win, and a string escaping an unpaired surrogate. Either is a
+    ValueError."""
+    obj = json.loads(text, object_pairs_hook=_unique_keys)
+    if _SURROGATE_ESCAPE.search(text) and not _encodable(obj):
+        raise ValueError("a string escapes an unpaired surrogate, which UTF-8 cannot encode")
+    return obj
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated key {key!r}")
+        out[key] = value
+    return out
 
 
 def read_jsonl(path: str | Path, add: Callable[[Any], None] | None = None) -> list:

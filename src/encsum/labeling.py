@@ -11,12 +11,13 @@ ROUGE-L F1; pseudo pairs for extractor training score by ROUGE-L recall.
 from __future__ import annotations
 
 import logging
+from itertools import chain
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .corpus import Encounter, source_sentences
-from .dataset import iter_instances, summary_record
+from .dataset import load_encounters, load_section_instances, summary_record
 from .jsonl import write_jsonl
 from .rouge import LcsPool, prf
 from .sections import HeaderRuleSet, SectionInstance, SectionName, extract_sections
@@ -117,7 +118,8 @@ def align_instances(
     mask_deid: bool = False,
 ) -> list[T]:
     """``align(instance, reference sentences, source pool, its LcsPool)`` for
-    each instance of ``iter_instances``, in its order.
+    each instance of the ``sections`` in ``split``, in section order, then
+    file order.
 
     The instances are aligned encounter by encounter: each encounter's source
     pool is segmented, and its tokens pooled for the LCS kernel, once for all
@@ -145,11 +147,17 @@ def align_instances(
 def _instances_by_encounter(
     dataset_dir: str | Path, sections: Sequence[SectionName], split: str
 ) -> Iterable[tuple[Encounter, list[tuple[int, SectionInstance]]]]:
-    """Each encounter of ``iter_instances`` with its instances and their
-    positions in that order, the encounters in order of first appearance."""
+    """Each encounter with its instances of ``sections`` in ``split`` and their
+    positions in section order, then file order; the encounters in order of
+    first appearance."""
+    encounters = load_encounters(dataset_dir)
+    instances = chain.from_iterable(
+        load_section_instances(dataset_dir, section, split, encounters) for section in sections
+    )
     by_encounter: dict[str, tuple[Encounter, list[tuple[int, SectionInstance]]]] = {}
-    for position, (encounter, instance) in enumerate(iter_instances(dataset_dir, sections, split)):
-        by_encounter.setdefault(encounter.encounter_id, (encounter, []))[1].append(
+    for position, instance in enumerate(instances):
+        encounter_id = instance.encounter_id
+        by_encounter.setdefault(encounter_id, (encounters[encounter_id], []))[1].append(
             (position, instance)
         )
     return by_encounter.values()
@@ -197,8 +205,8 @@ def write_rule_summaries(
 
     A summary is ``rule_based_extract_from_priors`` of its instance. Each
     encounter's prior notes are scanned once for all of its sections, and the
-    scans are dropped before the next encounter's; rows keep the order of
-    ``iter_instances``.
+    scans are dropped before the next encounter's; rows are in section order,
+    then file order.
     """
     rows: list[tuple[int, dict]] = []
     for encounter, found in _instances_by_encounter(dataset_dir, sections, split):

@@ -20,7 +20,6 @@ each is built and parsed only here, and the ``write_*`` functions run the
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from bisect import bisect_right
@@ -32,7 +31,7 @@ from typing import Mapping, Sequence
 
 from .corpus import check_fields, check_finite, source_sentences
 from .dataset import load_encounters, load_section_instances, load_splits, summary_record
-from .jsonl import read_jsonl_keyed, write_json, write_jsonl
+from .jsonl import parse_json, read_jsonl_keyed, write_json, write_jsonl
 from .rouge import LcsPool, prf
 from .sections import SectionName
 from .textproc import Sentence, normalize, tokenize
@@ -83,22 +82,6 @@ class ScoredSentence:
     def to_record(self) -> dict:
         """The sentence record of a merged-scores file."""
         return {"doc": self.key[0], "sent": self.key[1], "score": self.score, "text": self.text}
-
-
-@dataclass(frozen=True)
-class ThresholdSweepResult:
-    thresholds: tuple[float, ...]
-    mean_scores: tuple[float, ...]
-    chosen_threshold: float
-
-    def to_record(self, section: SectionName) -> dict:
-        """The sweep-result file's JSON object."""
-        return {
-            "section": section.value,
-            "thresholds": list(self.thresholds),
-            "mean_rouge_l_f1": list(self.mean_scores),
-            "chosen_threshold": self.chosen_threshold,
-        }
 
 
 def chunk_encounter(
@@ -290,13 +273,15 @@ def _rouge_l_f1s(
 def sweep_threshold(
     validation: Sequence[tuple[Sequence[ScoredSentence], Sequence[str]]],
     mask_deid: bool = False,
-) -> ThresholdSweepResult:
+) -> dict:
     """Pick the cutoff maximizing mean validation ROUGE-L F1 over a quantile grid.
 
     ``validation`` holds (scored sentences, reference tokens) pairs, the
     reference tokenised as ``evaluate`` tokenises it. Candidates are up to 101
     quantiles of all observed scores (deduplicated); ties resolve to the
-    smallest threshold.
+    smallest threshold. Returns the sweep-result record but its ``section``:
+    ``thresholds`` in ascending order, ``mean_rouge_l_f1`` at each, and
+    ``chosen_threshold``.
     """
     if not validation:
         raise ValueError("validation set is empty")
@@ -306,11 +291,11 @@ def sweep_threshold(
     thresholds = _quantile_grid(pooled)
     per_instance = [_rouge_l_f1s(scored, ref, thresholds, mask_deid) for scored, ref in validation]
     means = [fmean(f1s) for f1s in zip(*per_instance)]
-    best = 0
-    for i in range(1, len(thresholds)):
-        if means[i] > means[best]:
-            best = i
-    return ThresholdSweepResult(tuple(thresholds), tuple(means), thresholds[best])
+    return {
+        "thresholds": thresholds,
+        "mean_rouge_l_f1": means,
+        "chosen_threshold": thresholds[means.index(max(means))],
+    }
 
 
 def read_segments(path: str | Path) -> dict[str, Segment]:
@@ -354,16 +339,22 @@ def read_merged(path: str | Path) -> dict[str, list[ScoredSentence]]:
     return read_jsonl_keyed(path, _merged_row, "encounter_id")
 
 
-def read_sweep_threshold(path: str | Path) -> float:
-    """The ``chosen_threshold`` of a sweep-result file.
+def read_sweep_threshold(path: str | Path, section: SectionName) -> float:
+    """The ``chosen_threshold`` of a sweep-result file for ``section``.
 
-    Anything but a JSON object holding a finite number there is a ValueError
-    naming the file.
+    Anything but a JSON object holding a finite number there and
+    ``section``'s name as its ``section``, or a file that ``parse_json``
+    rejects, is a ValueError naming the file.
     """
     try:
-        record = json.loads(Path(path).read_text("utf-8"))
+        record = parse_json(Path(path).read_text("utf-8"))
         check_fields(record, "a sweep-result", ())
-        return check_finite(record.get("chosen_threshold"), "'chosen_threshold'")
+        threshold = check_finite(record.get("chosen_threshold"), "'chosen_threshold'")
+        if record.get("section") != section.value:
+            raise ValueError(
+                f"a sweep for section {record.get('section')!r}, not {section.value!r}"
+            )
+        return threshold
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -476,10 +467,11 @@ def write_merged_scores(
 def write_sweep(
     dataset_dir: str | Path, section: SectionName, split: str, merged_path: str | Path,
     out: str | Path, mask_deid: bool = False,
-) -> ThresholdSweepResult:
+) -> dict:
     """Sweep the cutoff over the section's instances in ``split`` that have
-    merged scores and write the sweep-result file; an instance without scores
-    is skipped with a warning."""
+    merged scores, and write and return the sweep-result record: the
+    ``sweep_threshold`` record with ``section`` added. An instance without
+    scores is skipped with a warning."""
     merged = read_merged(merged_path)
     validation = []
     for instance in load_section_instances(dataset_dir, section, split):
@@ -490,9 +482,9 @@ def write_sweep(
         validation.append((scored, tokenize(instance.reference_text, mask_deid=mask_deid)))
     if not validation:
         raise ValueError("no validation instances with scores to sweep")
-    result = sweep_threshold(validation, mask_deid=mask_deid)
-    write_json(out, result.to_record(section))
-    return result
+    record = {"section": section.value, **sweep_threshold(validation, mask_deid=mask_deid)}
+    write_json(out, record)
+    return record
 
 
 def write_cutoff_summaries(

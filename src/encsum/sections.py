@@ -9,7 +9,6 @@ to prior notes instead of the discharge summary.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from dataclasses import dataclass
@@ -20,6 +19,7 @@ from pathlib import Path
 from typing import Mapping, NamedTuple
 
 from .corpus import Encounter, check_fields
+from .jsonl import parse_json
 
 # The characters ``str.splitlines`` breaks lines at (``\r\n`` counts as one
 # break). ``^`` under ``re.MULTILINE`` follows only ``\n``, so the header
@@ -156,7 +156,9 @@ def load_rules(path: str | Path | None = None) -> HeaderRuleSet:
     ``terminators``, each a list of non-blank strings; every section needs at
     least one variant and ``terminators`` is optional. A string holding a line
     break (any that ``str.splitlines`` breaks at) could never match within one
-    line. Anything else raises a ValueError naming the file and the key.
+    line. A key given twice, or a string escaping an unpaired surrogate, is
+    rejected as ``parse_json`` rejects it. Anything else raises a ValueError
+    naming the file and the key.
     """
     if path is None:
         source = "packaged data/section_headers.json"
@@ -168,8 +170,8 @@ def load_rules(path: str | Path | None = None) -> HeaderRuleSet:
         except UnicodeDecodeError as exc:
             raise ValueError(f"{source}: not UTF-8 text ({exc})") from None
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = parse_json(text)
+    except ValueError as exc:
         raise ValueError(f"{source}: not a JSON header rules file ({exc})") from None
     if not isinstance(data, dict):
         raise ValueError(f"{source}: header rules must be a JSON object")

@@ -188,13 +188,13 @@ def test_criterion_7_threshold_sweep_optimality():
                 ref = tokenize(" ".join(rng.choice("abcd") for _ in range(6)) + ".")
                 validation.append((scored, ref))
             result = sweep_threshold(validation)
-            means = reevaluate_grid(validation, result.thresholds)
-            assert list(result.mean_scores) == pytest.approx(means, abs=1e-12)
-            chosen_idx = result.thresholds.index(result.chosen_threshold)
+            means = reevaluate_grid(validation, result["thresholds"])
+            assert result["mean_rouge_l_f1"] == pytest.approx(means, abs=1e-12)
+            chosen_idx = result["thresholds"].index(result["chosen_threshold"])
             assert means[chosen_idx] == max(means)
-            for t, m in zip(result.thresholds, means):
+            for t, m in zip(result["thresholds"], means):
                 if m == means[chosen_idx]:
-                    assert result.chosen_threshold <= t
+                    assert result["chosen_threshold"] <= t
 
 
 def _run_pipeline(root, seed=13):

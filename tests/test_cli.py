@@ -1,3 +1,4 @@
+import codecs
 import csv
 import filecmp
 import json
@@ -713,7 +714,9 @@ class TestPipelineCommands:
         assert expected in caplog.text
 
     # [1] and "high" used to end in a TypeError traceback, a missing threshold
-    # logged only 'chosen_threshold', and NaN gave all-empty summaries.
+    # logged only 'chosen_threshold', and NaN gave all-empty summaries. A
+    # sweep of another section or of none, a repeated key (the later value
+    # won) and an escaped lone surrogate used to exit 0.
     @pytest.mark.parametrize("content, message", [
         ("[1]\n", "not a sweep-result record: a JSON list"),
         ('{"chosen_threshold": "high"}\n',
@@ -721,7 +724,15 @@ class TestPipelineCommands:
         ('{"chosen_threshold": NaN}\n', "'chosen_threshold' must be a finite number, got nan"),
         ('{"thresholds": [0.5]}\n', "'chosen_threshold' must be a finite number, got None"),
         ("{\n", "Expecting"),
-    ], ids=["list", "string", "nan", "missing", "not json"])
+        ('{"chosen_threshold": 0.5, "section": "chief_complaint"}\n',
+         "a sweep for section 'chief_complaint', not 'past_medical_history'"),
+        ('{"chosen_threshold": 0.5}\n', "a sweep for section None, not 'past_medical_history'"),
+        ('{"chosen_threshold": 0.5, "chosen_threshold": 0.9, "section": "past_medical_history"}',
+         "repeated key 'chosen_threshold'"),
+        ('{"chosen_threshold": 0.5, "section": "past_medical_history", "x": "\\ud800"}',
+         "a string escapes an unpaired surrogate"),
+    ], ids=["list", "string", "nan", "missing", "not json", "other section", "no section",
+            "repeated key", "lone surrogate"])
     def test_bad_sweep_file_fatal(self, scored_pipeline, tmp_path, caplog, content, message):
         sweep_file = tmp_path / "sweep.json"
         sweep_file.write_text(content, encoding="utf-8")
@@ -1083,6 +1094,18 @@ class TestEvaluate:
         assert exc.value.code == 2
         assert "beta" in capsys.readouterr().err
 
+    # The mark used to stay on the first term, which then never matched.
+    def test_gazetteer_byte_order_mark_ignored(self, workspace, evaluated, tmp_path):
+        oracle = evaluated["root"] / "sys_oracle.jsonl"
+        term = tokenize(read_jsonl(oracle)[0]["text"])[0]
+        for name, mark in (("plain", b""), ("marked", codecs.BOM_UTF8)):
+            (tmp_path / f"{name}.txt").write_bytes(mark + f"{term}\n".encode())
+            assert run("--quiet", "evaluate", "--dataset", workspace / "data",
+                       "--systems", oracle, "--split", "test",
+                       "--gazetteer", tmp_path / f"{name}.txt", "--out", tmp_path / name) == 0
+        assert filecmp.cmp(tmp_path / "plain" / "report.csv", tmp_path / "marked" / "report.csv",
+                           shallow=False)
+
     def test_gazetteer_and_annotations_usage_error(self, workspace, evaluated, tmp_path, capsys):
         gaz = tmp_path / "terms.txt"
         gaz.write_text("htn\n")
@@ -1201,7 +1224,9 @@ class TestEntryPoints:
         assert parse(["--quiet", "chunk", "--dataset", "d", "--out", "o"]).quiet is True
         assert parse(["chunk", "--dataset", "d", "--out", "o"]).quiet is False
         sweep_file = tmp_path / "sweep.json"
-        sweep_file.write_text(json.dumps({"chosen_threshold": 0.5}))
+        sweep_file.write_text(
+            json.dumps({"chosen_threshold": 0.5, "section": "past_medical_history"})
+        )
         cutoff = ["--quiet", "cutoff", "--merged", scored_pipeline["merged"],
                   "--section", "past_medical_history"]
         assert run(*cutoff, "--threshold", "0.5", "--out", tmp_path / "a.jsonl") == 0

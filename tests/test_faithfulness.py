@@ -11,7 +11,7 @@ from encsum.faithfulness import (
     extract_entities_gazetteer,
     f_beta,
     ingest_entity_annotations,
-    load_default_gazetteer,
+    load_gazetteer,
     match_gazetteer,
     score_sets,
 )
@@ -265,7 +265,7 @@ class TestGazetteer:
             Gazetteer.from_terms([])
 
     def test_default_gazetteer_loads(self):
-        gaz = load_default_gazetteer()
+        gaz = load_gazetteer()
         assert ("chest", "pain") in gaz.terms
         index = gaz.lengths_by_first_token
         assert 2 in index["chest"]

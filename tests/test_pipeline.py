@@ -9,7 +9,6 @@ from encsum.pipeline import (
     ChunkConfig,
     ScoredSentence,
     Segment,
-    ThresholdSweepResult,
     _keep_intervals,
     _quantile_grid,
     apply_cutoff,
@@ -315,14 +314,14 @@ class TestSweep:
                             "no fever seen."),
         ]
         result = sweep_threshold(validation)
-        assert 0.2 < result.chosen_threshold <= 0.8
+        assert 0.2 < result["chosen_threshold"] <= 0.8
 
     def test_all_matching_ties_resolve_to_smallest(self):
         validation = [
             _sweep_instance([("same text.", 0.3), ("same text.", 0.7)], "same text."),
         ]
         result = sweep_threshold(validation)
-        assert result.chosen_threshold == min(result.thresholds)
+        assert result["chosen_threshold"] == min(result["thresholds"])
 
     def test_single_instance_two_sentences(self):
         validation = [
@@ -330,10 +329,10 @@ class TestSweep:
                             "the right answer.")
         ]
         result = sweep_threshold(validation)
-        means = reevaluate_grid(validation, result.thresholds)
+        means = reevaluate_grid(validation, result["thresholds"])
         best = max(means)
-        assert means[result.thresholds.index(result.chosen_threshold)] == best
-        assert result.chosen_threshold > 0.25
+        assert means[result["thresholds"].index(result["chosen_threshold"])] == best
+        assert result["chosen_threshold"] > 0.25
 
     def test_chosen_attains_grid_maximum(self, rng):
         validation = []
@@ -344,14 +343,14 @@ class TestSweep:
             ]
             validation.append(_sweep_instance(sent_scores, "a b c d."))
         result = sweep_threshold(validation)
-        means = reevaluate_grid(validation, result.thresholds)
-        assert list(result.mean_scores) == pytest.approx(means)
-        chosen_mean = means[result.thresholds.index(result.chosen_threshold)]
+        means = reevaluate_grid(validation, result["thresholds"])
+        assert result["mean_rouge_l_f1"] == pytest.approx(means)
+        chosen_mean = means[result["thresholds"].index(result["chosen_threshold"])]
         assert chosen_mean == max(means)
         # tie rule: nothing smaller achieves the same mean
-        for t, m in zip(result.thresholds, means):
+        for t, m in zip(result["thresholds"], means):
             if m == chosen_mean:
-                assert result.chosen_threshold <= t
+                assert result["chosen_threshold"] <= t
 
     @given(_sweep_instances, st.booleans())
     @example(
@@ -367,11 +366,13 @@ class TestSweep:
             for sents, ref_text in instances
         ]
         result = sweep_threshold(validation, mask_deid=mask_deid)
-        means = reevaluate_grid(validation, result.thresholds, mask_deid=mask_deid)
+        means = reevaluate_grid(validation, result["thresholds"], mask_deid=mask_deid)
         best = max(range(len(means)), key=lambda i: (means[i], -i))
-        assert result == ThresholdSweepResult(
-            result.thresholds, tuple(means), result.thresholds[best]
-        )
+        assert result == {
+            "thresholds": result["thresholds"],
+            "mean_rouge_l_f1": means,
+            "chosen_threshold": result["thresholds"][best],
+        }
 
     # The sweep used to score the tokens of the reference's sentences, and
     # "Dr." ends a sentence inside the placeholder, so it read 0.571 here.
@@ -388,7 +389,7 @@ class TestSweep:
                              tmp_path / "sweep.json", mask_deid=True)
         tokens = tokenize(reference, mask_deid=True)
         assert rouge_l(tokens, tokens).f1 == 1.0
-        assert max(result.mean_scores) == 1.0
+        assert max(result["mean_rouge_l_f1"]) == 1.0
 
     @given(_sweep_instances)
     @example([([("a b", 0.25), ("A  b", 0.75), ("a b", 0.5), ("c", 0.5)], "")])
@@ -413,8 +414,8 @@ class TestSweep:
     def test_duplicates_and_empty_reference(self, sent_scores, reference, mask_deid):
         validation = [_sweep_instance(sent_scores, reference)]
         result = sweep_threshold(validation, mask_deid=mask_deid)
-        assert list(result.mean_scores) == reevaluate_grid(
-            validation, result.thresholds, mask_deid=mask_deid
+        assert result["mean_rouge_l_f1"] == reevaluate_grid(
+            validation, result["thresholds"], mask_deid=mask_deid
         )
 
     # The grid interpolated a + (b - a) * f, and b - a overflowed to inf
@@ -431,9 +432,9 @@ class TestSweep:
         assert all(math.isfinite(t) and min(scores) <= t <= max(scores) for t in grid)
         validation = [_sweep_instance([("a b.", scores[0]), ("c d.", scores[1])], "c d.")]
         result = sweep_threshold(validation)
-        assert result.thresholds == tuple(grid)
+        assert result["thresholds"] == grid
         # The smallest threshold that drops the low sentence.
-        assert result.chosen_threshold == grid[1]
+        assert result["chosen_threshold"] == grid[1]
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=30))
     @example([-sys.float_info.max, 0.0, sys.float_info.max])

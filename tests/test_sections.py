@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from encsum.corpus import Encounter, assemble_encounters
-from encsum.dataset import iter_instances, section_file, summary_record
+from encsum.dataset import load_encounters, load_section_instances, section_file, summary_record
 from encsum.jsonl import read_jsonl, write_jsonl
 from encsum.labeling import RULE_SYSTEM, write_rule_summaries
 from encsum.sections import (
@@ -396,6 +396,19 @@ class TestRuleSet:
         with pytest.raises(ValueError, match="rules.json: .*'brief_hospital_course'"):
             load_rules(path)
 
+    # A second list for a key used to replace the first without a word, and a
+    # pattern escaping a lone surrogate loaded and matched nothing.
+    @pytest.mark.parametrize("extra, message", [
+        ('"chief_complaint": ["cc:"], ', "repeated key 'chief_complaint'"),
+        ('"terminators": ["\\ud800:"], ', "escapes an unpaired surrogate"),
+    ], ids=["repeated key", "lone surrogate"])
+    def test_repeated_key_or_lone_surrogate_fatal(self, tmp_path, extra, message):
+        data = {s.value: [f"{spelled(s)}:"] for s in SectionName}
+        path = tmp_path / "rules.json"
+        path.write_text("{" + extra + json.dumps(data)[1:])
+        with pytest.raises(ValueError, match=f"rules.json: .*{message}"):
+            load_rules(path)
+
     @pytest.mark.parametrize("text", ['["cc:"]', "{", "null"])
     def test_not_a_rules_object_fatal(self, tmp_path, text):
         path = tmp_path / "rules.json"
@@ -471,8 +484,9 @@ class TestRuleSummariesMatchPerInstance:
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_random_datasets(self, rule_set, data):
-        # One scan per prior note for all sections writes, in iter_instances
-        # order, what rule_based_extract_from_priors gives for each instance.
+        # One scan per prior note for all sections writes, in section order,
+        # then file order, what rule_based_extract_from_priors gives for each
+        # instance.
         rules = RULE_SETS[rule_set]()
         encounters, members = data.draw(rule_datasets(rules))
         with tempfile.TemporaryDirectory() as tmp:
@@ -485,10 +499,13 @@ class TestRuleSummariesMatchPerInstance:
             sections = list(SectionName)
             count = write_rule_summaries(root, sections, "test", rules, root / "rule.jsonl")
             expected = []
-            for encounter, instance in iter_instances(root, sections, "test"):
-                text = rule_based_extract_from_priors(encounter, instance.section, rules)
-                if text is not None:
-                    expected.append(
-                        summary_record(encounter.encounter_id, instance.section, RULE_SYSTEM, text)
-                    )
+            by_id = load_encounters(root)
+            for section in sections:
+                for instance in load_section_instances(root, section, "test"):
+                    encounter = by_id[instance.encounter_id]
+                    text = rule_based_extract_from_priors(encounter, section, rules)
+                    if text is not None:
+                        expected.append(
+                            summary_record(encounter.encounter_id, section, RULE_SYSTEM, text)
+                        )
             assert read_jsonl(root / "rule.jsonl") == expected and count == len(expected)

@@ -2,10 +2,12 @@
 
 For notes, ``encounters.jsonl``, ``splits.jsonl``, a section file, system
 summaries, entity annotations and the sweep file, one field of one record is
-replaced or deleted, or one line gets a byte that is not UTF-8, and the
-command that reads the file runs in-process. An exception that ``main`` does
-not catch fails the test. A command that fails logs one error, naming the
-file, and the line when one record is at fault.
+replaced or deleted, or one line gets a byte that is not UTF-8, and a command
+that reads the file runs in-process. The header rules file gets one value or
+list element replaced or deleted, or a key repeated, and a gazetteer file one
+line replaced. An exception that ``main`` does not catch fails the test. A
+command that fails logs one error, naming the file, and the line when one
+record is at fault.
 """
 
 from __future__ import annotations
@@ -13,10 +15,12 @@ from __future__ import annotations
 import json
 import logging
 import shutil
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from encsum import cli
 from encsum.cli import main
 from encsum.corpus import NOTE_FIELDS
 from encsum.jsonl import read_jsonl, write_jsonl
@@ -32,46 +36,65 @@ ENCOUNTER_PATHS = (
 )
 SECTION = "chief_complaint"
 
-# name: (the file, relative to the workspace; its field paths; the command
-# that reads it; whether the reader skips a bad line with a warning)
+# name: (the file, relative to the workspace; its field paths; whether its
+# readers skip a bad line with a warning; the commands that read it)
 TARGETS = {
-    "notes": ("notes.jsonl", NOTE_PATHS, (
-        "build-dataset", "--notes", "{file}", "--out", "{out}", "--seed", "11",
-        "--require-admission",
-    ), True),
-    "encounters": ("data/encounters.jsonl", ENCOUNTER_PATHS, (
-        "chunk", "--dataset", "{data}", "--split", "train", "--out", "{out}",
-    ), False),
-    "splits": ("data/splits.jsonl", (("subject_id",), ("split",)), (
-        "chunk", "--dataset", "{data}", "--split", "train", "--out", "{out}",
-    ), False),
+    "notes": ("notes.jsonl", NOTE_PATHS, True, [
+        ("build-dataset", "--notes", "{file}", "--out", "{out}", "--seed", "11",
+         "--require-admission"),
+    ]),
+    "encounters": ("data/encounters.jsonl", ENCOUNTER_PATHS, False, [
+        ("chunk", "--dataset", "{data}", "--split", "train", "--out", "{out}"),
+        *((command, "--dataset", "{data}", "--split", "test", "--out", "{out}")
+          for command in ("rule-baseline", "oracle", "pseudo-labels")),
+        ("evaluate", "--dataset", "{data}", "--systems", "{root}/sys_oracle.jsonl",
+         "--split", "test", "--out", "{out}"),
+    ]),
+    "splits": ("data/splits.jsonl", (("subject_id",), ("split",)), False, [
+        ("chunk", "--dataset", "{data}", "--split", "train", "--out", "{out}"),
+    ]),
     "sections": (
-        f"data/sections/{SECTION}__train.jsonl",
+        f"data/sections/{SECTION}__test.jsonl",
         tuple((name,) for name in ("encounter_id", "section", "text", "start", "end")),
-        ("rule-baseline", "--dataset", "{data}", "--section", SECTION, "--split", "train",
-         "--out", "{out}"),
         False,
+        [
+            *((command, "--dataset", "{data}", "--section", SECTION, "--split", "test",
+               "--out", "{out}")
+              for command in ("rule-baseline", "oracle", "pseudo-labels")),
+            ("evaluate", "--dataset", "{data}", "--systems", "{root}/sys_oracle.jsonl",
+             "--section", SECTION, "--split", "test", "--out", "{out}"),
+            ("sweep", "--dataset", "{data}", "--section", SECTION, "--split", "test",
+             "--merged", "{root}/merged.jsonl", "--out", "{out}"),
+        ],
     ),
     "summaries": (
         "sys_oracle.jsonl",
         tuple((name,) for name in ("encounter_id", "section", "system", "text")),
-        ("evaluate", "--dataset", "{data}", "--systems", "{file}", "--split", "test",
-         "--out", "{out}"),
         False,
+        [("evaluate", "--dataset", "{data}", "--systems", "{file}", "--split", "test",
+          "--out", "{out}")],
     ),
-    "annotations": ("annotations.jsonl", (("key",), ("entities",)), (
-        "evaluate", "--dataset", "{data}", "--systems", "{root}/sys_oracle.jsonl",
-        "--split", "test", "--annotations", "{file}", "--out", "{out}",
-    ), True),
+    "annotations": ("annotations.jsonl", (("key",), ("entities",)), True, [
+        ("evaluate", "--dataset", "{data}", "--systems", "{root}/sys_oracle.jsonl",
+         "--split", "test", "--annotations", "{file}", "--out", "{out}"),
+    ]),
     "sweep": (
         "sweep.json",
         tuple((name,) for name in ("section", "thresholds", "mean_rouge_l_f1",
                                    "chosen_threshold")),
-        ("cutoff", "--merged", "{root}/merged.jsonl", "--section", SECTION,
-         "--sweep", "{file}", "--out", "{out}"),
         False,
+        [("cutoff", "--merged", "{root}/merged.jsonl", "--section", SECTION,
+          "--sweep", "{file}", "--out", "{out}")],
     ),
 }
+RULES_READERS = [
+    ("build-dataset", "--notes", "{root}/notes.jsonl", "--rules", "{file}", "--out", "{out}",
+     "--seed", "11", "--require-admission"),
+    ("rule-baseline", "--dataset", "{data}", "--split", "test", "--rules", "{file}",
+     "--out", "{out}"),
+]
+GAZETTEER_READER = ("evaluate", "--dataset", "{data}", "--systems", "{root}/sys_oracle.jsonl",
+                    "--split", "test", "--gazetteer", "{file}", "--out", "{out}")
 
 # Messages that name the file but no line, because no one record is at
 # fault: a subject whose split record was changed away has none.
@@ -95,7 +118,8 @@ def run(*argv) -> tuple[int, list[str]]:
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """A 12-stay dataset with an oracle system on its test split, entity
-    annotations for it, and a sweep over scored validation segments."""
+    annotations for it, a sweep over scored test segments, and copies of the
+    packaged header rules and gazetteer."""
     root = tmp_path_factory.mktemp("fuzz")
     data = root / "data"
     assert run("synth-corpus", "--out", root / "notes.jsonl", "--encounters", 12,
@@ -112,7 +136,7 @@ def workspace(tmp_path_factory):
         {"key": key, "entities": ["chest pain", "htn"][:1 + i % 2]} for i, key in enumerate(keys)
     ))
     segments = root / "segments.jsonl"
-    assert run("chunk", "--dataset", data, "--split", "validation", "--max-tokens", 32,
+    assert run("chunk", "--dataset", data, "--split", "test", "--max-tokens", 32,
                "--out", segments) == (0, [])
     write_jsonl(root / "scores.jsonl", (
         {"segment_id": row["segment_id"], "scores": [
@@ -123,48 +147,55 @@ def workspace(tmp_path_factory):
     ))
     assert run("merge-scores", "--segments", segments, "--scores", root / "scores.jsonl",
                "--out", root / "merged.jsonl") == (0, [])
-    assert run("sweep", "--dataset", data, "--section", SECTION, "--split", "validation",
+    assert run("sweep", "--dataset", data, "--section", SECTION, "--split", "test",
                "--merged", root / "merged.jsonl", "--out", root / "sweep.json") == (0, [])
+    packaged = Path(cli.__file__).parent / "data"
+    shutil.copy(packaged / "section_headers.json", root / "rules.json")
+    shutil.copy(packaged / "gazetteer.txt", root / "gazetteer.txt")
     return root
 
 
-def _fresh_copy(workspace, name):
-    """A copy of the target's file (within a copy of the dataset, for a
-    dataset file), its argv, and the copy's parsed records."""
-    relative, _, argv, _ = TARGETS[name]
+def _fresh_copy(workspace, relative):
+    """A copy of the workspace's file at ``relative`` (within a copy of the
+    dataset, for a dataset file), and the values its readers' argv fill in."""
     trial = workspace / "trial"
     shutil.rmtree(trial, ignore_errors=True)
     shutil.copytree(workspace / "data", trial / "data")
     path = trial / relative
     if not path.exists():
         shutil.copy(workspace / relative, path)
-    fill = {"file": path, "data": trial / "data", "root": workspace, "out": trial / "out"}
-    argv = [arg.format(**fill) for arg in argv]
-    if name == "sweep":
-        return path, argv, [json.loads(path.read_text("utf-8"))]
-    return path, argv, read_jsonl(path)
+    return path, {"file": path, "data": trial / "data", "root": workspace, "trial": trial}
 
 
-def _check(name, path, line, code, errors):
+def _argv(reader, fill):
+    """The reader's argv, writing to an output of its own."""
+    return [arg.format(**fill, out=fill["trial"] / f"out_{reader[0]}") for arg in reader]
+
+
+def _check(path, line, code, errors, no_line=()):
+    """Exit 0, 1 or 2, and on exit 1 one error, at ``<path>:<line>:``; at
+    ``<path>:`` when ``line`` is None or the error starts with one of
+    ``no_line``."""
     assert code in (0, 1, 2)
     assert len(errors) == (code == 1), errors
     for message in errors:
-        if name == "sweep":
+        if line is None:
             assert message.startswith(f"{path}: "), message
         elif not message.startswith(f"{path}:{line}: "):
-            assert any(message.startswith(f"{path}: {text}") for text in NO_LINE.get(name, ())), (
-                message
-            )
+            assert any(message.startswith(f"{path}: {text}") for text in no_line), message
 
 
 @pytest.mark.parametrize("name", sorted(TARGETS))
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_fuzzed_field(workspace, name, data):
-    path, argv, records = _fresh_copy(workspace, name)
+    relative, fields, _, readers = TARGETS[name]
+    path, fill = _fresh_copy(workspace, relative)
+    records = [json.loads(path.read_text("utf-8"))] if name == "sweep" else read_jsonl(path)
     index = data.draw(st.integers(0, len(records) - 1), label="record")
-    field = data.draw(st.sampled_from(TARGETS[name][1]), label="field")
+    field = data.draw(st.sampled_from(fields), label="field")
     value = data.draw(st.sampled_from(["delete", *FUZZ_VALUES]), label="value")
+    reader = data.draw(st.sampled_from(readers), label="command")
     owner = records[index]
     for step in field[:-1]:
         owner = owner[step]
@@ -174,8 +205,51 @@ def test_fuzzed_field(workspace, name, data):
         owner[field[-1]] = value
     text = "".join(json.dumps(record) + "\n" for record in records)
     path.write_text(text, encoding="utf-8")
-    code, errors = run(*argv)
-    _check(name, path, index + 1, code, errors)
+    code, errors = run(*_argv(reader, fill))
+    _check(path, None if name == "sweep" else index + 1, code, errors, NO_LINE.get(name, ()))
+
+
+# One value or list element of the header rules replaced or deleted, or one
+# key given twice. A repeated key used to let the later value win, and a
+# pattern escaping a lone surrogate loaded and matched nothing.
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzzed_rules(workspace, data):
+    path, fill = _fresh_copy(workspace, "rules.json")
+    rules = json.loads(path.read_text("utf-8"))
+    key = data.draw(st.sampled_from(sorted(rules)), label="key")
+    value = data.draw(st.sampled_from(["delete", "repeat", *FUZZ_VALUES, "\ud800:"]),
+                      label="value")
+    owner, field = rules, key
+    if data.draw(st.booleans(), label="element"):
+        owner, field = rules[key], data.draw(st.integers(0, len(rules[key]) - 1), label="index")
+    if value == "repeat":
+        text = "{" + f"{json.dumps(key)}: {json.dumps(rules[key])}, " + json.dumps(rules)[1:]
+    else:
+        if value == "delete":
+            del owner[field]
+        else:
+            owner[field] = value
+        text = json.dumps(rules)
+    path.write_text(text, encoding="utf-8")
+    reader = data.draw(st.sampled_from(RULES_READERS), label="command")
+    code, errors = run(*_argv(reader, fill))
+    _check(path, None, code, errors)
+    if value in ("repeat", "\ud800:"):
+        assert code == 1
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_fuzzed_gazetteer(workspace, data):
+    path, fill = _fresh_copy(workspace, "gazetteer.txt")
+    lines = path.read_text("utf-8").splitlines()
+    index = data.draw(st.integers(0, len(lines) - 1), label="line")
+    lines[index] = data.draw(st.sampled_from(["", "   ", "-- ; ...", "Ünïcødé ✓", "\ufeff"]),
+                             label="value")
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    code, errors = run(*_argv(GAZETTEER_READER, fill))
+    _check(path, None, code, errors)
 
 
 # A line with a byte that is not UTF-8 used to end every command with the
@@ -183,19 +257,20 @@ def test_fuzzed_field(workspace, name, data):
 # file or line. Notes and annotations skip the line with a warning.
 @pytest.mark.parametrize("name", sorted(set(TARGETS) - {"sweep"}))
 def test_undecodable_line(workspace, name, caplog):
-    path, argv, records = _fresh_copy(workspace, name)
+    relative, _, skips, readers = TARGETS[name]
+    path, fill = _fresh_copy(workspace, relative)
     lines = path.read_bytes().splitlines(keepends=True)
     line = len(lines) // 2 + 1
     lines[line - 1] = lines[line - 1].replace(b'"', b'"\xff', 1)
     path.write_bytes(b"".join(lines))
-    with caplog.at_level(logging.WARNING, logger="encsum"):
-        code, errors = run(*argv)
-    skips = TARGETS[name][3]
-    assert code == (0 if skips else 1)
-    if skips:
-        assert f"{path}:{line}: skipping" in caplog.text
-    else:
-        assert errors == [f"{path}:{line}: not a JSON record"]
+    for reader in readers:
+        with caplog.at_level(logging.WARNING, logger="encsum"):
+            code, errors = run(*_argv(reader, fill))
+        assert code == (0 if skips else 1)
+        if skips:
+            assert f"{path}:{line}: skipping" in caplog.text
+        else:
+            assert errors == [f"{path}:{line}: not a JSON record"]
 
 
 # A string escaping an unpaired surrogate ("\\ud800") used to be read; the
@@ -203,21 +278,23 @@ def test_undecodable_line(workspace, name, caplog):
 # line. Such a line is now malformed, as one that is not UTF-8 is.
 @pytest.mark.parametrize("name", sorted(set(TARGETS) - {"sweep"}))
 def test_unpaired_surrogate_line(workspace, name, caplog):
-    path, argv, records = _fresh_copy(workspace, name)
+    relative, fields, skips, readers = TARGETS[name]
+    path, fill = _fresh_copy(workspace, relative)
+    records = read_jsonl(path)
     line = len(records) // 2 + 1
     record = records[line - 1]
-    field = next(f for (f, *rest) in TARGETS[name][1] if not rest and type(record.get(f)) is str)
+    field = next(f for (f, *rest) in fields if not rest and type(record.get(f)) is str)
     record[field] += "\ud800"
     # json.dumps escapes every non-ASCII character, so each line holds a \u escape.
     path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
-    with caplog.at_level(logging.WARNING, logger="encsum"):
-        code, errors = run(*argv)
-    skips = TARGETS[name][3]
-    assert code == (0 if skips else 1)
-    if skips:
-        assert f"{path}:{line}: skipping" in caplog.text
-    else:
-        assert errors == [f"{path}:{line}: not a JSON record"]
+    for reader in readers:
+        with caplog.at_level(logging.WARNING, logger="encsum"):
+            code, errors = run(*_argv(reader, fill))
+        assert code == (0 if skips else 1)
+        if skips:
+            assert f"{path}:{line}: skipping" in caplog.text
+        else:
+            assert errors == [f"{path}:{line}: not a JSON record"]
 
 
 def test_unpaired_surrogate_notes_line_counted(workspace, tmp_path):
