@@ -125,6 +125,11 @@ def check_finite(value, what: str) -> float:
     return value
 
 
+def named_few(names: Sequence[str]) -> str:
+    """The first three of ``names``, quoted, and ``...`` if there are more."""
+    return ", ".join(map(repr, names[:3])) + (", ..." if len(names) > 3 else "")
+
+
 @dataclass
 class IngestResult:
     notes: list[ClinicalNote]

@@ -25,6 +25,7 @@ from pathlib import Path
 from statistics import fmean
 from typing import Callable, Mapping, Sequence
 
+from .corpus import named_few
 from .dataset import load_encounters, load_section_instances, read_system_summaries
 from .faithfulness import (
     DEFAULT_BETA,
@@ -233,9 +234,8 @@ def _check_looked_up(
     """Warn how many annotation keys no scored set looked up, naming the first few."""
     unused = sorted(annotated.keys() - looked_up)
     if unused:
-        named = ", ".join(map(repr, unused[:3])) + (", ..." if len(unused) > 3 else "")
         logger.warning(
             "%d of %d annotation keys match no entity set of a %s instance of the evaluated"
             " sections; ignored: %s",
-            len(unused), len(annotated), split, named,
+            len(unused), len(annotated), split, named_few(unused),
         )

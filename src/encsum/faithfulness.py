@@ -26,12 +26,11 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from importlib import resources
 from itertools import compress
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .jsonl import iter_jsonl
+from .jsonl import iter_jsonl, read_text
 from .textproc import normalize, tokenize
 
 logger = logging.getLogger(__name__)
@@ -93,16 +92,12 @@ class Gazetteer:
 
 
 def load_gazetteer(path: str | Path | None = None) -> Gazetteer:
-    """Load a UTF-8 term file, one term per line, with any byte-order mark
-    ignored; with no path, the packaged general-purpose clinical term list. A
-    file that is not UTF-8 or has no usable term is a ValueError naming it."""
-    if path is None:
-        source = "packaged data/gazetteer.txt"
-        file = resources.files("encsum").joinpath("data/gazetteer.txt")
-    else:
-        source, file = str(path), Path(path)
+    """Load a term file, one term per line, read by ``read_text``; with no
+    path, the packaged general-purpose clinical term list. A file that is not
+    UTF-8 or has no usable term is a ValueError naming it."""
+    source = "packaged data/gazetteer.txt" if path is None else str(path)
     try:
-        lines = file.read_text("utf-8-sig").splitlines()
+        lines = read_text(path, "gazetteer.txt").splitlines()
         return Gazetteer.from_terms(line for line in lines if line.strip())
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None

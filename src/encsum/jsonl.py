@@ -1,5 +1,6 @@
-"""JSON and JSON Lines helpers shared by the wire formats, and the atomic
-writer behind every output file."""
+"""JSON and JSON Lines helpers shared by the wire formats: the one rule by
+which every input file becomes text and records (``read_text``,
+``parse_json``), and the atomic writer behind every output file."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import json
 import os
 import re
 from contextlib import contextmanager
+from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Hashable, Iterable, Iterator, TextIO
 
@@ -56,61 +58,69 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
             fh.write("\n")
 
 
-# What the surrogateescape error handler decodes a byte that is not UTF-8 to.
-_UNDECODABLE = re.compile("[\udc80-\udcff]")
-# A JSON escape of a surrogate, U+D800 to U+DFFF: only such an escape can put
-# one in a parsed string, as the line itself was decoded as UTF-8.
+# A surrogate, U+D800 to U+DFFF, which UTF-8 cannot encode: the
+# surrogateescape error handler decodes a byte that is not UTF-8 to one.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+# A JSON escape of a surrogate: only such an escape can put one in a parsed
+# string of a text that holds none.
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def read_text(path: str | Path | None, packaged: str = "") -> str:
+    """The text of the input file at ``path`` or, with no path, of the
+    packaged data file ``packaged``, read as UTF-8 with a leading byte-order
+    mark ignored; bytes that are not UTF-8 raise UnicodeDecodeError, a
+    ValueError."""
+    file = resources.files("encsum").joinpath(f"data/{packaged}") if path is None else Path(path)
+    return file.read_text("utf-8-sig")
 
 
 def iter_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:
     """Yield (1-based line number, parsed object) for each non-blank line, as
-    universal newlines split them; a line that is not UTF-8, not JSON, or
-    whose strings escape an unpaired surrogate (``"\\ud800"``, which UTF-8
-    cannot encode) yields (lineno, None)."""
-    with Path(path).open("r", encoding="utf-8", errors="surrogateescape") as fh:
+    universal newlines split them. The file is read as ``read_text`` reads
+    one, and a line that is not UTF-8 or that ``parse_json`` rejects yields
+    (lineno, None)."""
+    with Path(path).open("r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            if not line.isascii() and _UNDECODABLE.search(line):
-                yield lineno, None
-                continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                yield lineno, None
-                continue
-            if _SURROGATE_ESCAPE.search(line) and not _encodable(obj):
+                obj = parse_json(line)
+            except ValueError:
                 obj = None
             yield lineno, obj
 
 
-def _encodable(obj: Any) -> bool:
-    try:
-        _encode_line(obj).encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
-
-
 def parse_json(text: str) -> Any:
-    """Parse a whole JSON file's text, as ``json.loads`` does, and reject two
-    things it lets pass: a key repeated within one object, where the later
-    value would win, and a string escaping an unpaired surrogate. Either is a
-    ValueError."""
-    obj = json.loads(text, object_pairs_hook=_unique_keys)
-    if _SURROGATE_ESCAPE.search(text) and not _encodable(obj):
-        raise ValueError("a string escapes an unpaired surrogate, which UTF-8 cannot encode")
+    """Parse one JSON text, as ``json.loads`` does, and reject what UTF-8
+    cannot encode or where a later value would win: a surrogate in the text,
+    a string escaping an unpaired one (``"\\ud800"``), or a key repeated
+    within one object. Each is a ValueError."""
+    if not text.isascii() and _SURROGATE.search(text):
+        raise ValueError("not UTF-8 text")
+    obj = _decode(text)
+    if _SURROGATE_ESCAPE.search(text):
+        try:
+            _encode_line(obj).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(
+                "a string escapes an unpaired surrogate, which UTF-8 cannot encode"
+            ) from None
     return obj
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
-    out = {}
-    for key, value in pairs:
-        if key in out:
-            raise ValueError(f"repeated key {key!r}")
-        out[key] = value
-    return out
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"repeated key {key!r}")
+            seen.add(key)
+    return obj
+
+
+_decode = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
 
 
 def read_jsonl(path: str | Path, add: Callable[[Any], None] | None = None) -> list:

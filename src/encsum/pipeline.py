@@ -29,9 +29,11 @@ from pathlib import Path
 from statistics import fmean
 from typing import Mapping, Sequence
 
-from .corpus import check_fields, check_finite, source_sentences
-from .dataset import load_encounters, load_section_instances, load_splits, summary_record
-from .jsonl import parse_json, read_jsonl_keyed, write_json, write_jsonl
+from .corpus import check_fields, check_finite, named_few, source_sentences
+from .dataset import (
+    load_encounters, load_section_instances, load_splits, section_file, summary_record,
+)
+from .jsonl import parse_json, read_jsonl_keyed, read_text, write_json, write_jsonl
 from .rouge import LcsPool, prf
 from .sections import SectionName
 from .textproc import Sentence, normalize, tokenize
@@ -284,10 +286,10 @@ def sweep_threshold(
     ``chosen_threshold``.
     """
     if not validation:
-        raise ValueError("validation set is empty")
+        raise ValueError("no instance with scores to sweep")
     pooled = [s.score for scored, _ in validation for s in scored]
     if not pooled:
-        raise ValueError("no sentence scores in the validation set")
+        raise ValueError("no sentence scores to sweep")
     thresholds = _quantile_grid(pooled)
     per_instance = [_rouge_l_f1s(scored, ref, thresholds, mask_deid) for scored, ref in validation]
     means = [fmean(f1s) for f1s in zip(*per_instance)]
@@ -343,11 +345,11 @@ def read_sweep_threshold(path: str | Path, section: SectionName) -> float:
     """The ``chosen_threshold`` of a sweep-result file for ``section``.
 
     Anything but a JSON object holding a finite number there and
-    ``section``'s name as its ``section``, or a file that ``parse_json``
-    rejects, is a ValueError naming the file.
+    ``section``'s name as its ``section``, or a file that ``read_text`` or
+    ``parse_json`` rejects, is a ValueError naming the file.
     """
     try:
-        record = parse_json(Path(path).read_text("utf-8"))
+        record = parse_json(read_text(path))
         check_fields(record, "a sweep-result", ())
         threshold = check_finite(record.get("chosen_threshold"), "'chosen_threshold'")
         if record.get("section") != section.value:
@@ -470,19 +472,28 @@ def write_sweep(
 ) -> dict:
     """Sweep the cutoff over the section's instances in ``split`` that have
     merged scores, and write and return the sweep-result record: the
-    ``sweep_threshold`` record with ``section`` added. An instance without
-    scores is skipped with a warning."""
+    ``sweep_threshold`` record with ``section`` added. The instances without
+    scores are skipped with one warning that counts them."""
     merged = read_merged(merged_path)
-    validation = []
-    for instance in load_section_instances(dataset_dir, section, split):
-        scored = merged.get(instance.encounter_id)
-        if scored is None:
-            logger.warning("no scores for encounter %s; skipping", instance.encounter_id)
-            continue
-        validation.append((scored, tokenize(instance.reference_text, mask_deid=mask_deid)))
-    if not validation:
-        raise ValueError("no validation instances with scores to sweep")
-    record = {"section": section.value, **sweep_threshold(validation, mask_deid=mask_deid)}
+    instances = load_section_instances(dataset_dir, section, split)
+    validation = [
+        (merged[i.encounter_id], tokenize(i.reference_text, mask_deid=mask_deid))
+        for i in instances if i.encounter_id in merged
+    ]
+    path = section_file(dataset_dir, section, split)
+    where = f"{split} instances of section {section.value!r} in {path}"
+    unscored = [i.encounter_id for i in instances if i.encounter_id not in merged]
+    if unscored:
+        logger.warning(
+            "%d of %d %s have no scores in %s; skipped: %s",
+            len(unscored), len(instances), where, merged_path, named_few(unscored),
+        )
+    try:
+        record = {"section": section.value, **sweep_threshold(validation, mask_deid=mask_deid)}
+    except ValueError as exc:
+        raise ValueError(
+            f"{exc}, from the {where} and the merged scores in {merged_path}"
+        ) from None
     write_json(out, record)
     return record
 

@@ -14,12 +14,11 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from importlib import resources
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
 from .corpus import Encounter, check_fields
-from .jsonl import parse_json
+from .jsonl import parse_json, read_text
 
 # The characters ``str.splitlines`` breaks lines at (``\r\n`` counts as one
 # break). ``^`` under ``re.MULTILINE`` follows only ``\n``, so the header
@@ -152,25 +151,18 @@ class HeaderMatch(NamedTuple):
 def load_rules(path: str | Path | None = None) -> HeaderRuleSet:
     """Load a header rules JSON file; with no path, the packaged defaults.
 
-    The file holds one JSON object whose keys are section names or
-    ``terminators``, each a list of non-blank strings; every section needs at
-    least one variant and ``terminators`` is optional. A string holding a line
-    break (any that ``str.splitlines`` breaks at) could never match within one
-    line. A key given twice, or a string escaping an unpaired surrogate, is
-    rejected as ``parse_json`` rejects it. Anything else raises a ValueError
-    naming the file and the key.
+    The file is read by ``read_text`` and parsed by ``parse_json``; a file
+    that is not UTF-8 or that ``parse_json`` rejects (a key given twice, say)
+    is a ValueError naming the file. It holds one JSON object whose keys are
+    section names or ``terminators``, each a list of non-blank strings; every
+    section needs at least one variant and ``terminators`` is optional. A
+    string holding a line break (any that ``str.splitlines`` breaks at) could
+    never match within one line. Anything else raises a ValueError naming the
+    file and the key.
     """
-    if path is None:
-        source = "packaged data/section_headers.json"
-        text = resources.files("encsum").joinpath("data/section_headers.json").read_text("utf-8")
-    else:
-        source = str(path)
-        try:
-            text = Path(path).read_text("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{source}: not UTF-8 text ({exc})") from None
+    source = "packaged data/section_headers.json" if path is None else str(path)
     try:
-        data = parse_json(text)
+        data = parse_json(read_text(path, "section_headers.json"))
     except ValueError as exc:
         raise ValueError(f"{source}: not a JSON header rules file ({exc})") from None
     if not isinstance(data, dict):

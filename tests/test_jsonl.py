@@ -1,8 +1,12 @@
+import json
 import os
 
 import pytest
+from hypothesis import given, strategies as st
 
-from encsum.jsonl import iter_jsonl, read_jsonl, write_json, write_jsonl, write_text
+from encsum.jsonl import (
+    iter_jsonl, parse_json, read_jsonl, read_text, write_json, write_jsonl, write_text,
+)
 
 
 def _failing_records():
@@ -86,6 +90,14 @@ class TestRead:
         with pytest.raises(ValueError, match=r"a\.jsonl:2: not a JSON record$"):
             read_jsonl(path)
 
+    # A leading byte-order mark used to make the first line malformed, or a
+    # whole-file input fatal; one that starts a later line is still malformed.
+    def test_leading_byte_order_mark_ignored(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        path.write_bytes(b'\xef\xbb\xbf{"n": 1}\n\xef\xbb\xbf{"n": 2}\n')
+        assert list(iter_jsonl(path)) == [(1, {"n": 1}), (2, None)]
+        assert read_text(path) == '{"n": 1}\n\ufeff{"n": 2}\n'
+
     # A string escaping an unpaired surrogate, which UTF-8 cannot encode, used
     # to be read as it was; writing it out then failed, naming no file or line.
     @pytest.mark.parametrize("line, parsed", [
@@ -105,3 +117,66 @@ class TestRead:
         if parsed is None:
             with pytest.raises(ValueError, match=r"a\.jsonl:2: not a JSON record$"):
                 read_jsonl(path)
+
+
+# JSON values without a repeated key, as ``json.dumps`` writes them.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=4),
+    max_leaves=12,
+)
+
+
+def _dump_repeating(value, target, draw):
+    """``value`` as JSON text, with one key of its ``target``-th non-empty
+    object (in the order the text opens them) given a second time, at a
+    drawn place after the first; and that key."""
+    repeated = []
+
+    def dump(v):
+        if isinstance(v, list):
+            return "[" + ", ".join(map(dump, v)) + "]"
+        if not isinstance(v, dict) or not v:
+            return json.dumps(v)
+        repeated.append(None)
+        index = len(repeated)
+        items = [(k, dump(x)) for k, x in v.items()]
+        if index == target:
+            first = draw(st.integers(0, len(items) - 1), label="key")
+            place = draw(st.integers(first + 1, len(items)), label="place")
+            items.insert(place, (items[first][0], "null"))
+            repeated[index - 1] = items[first][0]
+        return "{" + ", ".join(f"{json.dumps(k)}: {x}" for k, x in items) + "}"
+
+    text = dump(value)
+    return text, repeated[target - 1]
+
+
+def _objects(value):
+    """How many non-empty objects ``value`` holds, itself included."""
+    if isinstance(value, list):
+        return sum(map(_objects, value))
+    if isinstance(value, dict):
+        return bool(value) + sum(map(_objects, value.values()))
+    return 0
+
+
+class TestParseJson:
+    # json.loads stays the reference wherever no key is repeated.
+    @given(_json_values, st.sampled_from([None, 2]), st.booleans())
+    def test_equals_json_loads(self, value, indent, ensure_ascii):
+        text = json.dumps(value, indent=indent, ensure_ascii=ensure_ascii)
+        assert parse_json(text) == json.loads(text)
+
+    # Every JSON Lines line is parsed so; a repeated key used to let its
+    # later value win there.
+    @given(st.data())
+    def test_repeated_key_at_any_depth_names_it(self, data):
+        value = data.draw(st.dictionaries(st.text(max_size=4), _json_values, min_size=1,
+                                          max_size=4), label="value")
+        target = data.draw(st.integers(1, _objects(value)), label="object")
+        text, key = _dump_repeating(value, target, data.draw)
+        with pytest.raises(ValueError) as caught:
+            parse_json(text)
+        assert str(caught.value) == f"repeated key {key!r}"

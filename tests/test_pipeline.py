@@ -1,3 +1,4 @@
+import logging
 import math
 import sys
 from statistics import fmean
@@ -390,6 +391,48 @@ class TestSweep:
         tokens = tokenize(reference, mask_deid=True)
         assert rouge_l(tokens, tokens).f1 == 1.0
         assert max(result["mean_rouge_l_f1"]) == 1.0
+
+    @staticmethod
+    def _sweep_files(tmp_path, encounters, rows):
+        """A test split of ``chief_complaint`` instances for ``encounters``,
+        and a merged-scores file of ``rows``."""
+        records = [{"encounter_id": enc, "section": "chief_complaint", "text": "fever.",
+                    "start": 0, "end": 6} for enc in encounters]
+        write_jsonl(tmp_path / "data" / "sections" / "chief_complaint__test.jsonl", records)
+        write_jsonl(tmp_path / "merged.jsonl", rows)
+        return tmp_path / "data", tmp_path / "merged.jsonl"
+
+    # Both messages used to name no file, and the first said "validation"
+    # whatever the split.
+    @pytest.mark.parametrize("rows, problem", [
+        ([{"encounter_id": "e9", "sentences": [
+            {"doc": 0, "sent": 0, "score": 1.0, "text": "fever."}]}],
+         "no instance with scores to sweep"),
+        ([{"encounter_id": "e1", "sentences": []}], "no sentence scores to sweep"),
+    ], ids=["no scored instance", "no sentence scores"])
+    def test_nothing_to_sweep_names_section_split_and_files(self, tmp_path, rows, problem):
+        data, merged = self._sweep_files(tmp_path, ["e1"], rows)
+        with pytest.raises(ValueError) as caught:
+            write_sweep(data, SectionName.CHIEF_COMPLAINT, "test", merged, tmp_path / "s.json")
+        section_file = data / "sections" / "chief_complaint__test.jsonl"
+        assert str(caught.value) == (
+            f"{problem}, from the test instances of section 'chief_complaint' in"
+            f" {section_file} and the merged scores in {merged}"
+        )
+        assert not (tmp_path / "s.json").exists()
+
+    # Each instance without scores used to log a warning of its own.
+    def test_unscored_instances_counted_in_one_warning(self, tmp_path, caplog):
+        scored = {"encounter_id": "e3", "sentences": [
+            {"doc": 0, "sent": 0, "score": 1.0, "text": "fever."}]}
+        data, merged = self._sweep_files(tmp_path, [f"e{i}" for i in range(1, 6)], [scored])
+        with caplog.at_level(logging.WARNING, logger="encsum"):
+            write_sweep(data, SectionName.CHIEF_COMPLAINT, "test", merged, tmp_path / "s.json")
+        section_file = data / "sections" / "chief_complaint__test.jsonl"
+        assert [r.getMessage() for r in caplog.records] == [
+            f"4 of 5 test instances of section 'chief_complaint' in {section_file} have no"
+            f" scores in {merged}; skipped: 'e1', 'e2', 'e4', ..."
+        ]
 
     @given(_sweep_instances)
     @example([([("a b", 0.25), ("A  b", 0.75), ("a b", 0.5), ("c", 0.5)], "")])

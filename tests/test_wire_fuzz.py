@@ -2,16 +2,18 @@
 
 For notes, ``encounters.jsonl``, ``splits.jsonl``, a section file, system
 summaries, entity annotations and the sweep file, one field of one record is
-replaced or deleted, or one line gets a byte that is not UTF-8, and a command
-that reads the file runs in-process. The header rules file gets one value or
-list element replaced or deleted, or a key repeated, and a gazetteer file one
-line replaced. An exception that ``main`` does not catch fails the test. A
-command that fails logs one error, naming the file, and the line when one
-record is at fault.
+replaced or deleted, or one line gets a byte that is not UTF-8 or a repeated
+key, and a command that reads the file runs in-process. The header rules file
+gets one value or list element replaced or deleted, or a key repeated, and a
+gazetteer file one line replaced. An exception that ``main`` does not catch
+fails the test. A command that fails logs one error, naming the file, and the
+line when one record is at fault. A leading byte-order mark on any input
+leaves every output as it was.
 """
 
 from __future__ import annotations
 
+import codecs
 import json
 import logging
 import shutil
@@ -297,6 +299,72 @@ def test_unpaired_surrogate_line(workspace, name, caplog):
             assert errors == [f"{path}:{line}: not a JSON record"]
 
 
+# A key given twice in one record used to let its later value win: a summary
+# line with a second "text": "" was scored as an empty summary, with exit 0.
+# One record repeats one of its keys, with the same value, so only the
+# repeat is at fault.
+@pytest.mark.parametrize("name", sorted(TARGETS))
+def test_repeated_key_line(workspace, name, caplog):
+    relative, fields, skips, readers = TARGETS[name]
+    path, fill = _fresh_copy(workspace, relative)
+    records = [json.loads(path.read_text("utf-8"))] if name == "sweep" else read_jsonl(path)
+    line = len(records) // 2 + 1
+    record = records[line - 1]
+    field = next(f for (f, *rest) in fields if not rest and f in record)
+    lines = [json.dumps(r) for r in records]
+    lines[line - 1] = lines[line - 1][:-1] + f", {json.dumps(field)}: {json.dumps(record[field])}}}"
+    path.write_text("".join(text + "\n" for text in lines), encoding="utf-8")
+    for reader in readers:
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="encsum"):
+            code, errors = run(*_argv(reader, fill))
+        if name == "sweep":
+            assert (code, errors) == (1, [f"{path}: repeated key {field!r}"])
+        elif skips:
+            assert code == 0
+            assert f"{path}:{line}: skipping" in caplog.text
+        else:
+            assert (code, errors) == (1, [f"{path}:{line}: not a JSON record"])
+    if name == "notes":
+        manifest = json.loads((fill["trial"] / "out_build-dataset" / "manifest.json").read_text())
+        assert manifest["notes_skipped"] == 1
+
+
+def _outputs(out: Path):
+    """The bytes of the file at ``out``, or of each file under it by relative path."""
+    if out.is_file():
+        return out.read_bytes()
+    return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+# A leading byte-order mark used to make the first notes or annotations line
+# malformed, and to be fatal in every other input but a gazetteer.
+@pytest.mark.parametrize("name", [*sorted(TARGETS), "rules", "gazetteer"])
+def test_byte_order_mark_ignored(workspace, name):
+    if name == "rules":
+        relative, readers = "rules.json", RULES_READERS
+    elif name == "gazetteer":
+        relative, readers = "gazetteer.txt", [GAZETTEER_READER]
+    else:
+        relative, readers = TARGETS[name][0], TARGETS[name][3]
+    path, fill = _fresh_copy(workspace, relative)
+    plain = path.read_bytes()
+    for reader in readers:
+        argv = _argv(reader, fill)
+        out = fill["trial"] / f"out_{reader[0]}"
+        outputs = []
+        for mark in (b"", codecs.BOM_UTF8):
+            path.write_bytes(mark + plain)
+            assert run(*argv) == (0, [])
+            outputs.append(_outputs(out))
+            if out.is_dir():
+                shutil.rmtree(out)
+            else:
+                out.unlink()
+        assert outputs[0] == outputs[1]
+        path.write_bytes(plain)
+
+
 def test_unpaired_surrogate_notes_line_counted(workspace, tmp_path):
     notes = tmp_path / "notes.jsonl"
     records = read_jsonl(workspace / "notes.jsonl")
@@ -321,13 +389,20 @@ def test_undecodable_notes_line_counted(workspace, tmp_path):
     assert manifest["notes_ingested"] == len(lines) - 1
 
 
-@pytest.mark.parametrize("option", ["--rules", "--gazetteer"])
+@pytest.mark.parametrize("option", ["--rules", "--gazetteer", "--sweep"])
 def test_undecodable_rules_or_gazetteer_names_file(workspace, tmp_path, option):
     bad = tmp_path / "bad.txt"
-    bad.write_bytes(b'{"chief_complaint": ["CC\xff:"]}' if option == "--rules" else b"htn\n\xff\n")
+    bad.write_bytes({
+        "--rules": b'{"chief_complaint": ["CC\xff:"]}',
+        "--gazetteer": b"htn\n\xff\n",
+        "--sweep": b'{"chosen_threshold": 0.5, "section": "chief_complaint\xff"}',
+    }[option])
     if option == "--rules":
         argv = ["build-dataset", "--notes", workspace / "notes.jsonl", "--rules", bad,
                 "--out", tmp_path / "data"]
+    elif option == "--sweep":
+        argv = ["cutoff", "--merged", workspace / "merged.jsonl", "--section", SECTION,
+                "--sweep", bad, "--out", tmp_path / "cut.jsonl"]
     else:
         argv = ["evaluate", "--dataset", workspace / "data", "--systems",
                 workspace / "sys_oracle.jsonl", "--gazetteer", bad, "--out", tmp_path / "r"]
