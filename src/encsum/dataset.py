@@ -18,7 +18,7 @@ import logging
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
-from typing import Container, Iterable
+from typing import Callable, Container, Iterable, Sequence
 
 from .corpus import (
     SPLIT_NAMES,
@@ -111,13 +111,20 @@ def build_dataset(
     return manifest
 
 
-def load_encounters(dataset_dir: str | Path) -> dict[str, Encounter]:
-    """Map encounter_id -> encounter; a repeated encounter_id is fatal with
-    ``<file>:<line>``."""
+def load_encounters(
+    dataset_dir: str | Path, keep: Callable[[Encounter], bool] | None = None
+) -> dict[str, Encounter]:
+    """Map encounter_id -> encounter, for every encounter or, with ``keep``,
+    for those where ``keep(encounter)`` is true.
+
+    Every record is checked either way: one that is not an encounter record,
+    or a repeated encounter_id, is fatal with ``<file>:<line>``. Only the
+    kept encounters are held, so a command's memory follows what it asks for.
+    """
     path = Path(dataset_dir) / "encounters.jsonl"
     if not path.is_file():
         raise FileNotFoundError(f"not a dataset directory (missing {path})")
-    return read_jsonl_keyed(path, _keyed_encounter, "encounter_id")
+    return read_jsonl_keyed(path, _keyed_encounter, "encounter_id", keep)
 
 
 def _keyed_encounter(record) -> tuple[str, Encounter]:
@@ -164,6 +171,33 @@ def load_section_instances(
         return instance.encounter_id, instance
 
     return list(read_jsonl_keyed(path, keyed, "encounter_id").values())
+
+
+def load_instances_with_encounters(
+    dataset_dir: str | Path, sections: Sequence[SectionName], split: str
+) -> tuple[list[list[SectionInstance]], dict[str, Encounter]]:
+    """Each of ``sections``' instances in ``split``, as ``load_section_instances``
+    lists them, and the encounters that those instances name, by encounter_id.
+
+    Only those encounters are held, but every record of ``encounters.jsonl``
+    is checked. On any fault the files are read again in the order that
+    holds every encounter (``encounters.jsonl``, then each section file
+    against it), so the error reported is the first that order meets: an
+    instance without an encounter record, say, is fatal with its section
+    file and line.
+    """
+    try:
+        instances = [load_section_instances(dataset_dir, s, split) for s in sections]
+        wanted = {i.encounter_id for found in instances for i in found}
+        encounters = load_encounters(dataset_dir, lambda e: e.encounter_id in wanted)
+        if len(encounters) == len(wanted):
+            return instances, encounters
+    except (OSError, ValueError):
+        pass
+    everything = load_encounters(dataset_dir)
+    for section in sections:
+        load_section_instances(dataset_dir, section, split, everything)
+    raise ValueError(f"{dataset_dir}: dataset files changed while being read")
 
 
 _SUMMARY_FIELDS = tuple((name, str) for name in ("encounter_id", "section", "system", "text"))

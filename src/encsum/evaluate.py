@@ -26,7 +26,7 @@ from statistics import fmean
 from typing import Callable, Mapping, Sequence
 
 from .corpus import named_few
-from .dataset import load_encounters, load_section_instances, read_system_summaries
+from .dataset import load_instances_with_encounters, read_system_summaries
 from .faithfulness import (
     DEFAULT_BETA,
     Gazetteer,
@@ -180,10 +180,9 @@ def write_evaluation(
         entities = annotated_entities(annotated, looked_up)
     else:
         entities = gazetteer_entities(load_gazetteer(gazetteer))
-    encounters = load_encounters(dataset_dir)
+    per_section, encounters = load_instances_with_encounters(dataset_dir, sections, split)
     instances: dict[SectionName, list[SectionInstance]] = {}
-    for section in sections:
-        found = load_section_instances(dataset_dir, section, split, encounters)
+    for section, found in zip(sections, per_section):
         if found:
             instances[section] = found
         else:

@@ -49,13 +49,19 @@ def write_json(path: str | Path, obj: Any) -> None:
 _encode_line = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
 
 
-def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
-    """Write one JSON line per record, atomically: if ``records`` raises, the
-    file at ``path`` is left as it was."""
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> int:
+    """Write one JSON line per record, atomically, and return their number.
+
+    ``records`` may be a generator that builds each record as it is written;
+    if it raises, the file at ``path`` is left as it was.
+    """
+    count = 0
     with _atomic_open(path) as fh:
         for record in records:
             fh.write(_encode_line(record))
             fh.write("\n")
+            count += 1
+    return count
 
 
 # A surrogate, U+D800 to U+DFFF, which UTF-8 cannot encode: the
@@ -146,21 +152,28 @@ def read_jsonl(path: str | Path, add: Callable[[Any], None] | None = None) -> li
 
 
 def read_jsonl_keyed(
-    path: str | Path, parse: Callable[[Any], tuple[Hashable, Any]], key_name: str
+    path: str | Path, parse: Callable[[Any], tuple[Hashable, Any]], key_name: str,
+    keep: Callable[[Any], bool] | None = None,
 ) -> dict:
     """Read a JSONL file whose records each carry a unique key into a dict.
 
     ``parse(record)`` returns ``(key, value)``. Errors are as for
     ``read_jsonl``, and a key seen on an earlier line is fatal too:
-    ``ValueError("<path>:<lineno>: repeated <key_name> ...")``.
+    ``ValueError("<path>:<lineno>: repeated <key_name> ...")``. With ``keep``,
+    every record is parsed and checked so, but the dict holds only the values
+    for which ``keep(value)`` is true.
     """
     out: dict = {}
+    dropped: set = set()
 
     def add(record) -> None:
         key, value = parse(record)
-        if key in out:
+        if key in out or key in dropped:
             raise ValueError(f"repeated {key_name} {key!r}")
-        out[key] = value
+        if keep is None or keep(value):
+            out[key] = value
+        else:
+            dropped.add(key)
 
     read_jsonl(path, add)
     return out

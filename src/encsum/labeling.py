@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .corpus import Encounter, source_sentences
-from .dataset import load_encounters, load_section_instances, summary_record
+from .dataset import load_instances_with_encounters, summary_record
 from .jsonl import write_jsonl
 from .rouge import LcsPool, prf
 from .sections import HeaderRuleSet, SectionInstance, SectionName, extract_sections
@@ -150,10 +150,8 @@ def _instances_by_encounter(
     """Each encounter with its instances of ``sections`` in ``split`` and their
     positions in section order, then file order; the encounters in order of
     first appearance."""
-    encounters = load_encounters(dataset_dir)
-    instances = chain.from_iterable(
-        load_section_instances(dataset_dir, section, split, encounters) for section in sections
-    )
+    per_section, encounters = load_instances_with_encounters(dataset_dir, sections, split)
+    instances = chain.from_iterable(per_section)
     by_encounter: dict[str, tuple[Encounter, list[tuple[int, SectionInstance]]]] = {}
     for position, instance in enumerate(instances):
         encounter_id = instance.encounter_id

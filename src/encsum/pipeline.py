@@ -418,52 +418,63 @@ def write_segments(
 ) -> int:
     """Chunk each encounter of one split into a segment file; returns the segment count.
 
-    An encounter whose subject has no record in ``splits.jsonl`` is fatal.
+    Every encounter record is checked, but only the split's encounters are
+    held, and the segments are written encounter by encounter as they are
+    made. An encounter whose subject has no record in ``splits.jsonl`` is
+    fatal, and leaves the file at ``out`` as it was.
     """
-    encounters = load_encounters(dataset_dir)
-    splits = load_splits(dataset_dir)
+    try:
+        splits = load_splits(dataset_dir)
+    except (OSError, ValueError):
+        load_encounters(dataset_dir, lambda e: False)  # a fault there is reported first
+        raise
+    # An encounter whose subject has no split record is held too, to be reported.
+    encounters = load_encounters(dataset_dir, lambda e: splits.get(e.subject_id, split) == split)
     cfg = ChunkConfig(max_tokens=max_tokens)
-    rows = []
-    for encounter_id in sorted(encounters):
-        subject_id = encounters[encounter_id].subject_id
-        if subject_id not in splits:
-            raise ValueError(
-                f"{Path(dataset_dir) / 'splits.jsonl'}: no split record for subject "
-                f"{subject_id!r} of encounter {encounter_id!r}"
-            )
-        if splits[subject_id] != split:
-            continue
-        pool = source_sentences(encounters[encounter_id], mask_deid=mask_deid)
-        rows.extend(segment.to_record() for segment in chunk_encounter(pool, cfg, encounter_id))
-    write_jsonl(out, rows)
-    return len(rows)
+
+    def rows():
+        for encounter_id in sorted(encounters):
+            encounter = encounters[encounter_id]
+            if encounter.subject_id not in splits:
+                raise ValueError(
+                    f"{Path(dataset_dir) / 'splits.jsonl'}: no split record for subject "
+                    f"{encounter.subject_id!r} of encounter {encounter_id!r}"
+                )
+            pool = source_sentences(encounter, mask_deid=mask_deid)
+            for segment in chunk_encounter(pool, cfg, encounter_id):
+                yield segment.to_record()
+
+    return write_jsonl(out, rows())
 
 
 def write_merged_scores(
     segments_path: str | Path, scores_path: str | Path, out: str | Path
 ) -> int:
     """Merge a score file over its segment file into a merged-scores file,
-    one record per encounter; returns the encounter count.
+    one record per encounter, written as each is merged; returns the
+    encounter count.
 
     A score row for a segment the segment file lacks, or one that does not
     score exactly its segment's sentences, is fatal with the score file and
     the row's line; a segment without a score row is fatal with the score
-    file (``merge_scores``).
+    file (``merge_scores``). A fatal error leaves the file at ``out`` as it
+    was.
     """
     segments = read_segments(segments_path)
     per_segment = read_scores(scores_path, segments, segments_path)
     by_encounter: dict[str, list[Segment]] = {}
     for segment in segments.values():
         by_encounter.setdefault(segment.encounter_id, []).append(segment)
-    rows = []
-    for encounter_id in sorted(by_encounter):
-        try:
-            merged = merge_scores(by_encounter[encounter_id], per_segment)
-        except ValueError as exc:
-            raise ValueError(f"{scores_path}: {exc}") from None
-        rows.append({"encounter_id": encounter_id, "sentences": [s.to_record() for s in merged]})
-    write_jsonl(out, rows)
-    return len(rows)
+
+    def rows():
+        for encounter_id in sorted(by_encounter):
+            try:
+                merged = merge_scores(by_encounter[encounter_id], per_segment)
+            except ValueError as exc:
+                raise ValueError(f"{scores_path}: {exc}") from None
+            yield {"encounter_id": encounter_id, "sentences": [s.to_record() for s in merged]}
+
+    return write_jsonl(out, rows())
 
 
 def write_sweep(
@@ -503,11 +514,9 @@ def write_cutoff_summaries(
     out: str | Path,
 ) -> int:
     """Write one summary per merged encounter, the sentences scoring at or
-    above ``threshold``; returns the summary count."""
+    above ``threshold``, each as it is made; returns the summary count."""
     merged = read_merged(merged_path)
-    rows = [
+    return write_jsonl(out, (
         summary_record(encounter_id, section, system, summary_text(apply_cutoff(scored, threshold)))
         for encounter_id, scored in sorted(merged.items())
-    ]
-    write_jsonl(out, rows)
-    return len(rows)
+    ))

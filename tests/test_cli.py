@@ -42,6 +42,39 @@ SENTENCE_FIELDS = {
 }
 
 
+# Edits that make an encounter record malformed, and what the error says.
+ENCOUNTER_EDITS = [
+    pytest.param(lambda r: [1, 2], "a JSON list", id="list"),
+    pytest.param(lambda r: {k: v for k, v in r.items() if k != "subject_id"},
+                 "field 'subject_id'", id="no subject_id"),
+    pytest.param(lambda r: {**r, "encounter_id": 7}, "field 'encounter_id'",
+                 id="int encounter_id"),
+    pytest.param(lambda r: {**r, "prior_notes": [{**r["prior_notes"][0], "text": 7}]},
+                 "prior_notes[0]: field 'text'", id="int note text"),
+    pytest.param(lambda r: {**r, "discharge_summary": [r["discharge_summary"]]},
+                 "field 'discharge_summary'", id="list summary"),
+    # A note that disagrees with its encounter, or has a bad chart_date,
+    # used to be read without a word.
+    pytest.param(
+        lambda r: {**r, "prior_notes": [{**r["prior_notes"][0], "encounter_id": "other"}]},
+        "prior_notes[0]: encounter_id 'other' is not the encounter's",
+        id="note of another encounter"),
+    pytest.param(
+        lambda r: {**r, "discharge_summary": {**r["discharge_summary"], "subject_id": "other"}},
+        "discharge_summary: subject_id 'other' is not the encounter's",
+        id="summary of another subject"),
+    pytest.param(
+        lambda r: {**r, "prior_notes": [{**r["prior_notes"][0], "chart_date": "2040-13-01"}]},
+        "prior_notes[0]: bad chart_date '2040-13-01'", id="bad note chart_date"),
+    pytest.param(
+        lambda r: {**r, "discharge_summary": {**r["discharge_summary"], "chart_date": "today"}},
+        "discharge_summary: bad chart_date 'today'", id="bad summary chart_date"),
+]
+
+# The commands that read one split's encounters.
+SPLIT_COMMANDS = ["chunk", "oracle", "pseudo-labels", "rule-baseline", "evaluate"]
+
+
 def run(*argv):
     return main([str(a) for a in argv])
 
@@ -204,27 +237,7 @@ class TestBaselineCommands:
                        "--out", tmp_path / "o.jsonl") == 1
         assert "encounters.jsonl:1" in caplog.text
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda r: [1, 2], "a JSON list"),
-        (lambda r: {k: v for k, v in r.items() if k != "subject_id"}, "field 'subject_id'"),
-        (lambda r: {**r, "encounter_id": 7}, "field 'encounter_id'"),
-        (lambda r: {**r, "prior_notes": [{**r["prior_notes"][0], "text": 7}]},
-         "prior_notes[0]: field 'text'"),
-        (lambda r: {**r, "discharge_summary": [r["discharge_summary"]]},
-         "field 'discharge_summary'"),
-        # A note that disagrees with its encounter, or has a bad chart_date,
-        # used to be read without a word.
-        (lambda r: {**r, "prior_notes": [{**r["prior_notes"][0], "encounter_id": "other"}]},
-         "prior_notes[0]: encounter_id 'other' is not the encounter's"),
-        (lambda r: {**r, "discharge_summary": {**r["discharge_summary"], "subject_id": "other"}},
-         "discharge_summary: subject_id 'other' is not the encounter's"),
-        (lambda r: {**r, "prior_notes": [{**r["prior_notes"][0], "chart_date": "2040-13-01"}]},
-         "prior_notes[0]: bad chart_date '2040-13-01'"),
-        (lambda r: {**r, "discharge_summary": {**r["discharge_summary"], "chart_date": "today"}},
-         "discharge_summary: bad chart_date 'today'"),
-    ], ids=["list", "no subject_id", "int encounter_id", "int note text", "list summary",
-            "note of another encounter", "summary of another subject", "bad note chart_date",
-            "bad summary chart_date"])
+    @pytest.mark.parametrize("edit, message", ENCOUNTER_EDITS)
     def test_malformed_encounter_record_fatal(self, workspace, tmp_path, caplog, edit, message):
         data = tmp_path / "data"
         shutil.copytree(workspace / "data", data)
@@ -233,6 +246,59 @@ class TestBaselineCommands:
             assert run("oracle", "--dataset", data, "--split", "train",
                        "--out", tmp_path / "o.jsonl") == 1
         assert f"encounters.jsonl:1: not an encounter record: {message}" in caplog.text
+
+    # A command holds only the encounters that its split asks for, but
+    # checks every record of encounters.jsonl: a fault in an encounter of
+    # another split is as fatal as one in its own.
+    @pytest.mark.parametrize("edit, message", ENCOUNTER_EDITS)
+    @pytest.mark.parametrize("command", SPLIT_COMMANDS)
+    def test_malformed_encounter_of_other_split_fatal(
+        self, workspace, tmp_path, caplog, command, edit, message
+    ):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        path = data / "encounters.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lineno = _line_of_other_split(data, "train")
+        lines[lineno - 1] = json.dumps(edit(json.loads(lines[lineno - 1]))) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        with caplog.at_level(logging.ERROR, logger="encsum"):
+            assert run(*_split_argv(command, data, tmp_path)) == 1
+        assert f"encounters.jsonl:{lineno}: not an encounter record: {message}" in caplog.text
+
+    # The section or split file is read first, to pick the encounters to
+    # hold, but a fault in encounters.jsonl is still the one reported.
+    @pytest.mark.parametrize("command", SPLIT_COMMANDS)
+    def test_encounter_fault_reported_before_other_file_fault(
+        self, workspace, tmp_path, caplog, command
+    ):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        argv = _split_argv(command, data, tmp_path)
+        other = "splits.jsonl" if command == "chunk" else "sections/chief_complaint__train.jsonl"
+        _edit_first_record(data / other, lambda r: [1])
+        _edit_first_record(data / "encounters.jsonl", lambda r: [1])
+        with caplog.at_level(logging.ERROR, logger="encsum"):
+            assert run(*argv) == 1
+        assert "encounters.jsonl:1: not an encounter record: a JSON list" in caplog.text
+        assert "not a section record" not in caplog.text
+        assert "not a split record" not in caplog.text
+
+    @pytest.mark.parametrize("command", SPLIT_COMMANDS)
+    def test_repeated_encounter_of_other_split_fatal(self, workspace, tmp_path, caplog, command):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        path = data / "encounters.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        other = lines[_line_of_other_split(data, "train") - 1]
+        path.write_text("".join(lines + [other]), encoding="utf-8")
+        with caplog.at_level(logging.ERROR, logger="encsum"):
+            assert run(*_split_argv(command, data, tmp_path)) == 1
+        expected = (
+            f"encounters.jsonl:{len(lines) + 1}: repeated encounter_id "
+            f"{json.loads(other)['encounter_id']!r}"
+        )
+        assert expected in caplog.text
 
     @pytest.mark.parametrize("edit, message", [
         (lambda r: [1, 2], "a JSON list"),
@@ -428,6 +494,24 @@ def _train_argv(command, data, tmp_path, encounter_id):
     return argv + ["--out", tmp_path / "out.jsonl"]
 
 
+def _split_argv(command, data, tmp_path):
+    """Arguments running ``command`` on the train split of ``data``."""
+    if command == "chunk":
+        return [command, "--dataset", data, "--split", "train", "--out", tmp_path / "out.jsonl"]
+    [instance, *_] = read_jsonl(data / "sections" / "chief_complaint__train.jsonl")
+    return _train_argv(command, data, tmp_path, instance["encounter_id"])
+
+
+def _line_of_other_split(data, split):
+    """The line number, in ``data``'s encounters.jsonl, of the first
+    encounter whose subject is not in ``split``."""
+    splits = {r["subject_id"]: r["split"] for r in read_jsonl(data / "splits.jsonl")}
+    return next(
+        lineno for lineno, r in enumerate(read_jsonl(data / "encounters.jsonl"), start=1)
+        if splits[r["subject_id"]] != split
+    )
+
+
 def _edit_first_record(path, edit):
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     lines[0] = json.dumps(edit(json.loads(lines[0]))) + "\n"
@@ -472,7 +556,62 @@ def scored_pipeline(workspace, tmp_path_factory):
     return {"root": root, "segments": segments, "scores": scores, "merged": merged}
 
 
+def _assert_left_as_it_was(out, old: bytes):
+    """``out`` holds ``old``, and no temporary file of a writer is left beside it."""
+    assert out.read_bytes() == old
+    assert list(out.parent.glob(f".{out.name}.*.tmp")) == []
+
+
 class TestPipelineCommands:
+    # chunk and merge-scores write each row as they make it; a fault met
+    # after some rows are written leaves the previous output file as it was.
+    def test_failing_chunk_leaves_old_file(self, workspace, tmp_path, caplog):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        splits = {r["subject_id"]: r["split"] for r in read_jsonl(data / "splits.jsonl")}
+        last = max(
+            (r for r in read_jsonl(data / "encounters.jsonl")
+             if splits[r["subject_id"]] == "train"),
+            key=lambda r: r["encounter_id"],
+        )
+        write_jsonl(data / "splits.jsonl", [
+            {"subject_id": s, "split": split} for s, split in splits.items()
+            if s != last["subject_id"]
+        ])
+        out = tmp_path / "out" / "segments.jsonl"
+        out.parent.mkdir()
+        out.write_bytes(b'{"old": 1}\n')
+        with caplog.at_level(logging.ERROR, logger="encsum"):
+            assert run("chunk", "--dataset", data, "--split", "train", "--out", out) == 1
+        expected = (
+            f"splits.jsonl: no split record for subject {last['subject_id']!r} "
+            f"of encounter {last['encounter_id']!r}"
+        )
+        assert expected in caplog.text
+        _assert_left_as_it_was(out, b'{"old": 1}\n')
+
+    def test_failing_merge_leaves_old_file(self, workspace, tmp_path, caplog):
+        segments = tmp_path / "segments.jsonl"
+        assert run("--quiet", "chunk", "--dataset", workspace / "data", "--split", "train",
+                   "--max-tokens", "64", "--out", segments) == 0
+        *scored, unscored = read_jsonl(segments)
+        assert scored[0]["encounter_id"] < unscored["encounter_id"]
+        scores = tmp_path / "scores.jsonl"
+        write_jsonl(scores, [
+            {"segment_id": seg["segment_id"],
+             "scores": [{"doc": s["doc"], "sent": s["sent"], "score": 0.5}
+                        for s in seg["sentences"]]}
+            for seg in scored
+        ])
+        out = tmp_path / "out" / "merged.jsonl"
+        out.parent.mkdir()
+        out.write_bytes(b'{"old": 1}\n')
+        with caplog.at_level(logging.ERROR, logger="encsum"):
+            assert run("merge-scores", "--segments", segments, "--scores", scores,
+                       "--out", out) == 1
+        assert f"{scores}: no score list for segment {unscored['segment_id']}" in caplog.text
+        _assert_left_as_it_was(out, b'{"old": 1}\n')
+
     def test_chunk_respects_budget(self, scored_pipeline):
         for seg in read_jsonl(scored_pipeline["segments"]):
             assert sum(len(tokenize(s["text"])) for s in seg["sentences"]) <= 64

@@ -1,0 +1,63 @@
+"""Memory that follows the split.
+
+A command holds only the encounters that its split asks for, and ``chunk``
+writes its segments encounter by encounter. On a 200-stay synthetic dataset
+(160 train, 20 validation, 20 test stays), the tracemalloc peak of a command
+is compared with the peak of loading every encounter of every split. Both
+peaks count Python allocations only, so the ratio does not depend on the
+machine.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import pytest
+
+from encsum.dataset import build_dataset, load_encounters
+from encsum.evaluate import write_evaluation
+from encsum.labeling import write_oracle_summaries
+from encsum.pipeline import write_segments
+from encsum.sections import SectionName, load_rules
+from encsum.synthetic import write_corpus
+
+
+@pytest.fixture(scope="module")
+def data(tmp_path_factory):
+    root = tmp_path_factory.mktemp("memory")
+    write_corpus(root / "notes.jsonl", n_encounters=200, seed=7)
+    build_dataset(root / "notes.jsonl", load_rules(), root / "data", seed=13)
+    return root / "data"
+
+
+def _peak(fn, *args) -> int:
+    """The tracemalloc peak, in bytes, of ``fn(*args)``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Each bound lies between the ratio of a chunk that holds every encounter
+# and then every segment (1.19 for test, 2.55 for train) and the measured
+# one (0.22, 0.81).
+@pytest.mark.parametrize("split, bound", [("test", 0.5), ("train", 1.2)])
+def test_chunk_peak_follows_split(data, tmp_path, split, bound):
+    everything = _peak(load_encounters, data)
+    chunk = _peak(write_segments, data, split, 1024, tmp_path / "segments.jsonl")
+    assert chunk / everything < bound
+
+
+# The bound lies between the ratio of an evaluate that holds every
+# encounter (1.45) and the measured one (0.59).
+def test_evaluate_peak_follows_split(data, tmp_path):
+    sections = list(SectionName)
+    write_oracle_summaries(data, sections, "test", tmp_path / "sys_oracle.jsonl")
+    everything = _peak(load_encounters, data)
+    evaluate = _peak(
+        write_evaluation, data, str(tmp_path / "sys_*.jsonl"), "test", sections,
+        tmp_path / "report",
+    )
+    assert evaluate / everything < 0.75
