@@ -2,12 +2,13 @@
 
 A built dataset directory contains::
 
-    encounters.jsonl                 assembled encounters with full note text
+    encounters__<split>.jsonl        the split's assembled encounters with full note text
     splits.jsonl                     {"subject_id": ..., "split": ...}
     sections/<section>__<split>.jsonl    {"encounter_id", "section", "text", "start", "end"}
     stats.json / stats.csv           corpus statistics
     manifest.json                    seed, ratios, diagnostics, per-section counts
 
+A command reads the encounter file of its split only, and none reads ``splits.jsonl``.
 Per section, an encounter whose discharge summary yields no section header or
 an empty body is excluded from that section's files.
 """
@@ -18,7 +19,7 @@ import logging
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
-from typing import Callable, Container, Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from .corpus import (
     SPLIT_NAMES,
@@ -34,6 +35,10 @@ from .reports import render_stats_csv
 from .sections import HeaderRuleSet, SectionInstance, SectionName, extract_section
 
 logger = logging.getLogger(__name__)
+
+
+def encounter_file(dataset_dir: str | Path, split: str) -> Path:
+    return Path(dataset_dir) / f"encounters__{split}.jsonl"
 
 
 def section_file(dataset_dir: str | Path, section: SectionName, split: str) -> Path:
@@ -81,7 +86,9 @@ def build_dataset(
             section_records[section.value][split].append(instance.to_record())
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_jsonl(out_dir / "encounters.jsonl", (e.to_record() for e in encounters))
+    for split in SPLIT_NAMES:
+        members = (e.to_record() for e in encounters if splits[e.subject_id] == split)
+        write_jsonl(encounter_file(out_dir, split), members)
     write_jsonl(
         out_dir / "splits.jsonl",
         ({"subject_id": s, "split": split} for s, split in sorted(splits.items())),
@@ -111,37 +118,18 @@ def build_dataset(
     return manifest
 
 
-def load_encounters(
-    dataset_dir: str | Path, keep: Callable[[Encounter], bool] | None = None
-) -> dict[str, Encounter]:
-    """Map encounter_id -> encounter, for every encounter or, with ``keep``,
-    for those where ``keep(encounter)`` is true.
-
-    Every record is checked either way: one that is not an encounter record,
-    or a repeated encounter_id, is fatal with ``<file>:<line>``. Only the
-    kept encounters are held, so a command's memory follows what it asks for.
-    """
-    path = Path(dataset_dir) / "encounters.jsonl"
+def load_encounters(dataset_dir: str | Path, split: str) -> dict[str, Encounter]:
+    """Map encounter_id -> encounter for ``split``; a record that is not an
+    encounter record, or a repeated encounter_id, is fatal with ``<file>:<line>``."""
+    path = encounter_file(dataset_dir, split)
     if not path.is_file():
         raise FileNotFoundError(f"not a dataset directory (missing {path})")
-    return read_jsonl_keyed(path, _keyed_encounter, "encounter_id", keep)
+    return read_jsonl_keyed(path, _keyed_encounter, "encounter_id")
 
 
 def _keyed_encounter(record) -> tuple[str, Encounter]:
     encounter = Encounter.from_record(record)
     return encounter.encounter_id, encounter
-
-
-def load_splits(dataset_dir: str | Path) -> dict[str, str]:
-    """Map subject_id -> split; a repeated subject_id is fatal with ``<file>:<line>``."""
-    return read_jsonl_keyed(Path(dataset_dir) / "splits.jsonl", _split_row, "subject_id")
-
-
-def _split_row(record) -> tuple[str, str]:
-    check_fields(record, "a split", (("subject_id", str), ("split", str)))
-    if record["split"] not in SPLIT_NAMES:
-        raise ValueError(f"not a split record: unknown split {record['split']!r}")
-    return record["subject_id"], record["split"]
 
 
 def load_section_instances(
@@ -177,27 +165,11 @@ def load_instances_with_encounters(
     dataset_dir: str | Path, sections: Sequence[SectionName], split: str
 ) -> tuple[list[list[SectionInstance]], dict[str, Encounter]]:
     """Each of ``sections``' instances in ``split``, as ``load_section_instances``
-    lists them, and the encounters that those instances name, by encounter_id.
-
-    Only those encounters are held, but every record of ``encounters.jsonl``
-    is checked. On any fault the files are read again in the order that
-    holds every encounter (``encounters.jsonl``, then each section file
-    against it), so the error reported is the first that order meets: an
-    instance without an encounter record, say, is fatal with its section
-    file and line.
+    lists them against the encounters of ``split``, and those encounters by
+    encounter_id. The encounter file is read first, so its faults come first.
     """
-    try:
-        instances = [load_section_instances(dataset_dir, s, split) for s in sections]
-        wanted = {i.encounter_id for found in instances for i in found}
-        encounters = load_encounters(dataset_dir, lambda e: e.encounter_id in wanted)
-        if len(encounters) == len(wanted):
-            return instances, encounters
-    except (OSError, ValueError):
-        pass
-    everything = load_encounters(dataset_dir)
-    for section in sections:
-        load_section_instances(dataset_dir, section, split, everything)
-    raise ValueError(f"{dataset_dir}: dataset files changed while being read")
+    encounters = load_encounters(dataset_dir, split)
+    return [load_section_instances(dataset_dir, s, split, encounters) for s in sections], encounters
 
 
 _SUMMARY_FIELDS = tuple((name, str) for name in ("encounter_id", "section", "system", "text"))

@@ -45,8 +45,18 @@ def write_json(path: str | Path, obj: Any) -> None:
 
 
 # One encoder for every JSON line: ``json.dumps`` with options builds a new
-# one per call.
-_encode_line = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+# one per call. JSON escapes every character at which ``str.splitlines``
+# breaks a line but U+0085, U+2028 and U+2029; ``_encode_line`` escapes those
+# too, which a JSON text can hold only inside a string.
+_encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+_UNESCAPED_BREAK = re.compile("[\x85\u2028\u2029]")
+
+
+def _encode_line(record: Any) -> str:
+    line = _encode(record)
+    if line.isascii():
+        return line
+    return _UNESCAPED_BREAK.sub(lambda m: f"\\u{ord(m[0]):04x}", line)
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> int:
@@ -107,7 +117,7 @@ def parse_json(text: str) -> Any:
     obj = _decode(text)
     if _SURROGATE_ESCAPE.search(text):
         try:
-            _encode_line(obj).encode("utf-8")
+            _encode(obj).encode("utf-8")
         except UnicodeEncodeError:
             raise ValueError(
                 "a string escapes an unpaired surrogate, which UTF-8 cannot encode"
@@ -152,28 +162,21 @@ def read_jsonl(path: str | Path, add: Callable[[Any], None] | None = None) -> li
 
 
 def read_jsonl_keyed(
-    path: str | Path, parse: Callable[[Any], tuple[Hashable, Any]], key_name: str,
-    keep: Callable[[Any], bool] | None = None,
+    path: str | Path, parse: Callable[[Any], tuple[Hashable, Any]], key_name: str
 ) -> dict:
     """Read a JSONL file whose records each carry a unique key into a dict.
 
     ``parse(record)`` returns ``(key, value)``. Errors are as for
     ``read_jsonl``, and a key seen on an earlier line is fatal too:
-    ``ValueError("<path>:<lineno>: repeated <key_name> ...")``. With ``keep``,
-    every record is parsed and checked so, but the dict holds only the values
-    for which ``keep(value)`` is true.
+    ``ValueError("<path>:<lineno>: repeated <key_name> ...")``.
     """
     out: dict = {}
-    dropped: set = set()
 
     def add(record) -> None:
         key, value = parse(record)
-        if key in out or key in dropped:
+        if key in out:
             raise ValueError(f"repeated {key_name} {key!r}")
-        if keep is None or keep(value):
-            out[key] = value
-        else:
-            dropped.add(key)
+        out[key] = value
 
     read_jsonl(path, add)
     return out

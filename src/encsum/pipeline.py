@@ -30,9 +30,7 @@ from statistics import fmean
 from typing import Mapping, Sequence
 
 from .corpus import check_fields, check_finite, named_few, source_sentences
-from .dataset import (
-    load_encounters, load_section_instances, load_splits, section_file, summary_record,
-)
+from .dataset import load_encounters, load_section_instances, section_file, summary_record
 from .jsonl import parse_json, read_jsonl_keyed, read_text, write_json, write_jsonl
 from .rouge import LcsPool, prf
 from .sections import SectionName
@@ -418,29 +416,15 @@ def write_segments(
 ) -> int:
     """Chunk each encounter of one split into a segment file; returns the segment count.
 
-    Every encounter record is checked, but only the split's encounters are
-    held, and the segments are written encounter by encounter as they are
-    made. An encounter whose subject has no record in ``splits.jsonl`` is
-    fatal, and leaves the file at ``out`` as it was.
+    The segments are written encounter by encounter as they are made, and a
+    fatal error leaves the file at ``out`` as it was.
     """
-    try:
-        splits = load_splits(dataset_dir)
-    except (OSError, ValueError):
-        load_encounters(dataset_dir, lambda e: False)  # a fault there is reported first
-        raise
-    # An encounter whose subject has no split record is held too, to be reported.
-    encounters = load_encounters(dataset_dir, lambda e: splits.get(e.subject_id, split) == split)
+    encounters = load_encounters(dataset_dir, split)
     cfg = ChunkConfig(max_tokens=max_tokens)
 
     def rows():
         for encounter_id in sorted(encounters):
-            encounter = encounters[encounter_id]
-            if encounter.subject_id not in splits:
-                raise ValueError(
-                    f"{Path(dataset_dir) / 'splits.jsonl'}: no split record for subject "
-                    f"{encounter.subject_id!r} of encounter {encounter_id!r}"
-                )
-            pool = source_sentences(encounter, mask_deid=mask_deid)
+            pool = source_sentences(encounters[encounter_id], mask_deid=mask_deid)
             for segment in chunk_encounter(pool, cfg, encounter_id):
                 yield segment.to_record()
 

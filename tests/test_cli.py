@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from encsum import cli, evaluate, labeling
 from encsum.cli import main
-from encsum.corpus import source_sentences
+from encsum.corpus import SPLIT_NAMES, source_sentences
 from encsum.dataset import load_encounters
 from encsum.faithfulness import score_sets
 from encsum.jsonl import read_jsonl, write_jsonl
@@ -26,6 +26,7 @@ from encsum.pipeline import (
 from encsum.rouge import rouge_l, rouge_n
 from encsum.sections import SectionName
 from encsum.textproc import tokenize
+from tests.conftest import output_bytes
 
 
 # Scores that merge-scores, sweep and cutoff must reject.
@@ -71,8 +72,10 @@ ENCOUNTER_EDITS = [
         "discharge_summary: bad chart_date 'today'", id="bad summary chart_date"),
 ]
 
-# The commands that read one split's encounters.
-SPLIT_COMMANDS = ["chunk", "oracle", "pseudo-labels", "rule-baseline", "evaluate"]
+# The commands that read one split's encounters, and those of them that
+# read section files too.
+SLICE_COMMANDS = ["oracle", "pseudo-labels", "rule-baseline", "evaluate"]
+SPLIT_COMMANDS = ["chunk", *SLICE_COMMANDS]
 
 
 def run(*argv):
@@ -95,7 +98,9 @@ def workspace(tmp_path_factory):
 class TestBuildDataset:
     def test_layout(self, workspace):
         dataset = workspace / "data"
-        assert (dataset / "encounters.jsonl").is_file()
+        for split in SPLIT_NAMES:
+            assert (dataset / f"encounters__{split}.jsonl").is_file()
+        assert not (dataset / "encounters.jsonl").exists()
         assert (dataset / "splits.jsonl").is_file()
         assert (dataset / "stats.json").is_file()
         assert (dataset / "stats.csv").is_file()
@@ -109,6 +114,20 @@ class TestBuildDataset:
         for row in rows:
             counts[row["split"]] = counts.get(row["split"], 0) + 1
         assert counts == {"train": 9, "validation": 1, "test": 2}
+
+    def test_encounter_files_partition_by_split(self, workspace):
+        # Each encounter is in exactly one file, the one of its subject's
+        # split, and each file is in encounter_id order.
+        data = workspace / "data"
+        splits = {r["subject_id"]: r["split"] for r in read_jsonl(data / "splits.jsonl")}
+        seen = []
+        for split in SPLIT_NAMES:
+            records = read_jsonl(data / f"encounters__{split}.jsonl")
+            ids = [r["encounter_id"] for r in records]
+            assert ids == sorted(ids)
+            assert {splits[r["subject_id"]] for r in records} <= {split}
+            seen += ids
+        assert len(seen) == len(set(seen)) == 12
 
     def test_rerun_byte_identical(self, workspace, tmp_path):
         other = tmp_path / "data2"
@@ -228,77 +247,83 @@ class TestBaselineCommands:
     def test_undecodable_dataset_line_fatal(self, workspace, tmp_path, caplog):
         data = tmp_path / "data"
         shutil.copytree(workspace / "data", data)
-        encounters = data / "encounters.jsonl"
+        encounters = data / "encounters__train.jsonl"
         lines = encounters.read_text(encoding="utf-8").splitlines(keepends=True)
         lines[0] = lines[0][: len(lines[0]) // 2] + "\n"
         encounters.write_text("".join(lines), encoding="utf-8")
         with caplog.at_level(logging.ERROR, logger="encsum"):
             assert run("oracle", "--dataset", data, "--split", "train",
                        "--out", tmp_path / "o.jsonl") == 1
-        assert "encounters.jsonl:1" in caplog.text
+        assert "encounters__train.jsonl:1" in caplog.text
 
     @pytest.mark.parametrize("edit, message", ENCOUNTER_EDITS)
     def test_malformed_encounter_record_fatal(self, workspace, tmp_path, caplog, edit, message):
         data = tmp_path / "data"
         shutil.copytree(workspace / "data", data)
-        _edit_first_record(data / "encounters.jsonl", edit)
+        _edit_first_record(data / "encounters__train.jsonl", edit)
         with caplog.at_level(logging.ERROR, logger="encsum"):
             assert run("oracle", "--dataset", data, "--split", "train",
                        "--out", tmp_path / "o.jsonl") == 1
-        assert f"encounters.jsonl:1: not an encounter record: {message}" in caplog.text
+        assert f"encounters__train.jsonl:1: not an encounter record: {message}" in caplog.text
 
-    # A command holds only the encounters that its split asks for, but
-    # checks every record of encounters.jsonl: a fault in an encounter of
-    # another split is as fatal as one in its own.
-    @pytest.mark.parametrize("edit, message", ENCOUNTER_EDITS)
-    @pytest.mark.parametrize("command", SPLIT_COMMANDS)
-    def test_malformed_encounter_of_other_split_fatal(
-        self, workspace, tmp_path, caplog, command, edit, message
-    ):
+    # A command reads its split's encounter file whole: a fault in its last
+    # record is fatal, and leaves the previous output as it was. chunk's
+    # case is TestPipelineCommands.test_failing_chunk_leaves_old_file.
+    @pytest.mark.parametrize("command", SLICE_COMMANDS)
+    def test_malformed_last_encounter_fatal(self, workspace, tmp_path, caplog, command):
         data = tmp_path / "data"
         shutil.copytree(workspace / "data", data)
-        path = data / "encounters.jsonl"
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        lineno = _line_of_other_split(data, "train")
-        lines[lineno - 1] = json.dumps(edit(json.loads(lines[lineno - 1]))) + "\n"
-        path.write_text("".join(lines), encoding="utf-8")
+        lineno = _spoil_last_train_encounter(data)
+        argv, out = _split_argv(command, data, tmp_path)
+        old = out / "report.csv" if command == "evaluate" else out
+        old.parent.mkdir(parents=True, exist_ok=True)
+        old.write_bytes(b'{"old": 1}\n')
         with caplog.at_level(logging.ERROR, logger="encsum"):
-            assert run(*_split_argv(command, data, tmp_path)) == 1
-        assert f"encounters.jsonl:{lineno}: not an encounter record: {message}" in caplog.text
+            assert run(*argv) == 1
+        assert f"encounters__train.jsonl:{lineno}: {SPOILED}" in caplog.text
+        _assert_left_as_it_was(old, b'{"old": 1}\n')
 
-    # The section or split file is read first, to pick the encounters to
-    # hold, but a fault in encounters.jsonl is still the one reported.
     @pytest.mark.parametrize("command", SPLIT_COMMANDS)
+    def test_other_split_not_read(self, workspace, tmp_path, command):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        argv, out = _split_argv(command, data, tmp_path)
+        assert run("--quiet", *argv) == 0
+        clean = output_bytes(out)
+        (data / "encounters__test.jsonl").write_text("not json\n", encoding="utf-8")
+        assert run("--quiet", *argv) == 0
+        assert output_bytes(out) == clean
+
+    @pytest.mark.parametrize("command", SPLIT_COMMANDS)
+    def test_old_layout_fatal(self, workspace, tmp_path, caplog, capsys, command):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        records = []
+        for split in SPLIT_NAMES:
+            records += read_jsonl(data / f"encounters__{split}.jsonl")
+            (data / f"encounters__{split}.jsonl").unlink()
+        write_jsonl(data / "encounters.jsonl", sorted(records, key=lambda r: r["encounter_id"]))
+        argv, _ = _split_argv(command, data, tmp_path)
+        with caplog.at_level(logging.ERROR, logger="encsum"):
+            assert run(*argv) == 1
+        assert f"missing {data / 'encounters__train.jsonl'}" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+
+    # The section file is read against the encounter file, which comes
+    # first: a fault in it is the one reported.
+    @pytest.mark.parametrize("command", SLICE_COMMANDS)
     def test_encounter_fault_reported_before_other_file_fault(
         self, workspace, tmp_path, caplog, command
     ):
         data = tmp_path / "data"
         shutil.copytree(workspace / "data", data)
-        argv = _split_argv(command, data, tmp_path)
-        other = "splits.jsonl" if command == "chunk" else "sections/chief_complaint__train.jsonl"
-        _edit_first_record(data / other, lambda r: [1])
-        _edit_first_record(data / "encounters.jsonl", lambda r: [1])
+        argv, _ = _split_argv(command, data, tmp_path)
+        _edit_first_record(data / "sections/chief_complaint__train.jsonl", lambda r: [1])
+        _edit_first_record(data / "encounters__train.jsonl", lambda r: [1])
         with caplog.at_level(logging.ERROR, logger="encsum"):
             assert run(*argv) == 1
-        assert "encounters.jsonl:1: not an encounter record: a JSON list" in caplog.text
+        assert "encounters__train.jsonl:1: not an encounter record: a JSON list" in caplog.text
         assert "not a section record" not in caplog.text
-        assert "not a split record" not in caplog.text
-
-    @pytest.mark.parametrize("command", SPLIT_COMMANDS)
-    def test_repeated_encounter_of_other_split_fatal(self, workspace, tmp_path, caplog, command):
-        data = tmp_path / "data"
-        shutil.copytree(workspace / "data", data)
-        path = data / "encounters.jsonl"
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        other = lines[_line_of_other_split(data, "train") - 1]
-        path.write_text("".join(lines + [other]), encoding="utf-8")
-        with caplog.at_level(logging.ERROR, logger="encsum"):
-            assert run(*_split_argv(command, data, tmp_path)) == 1
-        expected = (
-            f"encounters.jsonl:{len(lines) + 1}: repeated encounter_id "
-            f"{json.loads(other)['encounter_id']!r}"
-        )
-        assert expected in caplog.text
 
     @pytest.mark.parametrize("edit, message", [
         (lambda r: [1, 2], "a JSON list"),
@@ -316,45 +341,11 @@ class TestBaselineCommands:
                        "--out", tmp_path / "o.jsonl") == 1
         assert f"chief_complaint__train.jsonl:1: not a section record: {message}" in caplog.text
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda r: [1], "a JSON list"),
-        (lambda r: {"split": r["split"]}, "field 'subject_id'"),
-        (lambda r: {**r, "split": "tran"}, "unknown split 'tran'"),
-    ], ids=["list", "no subject_id", "unknown split"])
-    def test_malformed_split_record_fatal(self, workspace, tmp_path, caplog, edit, message):
-        data = tmp_path / "data"
-        shutil.copytree(workspace / "data", data)
-        _edit_first_record(data / "splits.jsonl", edit)
-        with caplog.at_level(logging.ERROR, logger="encsum"):
-            assert run("chunk", "--dataset", data, "--split", "train",
-                       "--out", tmp_path / "s.jsonl") == 1
-        assert f"splits.jsonl:1: not a split record: {message}" in caplog.text
-
-    def test_encounter_without_split_record_fatal(self, workspace, tmp_path, caplog):
-        # chunk used to drop the subject's encounters without a word.
-        data = tmp_path / "data"
-        shutil.copytree(workspace / "data", data)
-        [first, *rest] = read_jsonl(data / "splits.jsonl")
-        write_jsonl(data / "splits.jsonl", rest)
-        encounter = min(
-            r["encounter_id"] for r in read_jsonl(data / "encounters.jsonl")
-            if r["subject_id"] == first["subject_id"]
-        )
-        out = tmp_path / "s.jsonl"
-        with caplog.at_level(logging.ERROR, logger="encsum"):
-            assert run("chunk", "--dataset", data, "--split", "train", "--out", out) == 1
-        expected = (
-            f"splits.jsonl: no split record for subject {first['subject_id']!r} "
-            f"of encounter {encounter!r}"
-        )
-        assert expected in caplog.text
-        assert not out.exists()
-
     def test_repeated_encounter_id_fatal(self, workspace, tmp_path, caplog):
         # The later record used to replace the earlier one without a word.
         data = tmp_path / "data"
         shutil.copytree(workspace / "data", data)
-        encounters = data / "encounters.jsonl"
+        encounters = data / "encounters__train.jsonl"
         lines = encounters.read_text(encoding="utf-8").splitlines(keepends=True)
         first = json.loads(lines[0])
         repeat = json.dumps({**first, "prior_notes": []}) + "\n"
@@ -363,26 +354,10 @@ class TestBaselineCommands:
             assert run("rule-baseline", "--dataset", data, "--split", "train",
                        "--out", tmp_path / "r.jsonl") == 1
         expected = (
-            f"encounters.jsonl:{len(lines) + 1}: repeated encounter_id {first['encounter_id']!r}"
+            f"encounters__train.jsonl:{len(lines) + 1}: repeated encounter_id "
+            f"{first['encounter_id']!r}"
         )
         assert expected in caplog.text
-
-    def test_repeated_subject_id_fatal(self, workspace, tmp_path, caplog):
-        # The later record used to move the subject to another split without a word.
-        data = tmp_path / "data"
-        shutil.copytree(workspace / "data", data)
-        splits = data / "splits.jsonl"
-        lines = splits.read_text(encoding="utf-8").splitlines(keepends=True)
-        first = json.loads(lines[0])
-        other = "test" if first["split"] == "train" else "train"
-        repeat = json.dumps({**first, "split": other}) + "\n"
-        splits.write_text("".join(lines) + repeat, encoding="utf-8")
-        out = tmp_path / "s.jsonl"
-        with caplog.at_level(logging.ERROR, logger="encsum"):
-            assert run("chunk", "--dataset", data, "--split", "train", "--out", out) == 1
-        expected = f"splits.jsonl:{len(lines) + 1}: repeated subject_id {first['subject_id']!r}"
-        assert expected in caplog.text
-        assert not out.exists()
 
     # oracle and rule-baseline used to skip such an instance with a warning,
     # and evaluate raised a bare KeyError.
@@ -391,7 +366,7 @@ class TestBaselineCommands:
         data = tmp_path / "data"
         shutil.copytree(workspace / "data", data)
         [_, instance, *_] = read_jsonl(data / "sections" / "chief_complaint__train.jsonl")
-        encounters = data / "encounters.jsonl"
+        encounters = data / "encounters__train.jsonl"
         kept = [r for r in read_jsonl(encounters) if r["encounter_id"] != instance["encounter_id"]]
         write_jsonl(encounters, kept)
         with caplog.at_level(logging.ERROR, logger="encsum"):
@@ -495,21 +470,28 @@ def _train_argv(command, data, tmp_path, encounter_id):
 
 
 def _split_argv(command, data, tmp_path):
-    """Arguments running ``command`` on the train split of ``data``."""
+    """Arguments running ``command`` on the train split of ``data``, and its ``--out``."""
     if command == "chunk":
-        return [command, "--dataset", data, "--split", "train", "--out", tmp_path / "out.jsonl"]
+        out = tmp_path / "out.jsonl"
+        return [command, "--dataset", data, "--split", "train", "--out", out], out
     [instance, *_] = read_jsonl(data / "sections" / "chief_complaint__train.jsonl")
-    return _train_argv(command, data, tmp_path, instance["encounter_id"])
+    argv = _train_argv(command, data, tmp_path, instance["encounter_id"])
+    return argv, argv[-1]
 
 
-def _line_of_other_split(data, split):
-    """The line number, in ``data``'s encounters.jsonl, of the first
-    encounter whose subject is not in ``split``."""
-    splits = {r["subject_id"]: r["split"] for r in read_jsonl(data / "splits.jsonl")}
-    return next(
-        lineno for lineno, r in enumerate(read_jsonl(data / "encounters.jsonl"), start=1)
-        if splits[r["subject_id"]] != split
-    )
+SPOILED = "not an encounter record: discharge_summary: bad chart_date 'today'"
+
+
+def _spoil_last_train_encounter(data):
+    """Give the last record of ``data``'s train encounter file a bad
+    chart_date, which ``SPOILED`` reports; returns its line number."""
+    path = data / "encounters__train.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    last = json.loads(lines[-1])
+    last["discharge_summary"]["chart_date"] = "today"
+    lines[-1] = json.dumps(last) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    return len(lines)
 
 
 def _edit_first_record(path, edit):
@@ -563,31 +545,19 @@ def _assert_left_as_it_was(out, old: bytes):
 
 
 class TestPipelineCommands:
-    # chunk and merge-scores write each row as they make it; a fault met
-    # after some rows are written leaves the previous output file as it was.
+    # chunk and merge-scores write each row as they make it. A run that
+    # fails leaves the previous output file as it was, even when the fault
+    # is met after some rows are written, as in merge-scores.
     def test_failing_chunk_leaves_old_file(self, workspace, tmp_path, caplog):
         data = tmp_path / "data"
         shutil.copytree(workspace / "data", data)
-        splits = {r["subject_id"]: r["split"] for r in read_jsonl(data / "splits.jsonl")}
-        last = max(
-            (r for r in read_jsonl(data / "encounters.jsonl")
-             if splits[r["subject_id"]] == "train"),
-            key=lambda r: r["encounter_id"],
-        )
-        write_jsonl(data / "splits.jsonl", [
-            {"subject_id": s, "split": split} for s, split in splits.items()
-            if s != last["subject_id"]
-        ])
+        lineno = _spoil_last_train_encounter(data)
         out = tmp_path / "out" / "segments.jsonl"
         out.parent.mkdir()
         out.write_bytes(b'{"old": 1}\n')
         with caplog.at_level(logging.ERROR, logger="encsum"):
             assert run("chunk", "--dataset", data, "--split", "train", "--out", out) == 1
-        expected = (
-            f"splits.jsonl: no split record for subject {last['subject_id']!r} "
-            f"of encounter {last['encounter_id']!r}"
-        )
-        assert expected in caplog.text
+        assert f"encounters__train.jsonl:{lineno}: {SPOILED}" in caplog.text
         _assert_left_as_it_was(out, b'{"old": 1}\n')
 
     def test_failing_merge_leaves_old_file(self, workspace, tmp_path, caplog):
@@ -896,7 +866,7 @@ class TestPipelineCommands:
     def test_readers_round_trip(self, workspace, scored_pipeline):
         # read_segments returns what chunk wrote, and read_merged what
         # merge_scores made of the segment and score files.
-        encounters = load_encounters(workspace / "data")
+        encounters = load_encounters(workspace / "data", "validation")
         segments_by_id = read_segments(scored_pipeline["segments"])
         by_encounter = {}
         for segment in segments_by_id.values():
@@ -1335,7 +1305,8 @@ class TestEvaluate:
                    "--systems", str(evaluated["root"] / "sys_*.jsonl"), "--split", "test",
                    "--out", tmp_path / "r") == 0
         encounters = {
-            row["encounter_id"]: row for row in read_jsonl(workspace / "data" / "encounters.jsonl")
+            row["encounter_id"]: row
+            for row in read_jsonl(workspace / "data" / "encounters__test.jsonl")
         }
         prior_texts = {
             note["text"] for row in encounters.values() for note in row["prior_notes"]

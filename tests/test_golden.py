@@ -36,6 +36,8 @@ import tempfile
 from pathlib import Path
 from statistics import fmean
 
+import pytest
+
 import encsum
 from encsum.cli import main
 from encsum.jsonl import read_jsonl
@@ -61,9 +63,7 @@ def _run(*argv) -> None:
 def _write_scores(segments: Path, out: Path) -> None:
     """A score file that depends only on each segment's number and sentence keys."""
     rows = []
-    # A JSON line ends at "\n" only: ``str.splitlines`` would also break it
-    # at a U+2028 or U+0085 inside a sentence text.
-    for line in segments.read_text("utf-8").split("\n")[:-1]:
+    for line in segments.read_text("utf-8").splitlines():
         segment = json.loads(line)
         number = int(segment["segment_id"].rsplit("/", 1)[1])
         rows.append({
@@ -362,8 +362,28 @@ def _changes(new: dict[str, str], old: dict[str, str]) -> list[str]:
     ]
 
 
-def test_digests_match_golden(tmp_path):
-    assert _differences(golden_run(tmp_path), _golden()) == []
+@pytest.fixture(scope="module")
+def golden(tmp_path_factory) -> tuple[Path, dict[str, str]]:
+    """The root of one golden run and its digests."""
+    root = tmp_path_factory.mktemp("golden")
+    return root, golden_run(root)
+
+
+def test_digests_match_golden(golden):
+    assert _differences(golden[1], _golden()) == []
+
+
+def test_jsonl_outputs_survive_splitlines(golden):
+    # JSON escapes every line break but U+0085, U+2028 and U+2029, which the
+    # writer escapes too: ``str.splitlines`` then breaks a file only at "\n".
+    root, digests = golden
+    names = [name for name in digests if name.endswith(".jsonl")]
+    assert any(name.startswith("edge/") for name in names)
+    for name in names:
+        text = (root / name).read_text("utf-8")
+        lines = text.splitlines()
+        assert len(lines) == text.count("\n"), name
+        assert all(isinstance(json.loads(line), dict) for line in lines), name
 
 
 def test_digests_independent_of_hash_seed(tmp_path):
@@ -395,7 +415,8 @@ def test_edge_paths_run(tmp_path):
         "no_discharge": 1, "multiple_discharge": 1, "missing_admission": 1,
         "notes_after_discharge": 1,
     }
-    encounters = {r["encounter_id"]: r for r in read_jsonl(data / "encounters.jsonl")}
+    records = read_jsonl(data / f"encounters__{EDGE_SPLIT}.jsonl")
+    encounters = {r["encounter_id"]: r for r in records}
     assert sorted(encounters) == [stay for stay, _ in EDGE_STAYS[3:]]
     assert [n["chart_date"] for n in encounters["edge-04-late-note"]["prior_notes"]] == [
         "2041-03-04T08:00", "2041-03-05T09:00"

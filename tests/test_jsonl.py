@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from encsum.jsonl import (
-    iter_jsonl, parse_json, read_jsonl, read_text, write_json, write_jsonl, write_text,
+    _encode_line, iter_jsonl, parse_json, read_jsonl, read_text, write_json, write_jsonl,
+    write_text,
 )
 
 
@@ -50,6 +51,14 @@ class TestAtomicWrites:
         assert read_jsonl(tmp_path / "a.jsonl") == [{"n": 2}, {"n": 3}]
         assert (tmp_path / "b.json").read_text(encoding="utf-8") == '{\n  "k": [\n    1\n  ]\n}\n'
         assert sorted(os.listdir(tmp_path)) == ["a.jsonl", "b.json", "c.csv"]
+
+    # U+0085, U+2028 and U+2029 used to be written raw, so that
+    # ``str.splitlines`` broke a record in three.
+    @given(st.text(st.characters() | st.sampled_from("\x85\u2028\u2029")))
+    def test_line_survives_splitlines(self, text):
+        line = _encode_line({"t": text, "é": [text]})
+        assert line.splitlines() == [line]
+        assert json.loads(line) == {"t": text, "é": [text]}
 
     def test_file_mode_follows_umask(self, tmp_path):
         plain = tmp_path / "plain.txt"

@@ -1,9 +1,9 @@
 """Memory that follows the split.
 
-A command holds only the encounters that its split asks for, and ``chunk``
-writes its segments encounter by encounter. On a 200-stay synthetic dataset
-(160 train, 20 validation, 20 test stays), the tracemalloc peak of a command
-is compared with the peak of loading every encounter of every split. Both
+A command holds only the encounters of its split, and ``chunk`` writes its
+segments encounter by encounter. On a 200-stay synthetic dataset (160 train,
+20 validation, 20 test stays), the tracemalloc peak of a command is compared
+with the peak of loading every split's encounters into one dict. Both
 peaks count Python allocations only, so the ratio does not depend on the
 machine.
 """
@@ -14,6 +14,7 @@ import tracemalloc
 
 import pytest
 
+from encsum.corpus import SPLIT_NAMES
 from encsum.dataset import build_dataset, load_encounters
 from encsum.evaluate import write_evaluation
 from encsum.labeling import write_oracle_summaries
@@ -30,6 +31,10 @@ def data(tmp_path_factory):
     return root / "data"
 
 
+def _load_everything(data) -> dict:
+    return {k: v for split in SPLIT_NAMES for k, v in load_encounters(data, split).items()}
+
+
 def _peak(fn, *args) -> int:
     """The tracemalloc peak, in bytes, of ``fn(*args)``."""
     tracemalloc.start()
@@ -41,21 +46,21 @@ def _peak(fn, *args) -> int:
 
 
 # Each bound lies between the ratio of a chunk that holds every encounter
-# and then every segment (1.19 for test, 2.55 for train) and the measured
-# one (0.22, 0.81).
+# and then every segment (1.12 for test, 2.53 for train) and the measured
+# one (0.16, 0.79).
 @pytest.mark.parametrize("split, bound", [("test", 0.5), ("train", 1.2)])
 def test_chunk_peak_follows_split(data, tmp_path, split, bound):
-    everything = _peak(load_encounters, data)
+    everything = _peak(_load_everything, data)
     chunk = _peak(write_segments, data, split, 1024, tmp_path / "segments.jsonl")
     assert chunk / everything < bound
 
 
 # The bound lies between the ratio of an evaluate that holds every
-# encounter (1.45) and the measured one (0.59).
+# encounter (1.31) and the measured one (0.52).
 def test_evaluate_peak_follows_split(data, tmp_path):
     sections = list(SectionName)
     write_oracle_summaries(data, sections, "test", tmp_path / "sys_oracle.jsonl")
-    everything = _peak(load_encounters, data)
+    everything = _peak(_load_everything, data)
     evaluate = _peak(
         write_evaluation, data, str(tmp_path / "sys_*.jsonl"), "test", sections,
         tmp_path / "report",

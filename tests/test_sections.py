@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from encsum.corpus import Encounter, assemble_encounters
-from encsum.dataset import load_encounters, load_section_instances, section_file, summary_record
+from encsum.dataset import (
+    encounter_file, load_encounters, load_section_instances, section_file, summary_record,
+)
 from encsum.jsonl import read_jsonl, write_jsonl
 from encsum.labeling import RULE_SYSTEM, write_rule_summaries
 from encsum.sections import (
@@ -491,7 +493,7 @@ class TestRuleSummariesMatchPerInstance:
         encounters, members = data.draw(rule_datasets(rules))
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
-            write_jsonl(root / "encounters.jsonl", (e.to_record() for e in encounters))
+            write_jsonl(encounter_file(root, "test"), (e.to_record() for e in encounters))
             for section, ids in members.items():
                 write_jsonl(section_file(root, section, "test"), (
                     SectionInstance(eid, section, "ref", (0, 3)).to_record() for eid in ids
@@ -499,7 +501,7 @@ class TestRuleSummariesMatchPerInstance:
             sections = list(SectionName)
             count = write_rule_summaries(root, sections, "test", rules, root / "rule.jsonl")
             expected = []
-            by_id = load_encounters(root)
+            by_id = load_encounters(root, "test")
             for section in sections:
                 for instance in load_section_instances(root, section, "test"):
                     encounter = by_id[instance.encounter_id]

@@ -1,7 +1,7 @@
 """Malformed wire-format inputs end in exit 0 or 1, never in a traceback.
 
-For notes, ``encounters.jsonl``, ``splits.jsonl``, a section file, system
-summaries, entity annotations and the sweep file, one field of one record is
+For notes, an encounter file, a section file, system summaries, entity
+annotations and the sweep file, one field of one record is
 replaced or deleted, or one line gets a byte that is not UTF-8 or a repeated
 key, and a command that reads the file runs in-process. The header rules file
 gets one value or list element replaced or deleted, or a key repeated, and a
@@ -26,6 +26,7 @@ from encsum import cli
 from encsum.cli import main
 from encsum.corpus import NOTE_FIELDS
 from encsum.jsonl import read_jsonl, write_jsonl
+from tests.conftest import output_bytes
 
 # What the fuzz puts in place of one field.
 FUZZ_VALUES = [None, True, 0, -1, 1e30, float("nan"), "", "Ünïcødé ✓", [1], {"a": 1}]
@@ -45,15 +46,12 @@ TARGETS = {
         ("build-dataset", "--notes", "{file}", "--out", "{out}", "--seed", "11",
          "--require-admission"),
     ]),
-    "encounters": ("data/encounters.jsonl", ENCOUNTER_PATHS, False, [
-        ("chunk", "--dataset", "{data}", "--split", "train", "--out", "{out}"),
+    "encounters": ("data/encounters__test.jsonl", ENCOUNTER_PATHS, False, [
+        ("chunk", "--dataset", "{data}", "--split", "test", "--out", "{out}"),
         *((command, "--dataset", "{data}", "--split", "test", "--out", "{out}")
           for command in ("rule-baseline", "oracle", "pseudo-labels")),
         ("evaluate", "--dataset", "{data}", "--systems", "{root}/sys_oracle.jsonl",
          "--split", "test", "--out", "{out}"),
-    ]),
-    "splits": ("data/splits.jsonl", (("subject_id",), ("split",)), False, [
-        ("chunk", "--dataset", "{data}", "--split", "train", "--out", "{out}"),
     ]),
     "sections": (
         f"data/sections/{SECTION}__test.jsonl",
@@ -97,11 +95,6 @@ RULES_READERS = [
 ]
 GAZETTEER_READER = ("evaluate", "--dataset", "{data}", "--systems", "{root}/sys_oracle.jsonl",
                     "--split", "test", "--gazetteer", "{file}", "--out", "{out}")
-
-# Messages that name the file but no line, because no one record is at
-# fault: a subject whose split record was changed away has none.
-NO_LINE = {"splits": ("no split record for subject",)}
-
 
 def run(*argv) -> tuple[int, list[str]]:
     """``main``'s exit code (2 for a usage error) and the errors it logged."""
@@ -174,17 +167,14 @@ def _argv(reader, fill):
     return [arg.format(**fill, out=fill["trial"] / f"out_{reader[0]}") for arg in reader]
 
 
-def _check(path, line, code, errors, no_line=()):
-    """Exit 0, 1 or 2, and on exit 1 one error, at ``<path>:<line>:``; at
-    ``<path>:`` when ``line`` is None or the error starts with one of
-    ``no_line``."""
+def _check(path, line, code, errors):
+    """Exit 0, 1 or 2, and on exit 1 one error, at ``<path>:<line>:``, or at
+    ``<path>:`` when ``line`` is None."""
     assert code in (0, 1, 2)
     assert len(errors) == (code == 1), errors
+    where = f"{path}: " if line is None else f"{path}:{line}: "
     for message in errors:
-        if line is None:
-            assert message.startswith(f"{path}: "), message
-        elif not message.startswith(f"{path}:{line}: "):
-            assert any(message.startswith(f"{path}: {text}") for text in no_line), message
+        assert message.startswith(where), message
 
 
 @pytest.mark.parametrize("name", sorted(TARGETS))
@@ -208,7 +198,7 @@ def test_fuzzed_field(workspace, name, data):
     text = "".join(json.dumps(record) + "\n" for record in records)
     path.write_text(text, encoding="utf-8")
     code, errors = run(*_argv(reader, fill))
-    _check(path, None if name == "sweep" else index + 1, code, errors, NO_LINE.get(name, ()))
+    _check(path, None if name == "sweep" else index + 1, code, errors)
 
 
 # One value or list element of the header rules replaced or deleted, or one
@@ -330,13 +320,6 @@ def test_repeated_key_line(workspace, name, caplog):
         assert manifest["notes_skipped"] == 1
 
 
-def _outputs(out: Path):
-    """The bytes of the file at ``out``, or of each file under it by relative path."""
-    if out.is_file():
-        return out.read_bytes()
-    return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
-
-
 # A leading byte-order mark used to make the first notes or annotations line
 # malformed, and to be fatal in every other input but a gazetteer.
 @pytest.mark.parametrize("name", [*sorted(TARGETS), "rules", "gazetteer"])
@@ -356,7 +339,7 @@ def test_byte_order_mark_ignored(workspace, name):
         for mark in (b"", codecs.BOM_UTF8):
             path.write_bytes(mark + plain)
             assert run(*argv) == (0, [])
-            outputs.append(_outputs(out))
+            outputs.append(output_bytes(out))
             if out.is_dir():
                 shutil.rmtree(out)
             else:
