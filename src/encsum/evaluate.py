@@ -21,6 +21,7 @@ from __future__ import annotations
 import glob
 import logging
 from collections import Counter
+from itertools import repeat
 from pathlib import Path
 from statistics import fmean
 from typing import Callable, Mapping, Sequence
@@ -39,7 +40,7 @@ from .faithfulness import (
 from .reports import ReportRow, write_report
 from .rouge import LcsPool, prf
 from .sections import SectionInstance, SectionName
-from .textproc import count_sentences, ngrams, tokenize
+from .textproc import count_sentences, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -74,6 +75,14 @@ def annotated_entities(
         return annotations.get(key, frozenset())
 
     return entities
+
+
+def _overlap(cand: Counter, ref: Counter) -> int:
+    """The multiset overlap of two n-gram counts, ``sum((cand & ref).values())``.
+
+    Counter's & would call __missing__ for each n-gram the reference lacks.
+    """
+    return sum(map(min, cand.values(), map(ref.get, cand, repeat(0))))
 
 
 def score_section(
@@ -114,14 +123,13 @@ def score_section(
         )
         # The reference side of ROUGE-1/2/L, built once and shared by every
         # system; the scores equal rouge_n(cand, ref, 1|2) and rouge_l(cand, ref).
-        ref_unigrams, ref_bigrams = ngrams(ref, 1), ngrams(ref, 2)
+        ref_unigrams, ref_bigrams = Counter(ref), Counter(zip(ref, ref[1:]))
         ref_pool = LcsPool((ref,))
         for system in systems:
             text = summaries.get((instance.encounter_id, section.value, system), "")
             cand = tokenize(text, mask_deid=mask_deid)
-            # Counter's & would call __missing__ for each n-gram the reference lacks.
-            unigrams = sum(min(c, ref_unigrams.get(g, 0)) for g, c in ngrams(cand, 1).items())
-            bigrams = sum(min(c, ref_bigrams.get(g, 0)) for g, c in ngrams(cand, 2).items())
+            unigrams = _overlap(Counter(cand), ref_unigrams)
+            bigrams = _overlap(Counter(zip(cand, cand[1:])), ref_bigrams)
             [lcs] = ref_pool.lcs(ref_pool.masks_of(cand))
             sys_set = entities(f"{prefix}:sys:{system}", (text,), None if mask_deid else (cand,))
             fa = score_sets(source_set, ref_set, sys_set, beta)

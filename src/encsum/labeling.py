@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import logging
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence
 
 from .corpus import Encounter, source_sentences
 from .dataset import load_instances_with_encounters, summary_record
-from .jsonl import write_jsonl
+from .jsonl import encode_line, write_lines
 from .rouge import LcsPool, prf
 from .sections import HeaderRuleSet, SectionInstance, SectionName, extract_sections
 from .textproc import Sentence, split_sentences
@@ -28,11 +28,12 @@ logger = logging.getLogger(__name__)
 ORACLE_SYSTEM = "oracle_ext"
 RULE_SYSTEM = "rule_based_ext"
 
-T = TypeVar("T")
-
-
 # Indices into ``rouge.prf``'s (precision, recall, F1).
 _RECALL, _F1 = 1, 2
+# A source sentence's (doc_index, sent_index), its key.
+_KEY = itemgetter(1, 2)
+# A source whose key is at least this factor of the best key is rescored.
+_NEAR = 1 - 1e-9
 
 
 def _argmax_per_reference(
@@ -45,35 +46,41 @@ def _argmax_per_reference(
     best ``metric`` of ``rouge.prf`` (ties to the lowest key) and that score.
 
     ``lcs_pool`` pools the tokens of ``source_sents`` in their order.
+
+    Each source gets a key that orders the sources as their scores do, and
+    only the sources whose key lies within a relative 1e-9 of the best are
+    rescored with prf. For overlap o, source length n and reference length
+    L, F1 = 2o / (n + L), and its key is the ratio o / (n + L). The ratio
+    and prf's float F1 each lie within a few ulps of their exact values, so
+    a source whose prf F1 is at least that of the best ratio's source has a
+    ratio that close to the best. Recall is o / L, and its key is o; with
+    L = 0, every overlap and every score is 0.
     """
     if not reference_sents:
         raise ValueError("reference sentence list is empty")
     if not source_sents:
         raise ValueError("source sentence pool is empty, nothing to extract")
-    lengths = list(map(len, map(attrgetter("tokens"), source_sents)))
-    keys = list(map(attrgetter("doc_index", "sent_index"), source_sents))
-    in_key_order = keys == sorted(keys)
+    lengths = lcs_pool.lengths
     picks = []
     for ref in reference_sents:
         ref_len = len(ref.tokens)
         lcs = lcs_pool.lcs(lcs_pool.masks_of(ref.tokens))
-        if metric == _RECALL:
-            # Recall is overlap / ref_len, and a source without tokens has
-            # overlap 0: the overlaps order the sources as their recalls do.
-            scores = lcs
+        if metric == _F1 and ref_len:
+            keys = [o / (n + ref_len) for o, n in zip(lcs, lengths)]
         else:
-            # prf's F1, in its order of operations, so that scores equal to
-            # the last bit break ties alike; no overlap scores 0.
-            scores = [
-                2 * (p := overlap / n) * (r := overlap / ref_len) / (p + r) if overlap else 0.0
-                for overlap, n in zip(lcs, lengths)
-            ]
-        # The best score's lowest key: in a pool in key order, its first index.
+            keys = lcs
+        ranked = sorted(keys)
+        floor = ranked[-1] * _NEAR
+        # Most often the best key is the only one near the best.
+        if len(ranked) == 1 or ranked[-2] < floor:
+            i = keys.index(ranked[-1])
+            picks.append((source_sents[i], prf(lcs[i], lengths[i], ref_len)[metric]))
+            continue
+        near = [i for i, key in enumerate(keys) if key >= floor]
+        scores = [prf(lcs[i], lengths[i], ref_len)[metric] for i in near]
         best = max(scores)
-        i = scores.index(best)
-        if not in_key_order:
-            i = min((j for j, score in enumerate(scores) if score == best), key=keys.__getitem__)
-        picks.append((source_sents[i], prf(lcs[i], lengths[i], ref_len)[metric]))
+        tied = [source_sents[i] for i, score in zip(near, scores) if score == best]
+        picks.append((min(tied, key=_KEY), best))
     return picks
 
 
@@ -114,19 +121,19 @@ def build_pseudo_pairs(
 
 def align_instances(
     dataset_dir: str | Path, sections: Sequence[SectionName], split: str,
-    align: Callable[[SectionInstance, list[Sentence], list[Sentence], LcsPool], T],
+    align: Callable[[SectionInstance, list[Sentence], list[Sentence], LcsPool], dict],
     mask_deid: bool = False,
-) -> list[T]:
-    """``align(instance, reference sentences, source pool, its LcsPool)`` for
-    each instance of the ``sections`` in ``split``, in section order, then
-    file order.
+) -> list[str]:
+    """The JSON line of ``align(instance, reference sentences, source pool,
+    its LcsPool)`` for each instance of the ``sections`` in ``split``, in
+    section order, then file order.
 
     The instances are aligned encounter by encounter: each encounter's source
     pool is segmented, and its tokens pooled for the LCS kernel, once for all
     of its sections and dropped before the next encounter's. An instance with
     an empty reference or source pool is skipped with a warning.
     """
-    aligned: list[tuple[int, T]] = []
+    aligned: list[tuple[int, str]] = []
     for encounter, found in _instances_by_encounter(dataset_dir, sections, split):
         pool = source_sentences(encounter, mask_deid=mask_deid)
         lcs_pool = LcsPool([s.tokens for s in pool])
@@ -139,9 +146,9 @@ def align_instances(
                     "reference" if not refs else "source pool",
                 )
                 continue
-            aligned.append((position, align(instance, refs, pool, lcs_pool)))
+            aligned.append((position, encode_line(align(instance, refs, pool, lcs_pool))))
     aligned.sort(key=itemgetter(0))
-    return [row for _, row in aligned]
+    return [line for _, line in aligned]
 
 
 def _instances_by_encounter(
@@ -171,9 +178,7 @@ def write_oracle_summaries(
         text = oracle_extract(refs, pool, lcs_pool)
         return summary_record(instance.encounter_id, instance.section, ORACLE_SYSTEM, text)
 
-    rows = align_instances(dataset_dir, sections, split, summary, mask_deid)
-    write_jsonl(out, rows)
-    return len(rows)
+    return write_lines(out, align_instances(dataset_dir, sections, split, summary, mask_deid))
 
 
 def write_pseudo_labels(
@@ -189,9 +194,7 @@ def write_pseudo_labels(
             **build_pseudo_pairs(refs, pool, lcs_pool),
         }
 
-    rows = align_instances(dataset_dir, sections, split, labels, mask_deid)
-    write_jsonl(out, rows)
-    return len(rows)
+    return write_lines(out, align_instances(dataset_dir, sections, split, labels, mask_deid))
 
 
 def write_rule_summaries(
@@ -206,7 +209,7 @@ def write_rule_summaries(
     scans are dropped before the next encounter's; rows are in section order,
     then file order.
     """
-    rows: list[tuple[int, dict]] = []
+    rows: list[tuple[int, str]] = []
     for encounter, found in _instances_by_encounter(dataset_dir, sections, split):
         scans = [extract_sections(note.text, rules) for note in encounter.prior_notes]
         for position, instance in found:
@@ -214,9 +217,8 @@ def write_rule_summaries(
                     if instance.section in scan]
             if hits:
                 text = "\n\n".join(hits)
-                rows.append((position, summary_record(
+                rows.append((position, encode_line(summary_record(
                     instance.encounter_id, instance.section, RULE_SYSTEM, text
-                )))
+                ))))
     rows.sort(key=itemgetter(0))
-    write_jsonl(out, [row for _, row in rows])
-    return len(rows)
+    return write_lines(out, [line for _, line in rows])

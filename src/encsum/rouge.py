@@ -69,10 +69,11 @@ class LcsPool:
     big-int operations. The carry of ``v + u`` out of a sequence's top bit
     lands in its guard bit, and ``& full`` clears it again, so no sequence
     sees its neighbour's carry. A sequence's LCS is the number of zero bits
-    left in its part of the row vector.
+    left in its part of the row vector. ``lengths`` holds the pooled
+    sequences' token counts, in pool order.
     """
 
-    __slots__ = ("_masks", "_full", "_spans")
+    __slots__ = ("_masks", "_full", "_spans", "lengths")
 
     def __init__(self, sequences: Iterable[Sequence[str]]):
         masks: dict[str, int] = {}
@@ -90,6 +91,7 @@ class LcsPool:
         self._masks = masks
         self._full = full
         self._spans = spans
+        self.lengths = [n for _, n, _ in spans]
 
     @classmethod
     def tiled(cls, sequence: Sequence[str], copies: int) -> LcsPool:
@@ -106,6 +108,7 @@ class LcsPool:
         pool._masks = {token: mask * repunit for token, mask in pool._masks.items()}
         pool._full *= repunit
         pool._spans = [(offset, n, ones) for offset in range(0, stride * copies, stride)]
+        pool.lengths = [n] * copies
         return pool
 
     def window(self, first: int, stop: int) -> int:

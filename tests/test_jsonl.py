@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from encsum.jsonl import (
-    _encode_line, iter_jsonl, parse_json, read_jsonl, read_text, write_json, write_jsonl,
+    encode_line, iter_jsonl, parse_json, read_jsonl, read_text, write_json, write_jsonl,
     write_text,
 )
 
@@ -56,7 +56,7 @@ class TestAtomicWrites:
     # ``str.splitlines`` broke a record in three.
     @given(st.text(st.characters() | st.sampled_from("\x85\u2028\u2029")))
     def test_line_survives_splitlines(self, text):
-        line = _encode_line({"t": text, "é": [text]})
+        line = encode_line({"t": text, "é": [text]})
         assert line.splitlines() == [line]
         assert json.loads(line) == {"t": text, "é": [text]}
 

@@ -1,4 +1,6 @@
 import random
+from collections import defaultdict
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -236,3 +238,57 @@ class TestArgmaxMatchesLoop:
         got = _argmax_per_reference(refs, pool, _pooled(pool), metric)
         assert _picks(got) == _picks(loop_argmax(refs, pool, metric))
         assert got[0][0].key == (0, 1)
+
+
+def _ratio_classes(max_ref: int = 40, max_len: int = 60) -> list[tuple[int, list[tuple[int, int]]]]:
+    """(L, the (overlap o, source length n) pairs of one F1 ratio o / (n + L))
+    for each ratio that two or more pairs share, with 0 < o <= min(n, L).
+
+    Equal ratios are equal fractions, so their float keys are equal, while
+    prf rounds the F1 of more than half of these classes to two or more
+    floats."""
+    classes = []
+    for ref_len in range(1, max_ref + 1):
+        by_ratio = defaultdict(list)
+        for n in range(1, max_len + 1):
+            for o in range(1, min(n, ref_len) + 1):
+                d = gcd(o, n + ref_len)
+                by_ratio[o // d, (n + ref_len) // d].append((o, n))
+        classes += [(ref_len, pairs) for pairs in by_ratio.values() if len(pairs) > 1]
+    return classes
+
+
+_RATIO_CLASSES = _ratio_classes()
+
+
+@st.composite
+def planted_ties(draw):
+    """A reference and a pool in which two or more sources share its F1
+    ratio, among sources without overlap and sources without tokens, at
+    drawn positions; keys in pool order or drawn out of it. The references
+    may include one without tokens."""
+    ref_len, pairs = draw(st.sampled_from(_RATIO_CLASSES))
+    ref = tuple(f"r{i}" for i in range(ref_len))
+    planted = draw(st.lists(st.sampled_from(pairs), min_size=2, max_size=4))
+    # A source's overlap is its prefix of the reference; its filler tokens
+    # are its own, so its LCS with the reference is o.
+    tokens = [ref[:o] + tuple(f"x{j}.{k}" for k in range(n - o)) for j, (o, n) in enumerate(planted)]
+    tokens += draw(st.lists(_tokens, max_size=3))
+    tokens += [()] * draw(st.integers(0, 2))
+    order = draw(st.permutations(range(len(tokens))))
+    keys = range(len(tokens)) if draw(st.booleans()) else draw(st.permutations(range(len(tokens))))
+    pool = [Sentence(tokens[j], 0, key, "") for j, key in zip(order, keys)]
+    refs = [Sentence(ref, 0, 0, "")]
+    if draw(st.booleans()):
+        refs.insert(draw(st.integers(0, 1)), Sentence((), 0, 1, ""))
+    return refs, pool
+
+
+class TestPlantedF1Ties:
+    @settings(max_examples=300, deadline=None)
+    @given(planted_ties(), st.sampled_from([_F1, _RECALL]))
+    def test_planted_ties_match_loop(self, instance, metric):
+        refs, pool = instance
+        assert _picks(_argmax_per_reference(refs, pool, _pooled(pool), metric)) == _picks(
+            loop_argmax(refs, pool, metric)
+        )
