@@ -44,17 +44,27 @@ def write_json(path: str | Path, obj: Any) -> None:
     write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-# One encoder for every JSON line: ``json.dumps`` with options builds a new
-# one per call. JSON escapes every character at which ``str.splitlines``
-# breaks a line but U+0085, U+2028 and U+2029; ``encode_line`` escapes those
-# too, which a JSON text can hold only inside a string.
-_encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+# One encoder, built once, writes every JSON line: ``JSONEncoder.encode``
+# builds a new C encoder on every call. These are the arguments it passes,
+# but for the markers of its circular-reference check: None, as every record
+# is a tree. CPython's ``json`` always has ``c_make_encoder``, so there is no
+# fallback. ``parse_json`` keeps ``_encode`` for its surrogate check.
+_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+_encode = _ENCODER.encode
+_encode_tree = json.encoder.c_make_encoder(
+    None, _ENCODER.default, json.encoder.c_encode_basestring, _ENCODER.indent,
+    _ENCODER.key_separator, _ENCODER.item_separator, _ENCODER.sort_keys,
+    _ENCODER.skipkeys, _ENCODER.allow_nan,
+)
+# JSON escapes every character at which ``str.splitlines`` breaks a line but
+# U+0085, U+2028 and U+2029; ``encode_line`` escapes those too, which a JSON
+# text can hold only inside a string.
 _UNESCAPED_BREAK = re.compile("[\x85\u2028\u2029]")
 
 
 def encode_line(record: Any) -> str:
     """``record`` as one line of a JSON Lines output, without its newline."""
-    line = _encode(record)
+    line = "".join(_encode_tree(record, 0))
     if line.isascii():
         return line
     return _UNESCAPED_BREAK.sub(lambda m: f"\\u{ord(m[0]):04x}", line)

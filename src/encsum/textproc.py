@@ -62,6 +62,11 @@ class Sentence(NamedTuple):
         return (self.doc_index, self.sent_index)
 
 
+# ``tuple.__new__(Sentence, fields)`` builds a Sentence without the
+# NamedTuple's Python ``__new__``.
+_new_tuple = tuple.__new__
+
+
 def normalize(text: str) -> str:
     """Lowercase and collapse whitespace runs to single spaces."""
     return " ".join(text.lower().split())
@@ -98,7 +103,8 @@ def split_sentences(text: str, doc_index: int = 0, mask_deid: bool = False) -> l
         stripped = text[span_start:span_end].strip()
         if stripped:
             tokens = tuple(_tokenize(stripped, mask_deid))
-            sentences.append(Sentence(tokens, doc_index, len(sentences), stripped))
+            sentence = (tokens, doc_index, len(sentences), stripped)
+            sentences.append(_new_tuple(Sentence, sentence))
     return sentences
 
 

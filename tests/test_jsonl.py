@@ -68,6 +68,32 @@ class TestAtomicWrites:
         assert written.stat().st_mode == plain.stat().st_mode
 
 
+# JSON values at the edges of each type the encoder writes: nested objects
+# with str keys, non-ASCII and NUL characters, ints beyond 2**64, and floats
+# with -0.0, subnormals, NaN and both infinities.
+_texts = st.text(st.characters() | st.sampled_from("\x00é\x85\u2028\u2029"), max_size=6)
+_encodable_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(2**64, 2**200).map(
+        lambda n: n * (-1) ** (n % 2)
+    ) | st.floats() | st.sampled_from(
+        [-0.0, 5e-324, -2.2e-308, float("nan"), float("inf"), float("-inf")]
+    ) | _texts,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_texts, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestEncodeLine:
+    # The encoder built once at import must write the bytes of a
+    # JSONEncoder made for each call, but for the three escaped line breaks.
+    @given(_encodable_values)
+    def test_equals_json_encoder(self, value):
+        expected = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode(value)
+        for line_break in "\x85\u2028\u2029":
+            expected = expected.replace(line_break, f"\\u{ord(line_break):04x}")
+        assert encode_line(value) == expected
+
+
 class TestRead:
     def test_records_go_to_add_and_no_list_is_kept(self, tmp_path):
         path = tmp_path / "a.jsonl"

@@ -11,6 +11,7 @@ machine.
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
 
 import pytest
@@ -37,7 +38,15 @@ def _load_everything(data) -> dict:
 
 
 def _peak(fn, *args) -> int:
-    """The tracemalloc peak, in bytes, of ``fn(*args)``."""
+    """The tracemalloc peak, in bytes, of ``fn(*args)`` run a second time.
+
+    The first run is untraced, so that one-time allocations such as compiled
+    regexes count on neither side of a ratio. A full collection then resets
+    the collector's counts, so that the traced run frees its cyclic garbage
+    at the same points whichever tests ran before it.
+    """
+    fn(*args)
+    gc.collect()
     tracemalloc.start()
     try:
         fn(*args)
@@ -48,7 +57,7 @@ def _peak(fn, *args) -> int:
 
 # Each bound lies between the ratio of a chunk that holds every encounter
 # and then every segment (1.12 for test, 2.53 for train) and the measured
-# one (0.16, 0.79).
+# one (0.18, 0.86).
 @pytest.mark.parametrize("split, bound", [("test", 0.5), ("train", 1.2)])
 def test_chunk_peak_follows_split(data, tmp_path, split, bound):
     everything = _peak(_load_everything, data)
@@ -57,7 +66,7 @@ def test_chunk_peak_follows_split(data, tmp_path, split, bound):
 
 
 # The bound lies between the ratio of an evaluate that holds every
-# encounter (1.31) and the measured one (0.52).
+# encounter (1.31) and the measured one (0.53).
 def test_evaluate_peak_follows_split(data, tmp_path):
     sections = list(SectionName)
     write_oracle_summaries(data, sections, "test", tmp_path / "sys_oracle.jsonl")
@@ -71,14 +80,11 @@ def test_evaluate_peak_follows_split(data, tmp_path):
 
 # The bound lies between the ratio of a command that holds its rows as dicts
 # until it writes them (3.08) and the measured one, which holds them as
-# encoded lines (1.79). Both sides are measured after one untraced run, so
-# that one-time allocations such as compiled regexes do not count. Oracle
-# rows are short, and its ratio moves less (1.84 against 1.73) than it may
-# across Python versions, so it is not checked here.
+# encoded lines (1.84). Oracle rows are short: its ratio moved less when its
+# rows became lines (1.84 to 1.73) than it may across Python versions, so it
+# is not checked here.
 def test_sorted_rows_held_as_lines(data, tmp_path):
     sections = list(SectionName)
-    _load_everything(data)
-    write_pseudo_labels(data, sections, "train", tmp_path / "rows.jsonl")
     everything = _peak(_load_everything, data)
     rows = _peak(write_pseudo_labels, data, sections, "train", tmp_path / "rows.jsonl")
     assert rows / everything < 2.4

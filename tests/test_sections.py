@@ -227,6 +227,19 @@ class TestFindHeadersMatchesReference:
         got = find_headers(doc, rules)
         assert got and got == reference_find_headers(doc, rules)
 
+    # The scan maps every line break but "\n" to "\n" first; the drawn
+    # documents above may miss a break that it leaves out.
+    @pytest.mark.parametrize("separator", [s for s in SEPARATORS if s != " "],
+                             ids=lambda s: repr(s).strip("'"))
+    def test_header_after_each_line_break(self, separator):
+        rules = load_rules()
+        doc = f"note{separator}Chief Complaint: pain{separator}  Social History: alone"
+        got = find_headers(doc, rules)
+        assert got == reference_find_headers(doc, rules)
+        assert [m.section for m in got] == [
+            SectionName.CHIEF_COMPLAINT, SectionName.SOCIAL_HISTORY,
+        ]
+
     def test_longest_variant_wins(self):
         rules = overlapping_rules()
         doc = "x\n  cc: brief: course: walked\nCC: BRIEF: fever\ncc: brief\n"
